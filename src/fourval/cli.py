@@ -31,7 +31,14 @@ from .structures import (
     preset_structure,
     structure_to_json,
 )
-from .syntax import ParseError, formula_text, parse_rule, parse_rule_lines, print_rule
+from .syntax import (
+    ParseError,
+    UsageError,
+    formula_text,
+    parse_rule,
+    parse_rule_lines,
+    print_rule,
+)
 from .systems import all_system_names, export_rule_text, system
 from . import verify as verify_mod
 
@@ -108,9 +115,9 @@ def _resolve_preset(name: str):
     """A --logic value may be a preset name or an axiom-system name."""
     try:
         return name, preset_structure(name)
-    except KeyError:
+    except UsageError:
         pass
-    sysd = system(name)  # may raise KeyError
+    sysd = system(name)  # may raise UsageError
     return sysd.preset, preset_structure(sysd.preset)
 
 
@@ -198,7 +205,7 @@ def cmd_verify(cfg: RunConfig, suites: list[str]) -> int:
     ok = True
     for name in suites:
         if name not in _SUITE_ARGS:
-            raise KeyError(f"unknown verification suite {name!r}")
+            raise UsageError(f"unknown verification suite {name!r}")
         rep = verify_mod.run_suite(name, **_SUITE_ARGS[name](cfg))
         reports.append(rep)
         ok = ok and rep["ok"]
@@ -238,7 +245,7 @@ def cmd_algebra(cfg: RunConfig, action: str, name: str | None, constants: str,
             st = preset_structure(name if not consts else
                                   name + "+" + "".join(sorted(constants)))
             data = structure_to_json(st)
-        except KeyError:
+        except UsageError:
             data = algebra_to_json(builtin(name, consts))
         report = _envelope(cfg, {"algebra": data})
         _emit(report, cfg)
@@ -368,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         jobs=pick("jobs", 1, int),
         output=pick("output", "text"),
     )
+    if cfg.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {cfg.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "decide":
             if not cfg.rule and not cfg.rules_file:
@@ -388,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_leibniz(cfg)
         print(f"error: unknown command {args.command}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, SignatureMismatchError, VariableLimitError, KeyError,
+    except (ParseError, SignatureMismatchError, VariableLimitError, UsageError,
             BoundExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from .syntax import (
     Rule,
     SigSpec,
     Term,
+    UsageError,
     Var,
     formula_text,
 )
@@ -248,7 +249,7 @@ def parse_preset_name(name: str) -> tuple[str, frozenset[str]]:
     consts = set()
     for ch in suffix:
         if ch not in _SUFFIX_CONSTANTS:
-            raise KeyError(f"bad constant suffix {suffix!r} in preset {name!r}")
+            raise UsageError(f"bad constant suffix {suffix!r} in preset {name!r}")
         consts.add(_SUFFIX_CONSTANTS[ch])
     return base, frozenset(consts)
 
@@ -257,7 +258,7 @@ def preset_structure(name: str) -> Structure:
     base, consts = parse_preset_name(name)
     builder = _BUILDERS.get(base)
     if builder is None:
-        raise KeyError(f"unknown preset {name!r}")
+        raise UsageError(f"unknown preset {name!r}")
     return builder(consts)
 
 
@@ -283,15 +284,29 @@ def structure_to_json(s: Structure) -> dict:
 
 
 def structure_from_json(data: dict) -> Structure:
+    """Read the interchange format; reject unknown relation names and
+    elements outside the universe with a ValueError."""
     from .algebra import algebra_from_json
     from .syntax import RELATION_ARITIES
 
     alg = algebra_from_json(data)
+
+    def element(name: str, e) -> int:
+        if type(e) is not int or not 0 <= e < alg.size:
+            raise ValueError(f"relation {name}: element {e!r} outside the universe 0..{alg.size - 1}")
+        return e
+
     unary: dict[str, Iterable[int]] = {}
     binary: dict[str, list[tuple[int, int]]] = {}
     for name, val in data.get("rels", {}).items():
-        if RELATION_ARITIES.get(name) == 2:
-            binary[name] = [tuple(p) for p in val]
+        arity = RELATION_ARITIES.get(name)
+        if arity is None:
+            raise ValueError(f"unknown relation {name!r}; expected one of {sorted(RELATION_ARITIES)}")
+        if arity == 2:
+            for p in val:
+                if not isinstance(p, (list, tuple)) or len(p) != 2:
+                    raise ValueError(f"relation {name}: {p!r} is not a pair")
+            binary[name] = [(element(name, a), element(name, b)) for a, b in val]
         else:
-            unary[name] = val
+            unary[name] = [element(name, e) for e in val]
     return structure(alg, unary, binary)

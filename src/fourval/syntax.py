@@ -41,6 +41,14 @@ class SignatureError(ParseError):
     """Symbol not available, or used at the wrong arity, in a signature."""
 
 
+class UsageError(KeyError):
+    """A user-supplied name (preset, system, suite, constant suffix) that
+    names nothing in the registry."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+
 @dataclass(frozen=True, slots=True)
 class SigSpec:
     """Which relation symbols and constants a logic's language provides.

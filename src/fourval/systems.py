@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .structures import holds, preset_structure
-from .syntax import Rule, SigSpec, parse_rule, sig
+from .syntax import Rule, SigSpec, UsageError, parse_rule, sig
 
 SCHEME_ROLES = ("base", "interaction", "constant")
 
@@ -245,7 +245,7 @@ def _const_schemes(family: str, sigspec: SigSpec, consts: frozenset[str]) -> lis
 def _build_family(family: str, consts: frozenset[str]) -> AxiomSystem:
     allowed = set(_FAMILY_CONSTANTS[family])
     if not consts <= allowed:
-        raise KeyError(f"system family {family} does not support constants {sorted(consts - allowed)}")
+        raise UsageError(f"system family {family} does not support constants {sorted(consts - allowed)}")
 
     if family == "BD-base":
         s = sig({"T"}, consts)
@@ -410,17 +410,13 @@ def system(name: str) -> AxiomSystem:
     """Look up a registry entry, e.g. system("BDE") or system("BD-EQ+tn")."""
     base, _, suffix = name.partition("+")
     if base not in _FAMILY_CONSTANTS:
-        raise KeyError(f"unknown axiom system {name!r}")
+        raise UsageError(f"unknown axiom system {name!r}")
     consts = set()
     for ch in suffix:
         if ch not in "tnb":
-            raise KeyError(f"bad constant suffix in {name!r}")
+            raise UsageError(f"bad constant suffix in {name!r}")
         consts.add(f"#{ch}")
     return _build_family(base, frozenset(consts))
-
-
-def family_names() -> list[str]:
-    return list(_FAMILY_CONSTANTS)
 
 
 def all_system_names() -> list[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations, product as iproduct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     FiniteAlgebra,
@@ -57,6 +57,7 @@ from .syntax import (
     Meet,
     Neg,
     Rule,
+    UsageError,
     Var,
     formula_text,
     formula_variables,
@@ -490,10 +491,11 @@ def _classification(names: Sequence[str], size: int, suite: str, jobs: int = 1) 
     checks = 0
     details = {}
     tasks = [(name, size) for name in names]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_classify_one, tasks)
     else:
         reports = [_classify_one(t) for t in tasks]
@@ -687,38 +689,37 @@ def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> lis
     return sorted(ground)
 
 
-def _horn_closure(ground, by_premise, zero_rules: Sequence[int],
-                  base_missing: Sequence[int], seeds: Iterable[int], depth: int) -> set[int]:
-    """BFS saturation; a fact's round is one past its latest premise."""
-    facts = set(seeds)
-    frontier = list(facts)
-    seen_dec: dict[int, int] = {}
-    for rnd in range(1, depth + 1):
-        ready: list[int] = []
-        for f in frontier:
-            for rid in by_premise.get(f, ()):
-                d = seen_dec.get(rid, 0) + 1
-                seen_dec[rid] = d
-                if d == base_missing[rid]:
-                    ready.append(rid)
-        if rnd == 1:
-            ready.extend(zero_rules)
-        new: list[int] = []
-        for rid in ready:
-            concl = ground[rid][1]
-            if concl not in facts:
-                facts.add(concl)
-                new.append(concl)
-        if not new:
+class _Levels(list):
+    """Per formula, the bitset of premise sets reaching it; ``rounds``
+    counts the rounds that changed it."""
+    rounds = 0
+
+
+def _horn_closure(ground, seeds: Sequence[int], depth: int, full: int) -> _Levels:
+    """Saturate every premise set at once (Dowling & Gallier 1984): bit j of
+    ``seeds[f]``, and of the result's entry f, says formula f is in, or is
+    reached from, premise set j.  Rounds are synchronous, so a fact's round
+    is one past its latest premise; zero-premise rules fire for all (``full``)."""
+    level = _Levels(seeds)
+    for _ in range(depth):
+        nxt = level[:]
+        for prems, concl in ground:
+            reach = full
+            for p in prems:
+                reach &= level[p]
+            nxt[concl] |= reach
+        if nxt == level:
             break
-        frontier = new
-    return facts
+        level[:] = nxt
+        level.rounds += 1
+    return level
 
 
 def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = None) -> dict:
     started = time.time()
     violations = []
     checks = 0
+    stats = {}
     # (system, max premises, term depth); constant variants run at term
     # depth 0, where the space stays desk-scale but constants are exercised
     runs: list[tuple[str, int, int]] = [(n, 2, 1) for n in (systems_run or CORE_SINGLE_CONCLUSION)]
@@ -731,34 +732,33 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
         formulas = formulas_within(bounds)
         universe = terms_within(bounds)
         ground = _ground_program(sysd, formulas, universe)
-        by_premise: dict[int, list[int]] = {}
-        base_missing = [len(prems) for prems, _ in ground]
-        zero_rules = [rid for rid, m in enumerate(base_missing) if m == 0]
-        for rid, (prems, _) in enumerate(ground):
-            for p in prems:
-                by_premise.setdefault(p, []).append(rid)
         st = preset_structure(sysd.preset)
-        names = ("x", "y")
-        bitmaps = [_formula_bitmap(st, f, names) for f in formulas]
-        all_vals = (1 << (st.algebra.size ** 2)) - 1
-        idx = range(len(formulas))
-        for k in range(max_prem + 1):
-            for prem in combinations(idx, k):
-                pm = all_vals
-                for p in prem:
-                    pm &= bitmaps[p]
-                derived = _horn_closure(ground, by_premise, zero_rules, base_missing,
-                                        prem, depth)
-                for c in derived:
-                    if c in prem:
-                        continue
-                    checks += 1
-                    if (pm & ~bitmaps[c]) != 0:
-                        r = Rule(frozenset(formulas[p] for p in prem),
-                                 frozenset({formulas[c]}))
-                        violations.append(f"{sys_name}: derived but invalid: {print_rule(r)}")
+        bitmaps = [_formula_bitmap(st, f, ("x", "y")) for f in formulas]
+        # premise set j is the j-th combination; seeds[f] has the sets holding f
+        sets = [prem for k in range(max_prem + 1) for prem in combinations(range(len(formulas)), k)]
+        full = (1 << len(sets)) - 1
+        seeds = [0] * len(formulas)
+        for j, prem in enumerate(sets):
+            for p in prem:
+                seeds[p] |= 1 << j
+        level = _horn_closure(ground, seeds, depth, full)
+        reached = [lv & ~s for lv, s in zip(level, seeds)]
+        invalid = set()
+        for v in range(st.algebra.size ** 2):
+            fails = [f for f, bm in enumerate(bitmaps) if not (bm >> v) & 1]
+            sat = full  # the premise sets all of whose members hold at v
+            for f in fails:
+                sat &= ~seeds[f]
+            invalid.update((j, c) for c in fails for j in mask_iter(reached[c] & sat))
+        for j, c in sorted(invalid):
+            r = Rule(frozenset(formulas[p] for p in sets[j]), frozenset({formulas[c]}))
+            violations.append(f"{sys_name}: derived but invalid: {print_rule(r)}")
+        derived = sum(r.bit_count() for r in reached)
+        checks += derived
+        stats[sys_name] = {"ground_rules": len(ground), "premise_sets": len(sets),
+                           "closure_rounds": level.rounds, "derived_pairs": derived}
     return _report("engine-soundness", {"depth": depth, "runs": [r[0] for r in runs]},
-                   checks, violations, started)
+                   checks, violations, started, {"stats": stats})
 
 
 # ---------------------------------------------------------------------------
@@ -936,5 +936,5 @@ SUITES: dict[str, Callable[..., dict]] = {
 def run_suite(name: str, **kwargs) -> dict:
     fn = SUITES.get(name)
     if fn is None:
-        raise KeyError(f"unknown verification suite {name!r}")
+        raise UsageError(f"unknown verification suite {name!r}")
     return fn(**kwargs)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fourval import cli
 from fourval.cli import main
 
 
@@ -101,6 +102,26 @@ def test_systems_list_and_show(capsys):
 def test_systems_show_unknown_exits_two(capsys):
     code, _, err = run(capsys, "systems", "show", "XYZ")
     assert code == 2
+
+
+def test_unknown_preset_exits_two(capsys):
+    code, _, err = run(capsys, "leibniz", "--preset", "NOPE")
+    assert code == 2 and "unknown preset 'NOPE'" in err
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_leibniz", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["leibniz", "--preset", "BD"])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_two(capsys, jobs):
+    code, _, err = run(capsys, "verify", "mc-classification", "--jobs", jobs)
+    assert code == 2 and "--jobs" in err
 
 
 def test_algebra_dump_and_census(capsys):

@@ -237,3 +237,16 @@ def test_structure_json_roundtrip():
     assert set(data["rels"]) == {"T", "NF", "eq"}
     back = structure_from_json(data)
     assert back == s
+
+
+@pytest.mark.parametrize("rels,message", [
+    ({"T": [0, 7]}, "outside the universe"),
+    ({"eq": [[0, 0], [0, 9]]}, "outside the universe"),
+    ({"eq": [[0, 1, 2]]}, "not a pair"),
+    ({"X": [0]}, "unknown relation 'X'"),
+])
+def test_structure_from_json_rejects_bad_relations(rels, message):
+    data = structure_to_json(preset_structure("BD"))
+    data["rels"] = rels
+    with pytest.raises(ValueError, match=message):
+        structure_from_json(data)

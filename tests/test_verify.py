@@ -64,6 +64,30 @@ def test_classification_parallel_matches_sequential():
     assert seq["checks"] == par["checks"]
 
 
+def test_classification_pool_is_capped_at_the_task_count(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    report = verify.suite_mc_classification(size=2, jobs=64)
+    assert sizes == [2]
+    assert report["ok"] and report["config"]["jobs"] == 64
+
+
 def test_engine_soundness_single_system():
     report = verify.suite_engine_soundness(systems_run=["BDE"])
     assert report["ok"] and report["checks"] > 1000
