@@ -234,21 +234,17 @@ class Congruence:
         return True
 
     def compatible_with_binary(self, rows: Sequence[int]) -> bool:
-        # (a,b) in R, a~c, b~d  =>  (c,d) in R
-        classes = self.classes()
+        # (a,b) in R, a~c, b~d  =>  (c,d) in R, i.e. row c covers the class of b
+        members: dict[int, int] = {}
+        for i, r in enumerate(self.rep):
+            members[r] = members.get(r, 0) | (1 << i)
+        cls = [members[r] for r in self.rep]
         for a in range(self.algebra.size):
-            for b in range(self.algebra.size):
-                if (rows[a] >> b) & 1:
-                    for c in classes[_class_index(self.rep, a)]:
-                        for d in classes[_class_index(self.rep, b)]:
-                            if not (rows[c] >> d) & 1:
-                                return False
+            for b in mask_iter(rows[a]):
+                for c in mask_iter(cls[a]):
+                    if cls[b] & ~rows[c]:
+                        return False
         return True
-
-
-def _class_index(rep: tuple[int, ...], a: int) -> int:
-    reps = sorted(set(rep))
-    return reps.index(rep[a])
 
 
 def _canon(rep: Sequence[int]) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .algebra import BoundExceededError, algebra_to_json, builtin, enumerate_dm_lattices
 from .engine import (
@@ -69,8 +69,14 @@ class RunConfig:
         return asdict(self)
 
 
+_INT_SETTINGS = frozenset(f.name for f in fields(RunConfig) if f.type == "int")
+
+
 def _load_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment; flags override these."""
+    """key=value lines; '#' starts a comment; flags override these.
+
+    Integer settings are converted here, and a value that is not an
+    integer is a ValueError naming the key."""
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -80,7 +86,13 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key in _INT_SETTINGS:
+                try:
+                    value = int(value)
+                except ValueError as exc:
+                    raise ValueError(f"config {key}: {exc}") from None
+            out[key] = value
     return out
 
 
@@ -281,16 +293,23 @@ def cmd_leibniz(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file merged under explicit flags")
-    common.add_argument("--output", choices=("text", "json"), default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=None)
+def _global_flags(default) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", default=default,
+                       help="key=value config file merged under explicit flags")
+    flags.add_argument("--output", choices=("text", "json"), default=default)
+    flags.add_argument("--seed", type=int, default=default)
+    flags.add_argument("--jobs", type=int, default=default)
+    return flags
 
+
+def build_parser() -> argparse.ArgumentParser:
+    # the flags go on either side of the subcommand; a subparser sets only
+    # the flags given after it, so it never resets one given before it
+    common = _global_flags(argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="fourval",
-        parents=[common],
+        parents=[_global_flags(None)],
         description="Four-valued relational logics over finite De Morgan lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -353,13 +372,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    def pick(name, default, cast=lambda x: x):
+    def pick(name, default):
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
-        if name in merged:
-            return cast(merged[name])
-        return default
+        return merged.get(name, default)
 
     cfg = RunConfig(
         command=args.command,
@@ -367,12 +384,12 @@ def main(argv: list[str] | None = None) -> int:
         system=getattr(args, "system", None),
         rule=getattr(args, "rule", None),
         rules_file=pick("rules_file", None),
-        depth=pick("depth", 8, int),
-        size=pick("size", 4, int),
-        max_size=pick("max_size", 6, int),
-        var_limit=pick("var_limit", 8, int),
-        seed=pick("seed", 0, int),
-        jobs=pick("jobs", 1, int),
+        depth=pick("depth", 8),
+        size=pick("size", 4),
+        max_size=pick("max_size", 6),
+        var_limit=pick("var_limit", 8),
+        seed=pick("seed", 0),
+        jobs=pick("jobs", 1),
         output=pick("output", "text"),
     )
     if cfg.jobs < 1:

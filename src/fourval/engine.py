@@ -23,7 +23,7 @@ from .algebra import (
     is_filter,
 )
 from .leibniz import leibniz_structure, quotient_structure
-from .structures import Structure, Verdict, holds, is_model, preset_structure, structure
+from .structures import CompiledRules, Structure, Verdict, holds, preset_structure, structure
 from .syntax import (
     Const,
     Formula,
@@ -315,16 +315,17 @@ def edge_mutations(d: Derivation) -> list[Derivation]:
 # ---------------------------------------------------------------------------
 # Rule translation (exact truth into equations with the #t constant).
 
+def translate_exact_to_eq_formula(f: Formula) -> Formula:
+    """E(u) becomes  #t = u;  every other formula is unchanged."""
+    if f.pred == "E":
+        return Formula("eq", (Const("#t"), f.args[0]))
+    return f
+
+
 def translate_exact_to_eq(r: Rule) -> Rule:
     """Replace each E(u) by  #t = u;  everything else is unchanged."""
-
-    def tr(f: Formula) -> Formula:
-        if f.pred == "E":
-            return Formula("eq", (Const("#t"), f.args[0]))
-        return f
-
-    return Rule(frozenset(tr(f) for f in r.premises),
-                frozenset(tr(f) for f in r.conclusions))
+    return Rule(frozenset(map(translate_exact_to_eq_formula, r.premises)),
+                frozenset(map(translate_exact_to_eq_formula, r.conclusions)))
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +620,15 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     and check each reduct against the family's documented shape."""
     family = sys.name.partition("+")[0]
     report = ClassificationReport(sys.name, size)
-    ordered_rules = sorted(sys.named_rules(),
-                           key=lambda nr: (len(nr[1].variables()), len(nr[1].premises)))
+    program = CompiledRules(sorted(sys.named_rules(),
+                                   key=lambda nr: (len(nr[1].variables()), len(nr[1].premises))))
     for base_alg in census_pool(size):
         for alg in _constant_assignments(base_alg, sys.signature.constants):
             report.algebras += 1
+            first_failure = program.for_algebra(alg)
             for cand in candidate_structures(sys, alg):
                 report.structures += 1
-                ok, _ = is_model(cand, ordered_rules)
-                if not ok:
+                if first_failure(cand) is not None:
                     continue
                 report.models += 1
                 theta = leibniz_structure(cand)

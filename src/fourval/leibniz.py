@@ -21,6 +21,7 @@ from typing import Sequence
 from .algebra import (
     Congruence,
     FiniteAlgebra,
+    _canon,
     congruence_meet,
     congruences,
     identity_congruence,
@@ -147,14 +148,6 @@ def _partition_from_signature(alg: FiniteAlgebra, signature: list) -> Congruence
     for a in range(alg.size):
         rep.append(first.setdefault(signature[a], a))
     return Congruence(alg, _canon(rep))
-
-
-def _canon(rep: Sequence[int]) -> tuple[int, ...]:
-    least: dict[int, int] = {}
-    for i, r in enumerate(rep):
-        if r not in least:
-            least[r] = i
-    return tuple(least[r] for r in rep)
 
 
 # ---------------------------------------------------------------------------

@@ -4,25 +4,51 @@ A structure is a finite algebra plus an interpretation of each relation
 symbol: unary relations are bitmasks over the universe, binary relations
 are tuples of row bitmasks (row a, bit b set iff (a,b) is in the relation).
 
-Validity of a rule is decided by sweeping every valuation of its
-variables: the rule holds when each valuation satisfying all premises
-satisfies at least one conclusion.  The reported counter-valuation is the
-lexicographically least one (variables in alphabetical order, elements in
-index order).
+Validity is decided by one kernel over valuation bitsets.
+
+* The grid.  The valuations of variables v0 < v1 < ... < v(k-1)
+  (alphabetical order) over an n-element algebra are the n**k points of a
+  grid in lexicographic order: point i gives v_j the j-th base-n digit of
+  i, most significant first, so v0 varies slowest and elements go in
+  index order.
+* Terms.  A term's bitset is a tuple of n ints; bit i of entry a is set
+  iff the term evaluates to a at point i.  It is computed by recursion
+  over the term: a variable's entries are fixed runs of the grid, a
+  constant's is all-ones at its value, and an operation ORs the AND of
+  each pair of argument entries into the entry of their result.
+* Formulas.  P(t) is the OR of t's entries for the elements of P.
+  s = t is the OR, over a, of s's entry a ANDed with the OR of t's
+  entries for the elements b related to a.
+* Rules.  A rule fails at the points of AND(premises) & ~OR(conclusions).
+  Bit order is grid order, so the lowest set bit of that int is the
+  lexicographically least counter-valuation, which is the one reported.
+
+`holds` decides one rule and compiles nothing.  It sweeps grids above
+BLOCK_VALUATIONS points in blocks that fix the leading variables, block by
+block in lexicographic order, so memory stays bounded however many
+variables a rule has; the first block with a failing point holds the
+least counter-valuation.  `CompiledRules` serves sweeps that check many
+structures over one algebra: it interns a rule list's terms once,
+computes every term's bitsets once per algebra, and memoises formula
+bitsets per relation value.  `eval_term` evaluates one term at one
+valuation; it is the independent oracle the tests compare the kernel
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, builtin, mask_of
+from .algebra import FiniteAlgebra, builtin, mask_iter, mask_of
 from .syntax import (
     Const,
     Formula,
     Meet,
     Neg,
+    RELATION_ARITIES,
     Rule,
     SigSpec,
     Term,
@@ -32,6 +58,7 @@ from .syntax import (
 )
 
 DEFAULT_VARIABLE_LIMIT = 8
+BLOCK_VALUATIONS = 1 << 16  # grid points swept per block
 
 
 class SignatureMismatchError(ValueError):
@@ -103,6 +130,7 @@ class Verdict:
 
 
 def eval_term(s: Structure, t: Term, valuation: Mapping[str, int]) -> int:
+    """Value of t at one valuation: the oracle the kernel is tested against."""
     alg = s.algebra
     if isinstance(t, Var):
         if t.name not in valuation:
@@ -119,69 +147,140 @@ def eval_term(s: Structure, t: Term, valuation: Mapping[str, int]) -> int:
     return alg.join[eval_term(s, t.left, valuation)][eval_term(s, t.right, valuation)]
 
 
-def _compile_term(s: Structure, t: Term, var_ix: dict[str, int]) -> Callable[[tuple], int]:
-    alg = s.algebra
-    if isinstance(t, Var):
-        i = var_ix[t.name]
-        return lambda v: v[i]
-    if isinstance(t, Const):
-        if t.symbol not in alg.constants:
-            raise SignatureMismatchError(f"constant {t.symbol} not interpreted in the structure")
-        c = alg.constants[t.symbol]
-        return lambda v: c
-    if isinstance(t, Neg):
-        f = _compile_term(s, t.arg, var_ix)
-        neg = alg.neg
-        return lambda v: neg[f(v)]
-    if isinstance(t, Meet):
-        f = _compile_term(s, t.left, var_ix)
-        g = _compile_term(s, t.right, var_ix)
-        meet = alg.meet
-        return lambda v: meet[f(v)][g(v)]
-    f = _compile_term(s, t.left, var_ix)
-    g = _compile_term(s, t.right, var_ix)
-    join = alg.join
-    return lambda v: join[f(v)][g(v)]
+# ---------------------------------------------------------------------------
+# The valuation-bitset kernel; see the module docstring.
+
+@lru_cache(maxsize=128)
+def _variable_bits(n: int, k: int, i: int) -> tuple[int, ...]:
+    """Bitsets of the i-th of k variables on their grid over n elements."""
+    run = n ** (k - 1 - i)  # consecutive points sharing variable i's value
+    period = run * n
+    starts = ((1 << period * n ** i) - 1) // ((1 << period) - 1)  # bit at each period start
+    ones = (1 << run) - 1
+    return tuple((ones << a * run) * starts for a in range(n))
 
 
-def compile_formula(s: Structure, f: Formula, var_ix: dict[str, int]) -> Callable[[tuple], bool]:
+def _constant_bits(alg: FiniteAlgebra, symbol: str, full: int) -> tuple[int, ...]:
+    c = alg.constants.get(symbol)
+    if c is None:
+        raise SignatureMismatchError(f"constant {symbol} not interpreted in the structure")
+    return tuple(full if a == c else 0 for a in range(alg.size))
+
+
+def _negate(neg: Sequence[int], arg: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(arg)
+    for a, bits in enumerate(arg):
+        out[neg[a]] |= bits
+    return tuple(out)
+
+
+def _combine(table, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(left)
+    for a, lbits in enumerate(left):
+        if lbits:
+            row = table[a]
+            for b, rbits in enumerate(right):
+                both = lbits & rbits
+                if both:
+                    out[row[b]] |= both
+    return tuple(out)
+
+
+def _term_bits(alg: FiniteAlgebra, t: Term, env: Mapping[str, tuple[int, ...]],
+              full: int) -> tuple[int, ...]:
+    """Bitsets of t; env maps each variable to its bitsets, full is the grid's all-ones."""
+    kind = type(t)
+    if kind is Var:
+        return env[t.name]
+    if kind is Const:
+        return _constant_bits(alg, t.symbol, full)
+    if kind is Neg:
+        return _negate(alg.neg, _term_bits(alg, t.arg, env, full))
+    return _combine(alg.meet if kind is Meet else alg.join,
+                    _term_bits(alg, t.left, env, full), _term_bits(alg, t.right, env, full))
+
+
+def _unary_bits(mask: int, arg: tuple[int, ...]) -> int:
+    out = 0
+    for a in mask_iter(mask):
+        out |= arg[a]
+    return out
+
+
+def _binary_bits(rows: Sequence[int], left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    out = 0
+    for a, lbits in enumerate(left):
+        if lbits:
+            related = 0
+            for b in mask_iter(rows[a]):
+                related |= right[b]
+            out |= lbits & related
+    return out
+
+
+def _formula_bits(s: Structure, f: Formula, env: Mapping[str, tuple[int, ...]], full: int) -> int:
     if f.pred in s.unary:
-        mask = s.unary[f.pred]
-        t = _compile_term(s, f.args[0], var_ix)
-        return lambda v: (mask >> t(v)) & 1 == 1
+        return _unary_bits(s.unary[f.pred], _term_bits(s.algebra, f.args[0], env, full))
     if f.pred in s.binary:
-        rows = s.binary[f.pred]
-        t1 = _compile_term(s, f.args[0], var_ix)
-        t2 = _compile_term(s, f.args[1], var_ix)
-        return lambda v: (rows[t1(v)] >> t2(v)) & 1 == 1
+        return _binary_bits(s.binary[f.pred], _term_bits(s.algebra, f.args[0], env, full),
+                            _term_bits(s.algebra, f.args[1], env, full))
     raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
 
 
+def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
+    """Bit i is set iff f is true at point i of the grid of `names`.
+
+    The whole grid comes back as one int, so this is for the small grids
+    the verification suites sweep rule spaces over.
+    """
+    n, k = s.algebra.size, len(names)
+    env = {v: _variable_bits(n, k, i) for i, v in enumerate(names)}
+    return _formula_bits(s, f, env, (1 << n ** k) - 1)
+
+
+def _blocks(n: int, names: Sequence[str]) -> Iterator[tuple[int, dict[str, tuple[int, ...]], int]]:
+    """(first grid point, variable bitsets, all-ones) per block, in grid order;
+    the bitsets dict is one object, updated in place for each block."""
+    k = len(names)
+    lead = 0
+    while n ** (k - lead) > BLOCK_VALUATIONS:
+        lead += 1
+    size = n ** (k - lead)
+    full = (1 << size) - 1
+    env = {names[i]: _variable_bits(n, k - lead, i - lead) for i in range(lead, k)}
+    for block, prefix in enumerate(iproduct(range(n), repeat=lead)):
+        for name, value in zip(names, prefix):
+            env[name] = tuple(full if a == value else 0 for a in range(n))
+        yield block * size, env, full
+
+
+def _grid_point(names: Sequence[str], n: int, index: int) -> dict[str, int]:
+    digits = []
+    for _ in names:
+        index, d = divmod(index, n)
+        digits.append(d)
+    return dict(zip(names, reversed(digits)))
+
+
 def holds(s: Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
-    """Exhaustive valuation sweep; see module docstring for conventions."""
+    """Validity of r in s, with the least counter-valuation when it fails."""
     names = sorted(r.variables())
     if len(names) > var_limit:
         raise VariableLimitError(f"rule has {len(names)} variables, limit is {var_limit}")
     missing = r.predicates() - set(s.unary) - set(s.binary)
     if missing:
         raise SignatureMismatchError(f"predicates not in structure: {sorted(missing)}")
-    var_ix = {name: i for i, name in enumerate(names)}
-    premises = [compile_formula(s, f, var_ix)
-                for f in sorted(r.premises, key=formula_text)]
-    conclusions = [compile_formula(s, f, var_ix)
-                   for f in sorted(r.conclusions, key=formula_text)]
-    for v in iproduct(range(s.algebra.size), repeat=len(names)):
-        ok = True
-        for p in premises:
-            if not p(v):
-                ok = False
-                break
-        if not ok:
-            continue
-        if any(c(v) for c in conclusions):
-            continue
-        valuation = {name: v[i] for name, i in var_ix.items()}
-        return Verdict(False, valuation, tuple(sorted(r.conclusions, key=formula_text)))
+    premises = sorted(r.premises, key=formula_text)
+    conclusions = sorted(r.conclusions, key=formula_text)
+    for first, env, full in _blocks(s.algebra.size, names):
+        fail = full
+        for f in premises:
+            fail &= _formula_bits(s, f, env, full)
+        for f in conclusions:
+            fail &= ~_formula_bits(s, f, env, full)
+        if fail:
+            point = first + (fail & -fail).bit_length() - 1
+            return Verdict(False, _grid_point(names, s.algebra.size, point), tuple(conclusions))
     return Verdict(True)
 
 
@@ -193,6 +292,126 @@ def is_model(s: Structure, named_rules: Iterable[tuple[str, Rule]],
         if not verdict.valid:
             return False, (name, verdict)
     return True, None
+
+
+class CompiledRules:
+    """Named rules compiled once, for model checks on many structures.
+
+    Every term of every rule is interned as a node of one DAG, children
+    before parents; rules over the same variables share a grid and so
+    share their common subterms.  `for_algebra` computes each node's
+    bitsets once per algebra and returns a check for structures over that
+    algebra.  The check memoises each formula's bitset per value of its
+    relation; the memo belongs to the check and goes with it.  Each grid
+    is swept whole, in one block: the axiom lists this serves have few
+    variables, and the algebras are census-sized.
+    """
+
+    def __init__(self, named_rules: Iterable[tuple[str, Rule]],
+                 var_limit: int = DEFAULT_VARIABLE_LIMIT):
+        self.grids: list[int] = []  # number of variables per grid
+        self.nodes: list[tuple] = []  # ("var", grid, i) | ("const", grid, sym) | (op, child ids)
+        self.formulas: list[tuple[str, tuple[int, ...]]] = []  # (pred, argument node ids)
+        self.rules: list[tuple[str, int, tuple[int, ...], tuple[int, ...]]] = []
+        grid_ids: dict[tuple[str, ...], int] = {}
+        node_ids: dict[tuple[int, Term], int] = {}
+        formula_ids: dict[tuple[int, Formula], int] = {}
+
+        def node(g: int, names: tuple[str, ...], t: Term) -> int:
+            key = (g, t)
+            nid = node_ids.get(key)
+            if nid is None:
+                kind = type(t)
+                if kind is Var:
+                    spec = ("var", g, names.index(t.name))
+                elif kind is Const:
+                    spec = ("const", g, t.symbol)
+                elif kind is Neg:
+                    spec = ("neg", node(g, names, t.arg))
+                else:
+                    spec = ("meet" if kind is Meet else "join",
+                            node(g, names, t.left), node(g, names, t.right))
+                nid = node_ids[key] = len(self.nodes)
+                self.nodes.append(spec)
+            return nid
+
+        def formula(g: int, names: tuple[str, ...], f: Formula) -> int:
+            key = (g, f)
+            fid = formula_ids.get(key)
+            if fid is None:
+                fid = formula_ids[key] = len(self.formulas)
+                self.formulas.append((f.pred, tuple(node(g, names, t) for t in f.args)))
+            return fid
+
+        for name, r in named_rules:
+            names = tuple(sorted(r.variables()))
+            if len(names) > var_limit:
+                raise VariableLimitError(f"rule has {len(names)} variables, limit is {var_limit}")
+            g = grid_ids.get(names)
+            if g is None:
+                g = grid_ids[names] = len(self.grids)
+                self.grids.append(len(names))
+            prems = sorted(r.premises, key=formula_text)
+            concs = sorted(r.conclusions, key=formula_text)
+            self.rules.append((name, g, tuple(formula(g, names, f) for f in prems),
+                               tuple(formula(g, names, f) for f in concs)))
+
+    def for_algebra(self, alg: FiniteAlgebra) -> Callable[[Structure], str | None]:
+        """A check returning the name of the first rule a structure over
+        alg fails, or None for a model."""
+        n = alg.size
+        fulls = [(1 << n ** k) - 1 for k in self.grids]
+        bits: list[tuple[int, ...]] = []
+        for spec in self.nodes:
+            kind = spec[0]
+            if kind == "var":
+                bits.append(_variable_bits(n, self.grids[spec[1]], spec[2]))
+            elif kind == "const":
+                bits.append(_constant_bits(alg, spec[2], fulls[spec[1]]))
+            elif kind == "neg":
+                bits.append(_negate(alg.neg, bits[spec[1]]))
+            else:
+                bits.append(_combine(alg.meet if kind == "meet" else alg.join,
+                                     bits[spec[1]], bits[spec[2]]))
+        slots = []  # per formula: (relation, memo by relation value, bitset of a value)
+        for pred, args in self.formulas:
+            arg_bits = [bits[a] for a in args]
+            compute = (partial(_unary_bits, arg=arg_bits[0]) if RELATION_ARITIES[pred] == 1
+                       else partial(_binary_bits, left=arg_bits[0], right=arg_bits[-1]))
+            slots.append((pred, {}, compute))
+        rules = [(name, fulls[g], [slots[k] for k in prems], [slots[k] for k in concs])
+                 for name, g, prems, concs in self.rules]
+        predicates = {pred for pred, _ in self.formulas}
+
+        def first_failure(s: Structure) -> str | None:
+            rels = {**s.unary, **s.binary}
+            if not predicates <= rels.keys():
+                raise SignatureMismatchError(
+                    f"predicates not in structure: {sorted(predicates - rels.keys())}")
+            for name, full, prems, concs in rules:
+                fail = full
+                for pred, memo, compute in prems:
+                    value = rels[pred]
+                    f_bits = memo.get(value)
+                    if f_bits is None:
+                        f_bits = memo[value] = compute(value)
+                    fail &= f_bits
+                    if not fail:
+                        break
+                else:
+                    for pred, memo, compute in concs:
+                        value = rels[pred]
+                        f_bits = memo.get(value)
+                        if f_bits is None:
+                            f_bits = memo[value] = compute(value)
+                        fail &= ~f_bits
+                        if not fail:
+                            break
+                    else:
+                        return name
+            return None
+
+        return first_failure
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .engine import (
     formulas_within,
     terms_within,
     translate_exact_to_eq,
+    translate_exact_to_eq_formula,
 )
 from .leibniz import (
     crosschecked_binary,
@@ -49,7 +50,7 @@ from .leibniz import (
     quotient_structure,
     reduct,
 )
-from .structures import Structure, holds, is_model, preset_structure, structure
+from .structures import formula_bitmap, holds, is_model, preset_structure, structure
 from .syntax import (
     Const,
     Formula,
@@ -524,18 +525,6 @@ def suite_mc_classification(size: int = 4, jobs: int = 1) -> dict:
 # space (a superset of the renaming-deduplicated stream, which can only
 # make the check stronger).
 
-def _formula_bitmap(st: Structure, f: Formula, names: Sequence[str]) -> int:
-    var_ix = {v: i for i, v in enumerate(names)}
-    from .structures import compile_formula
-
-    fn = compile_formula(st, f, var_ix)
-    bits = 0
-    for k, v in enumerate(iproduct(range(st.algebra.size), repeat=len(names))):
-        if fn(v):
-            bits |= 1 << k
-    return bits
-
-
 def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -> dict:
     started = time.time()
     bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T", "E", "eq"}))
@@ -543,8 +532,8 @@ def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -
     names = ("x", "y")
     src = preset_structure("BDE-eq")
     tgt = preset_structure("BD-eq+t")
-    src_bm = [_formula_bitmap(src, f, names) for f in formulas]
-    tgt_bm = [_formula_bitmap(tgt, translate_exact_to_eq_formula(f), names) for f in formulas]
+    src_bm = [formula_bitmap(src, f, names) for f in formulas]
+    tgt_bm = [formula_bitmap(tgt, translate_exact_to_eq_formula(f), names) for f in formulas]
     all_vals = (1 << (src.algebra.size ** 2)) - 1
     violations = []
     checks = 0
@@ -581,12 +570,6 @@ def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -
             violations.append(f"bitmap/decide disagreement on {print_rule(r)}")
     return _report("translation", {"max_premises": max_premises, "sample": sample, "seed": seed},
                    checks, violations, started)
-
-
-def translate_exact_to_eq_formula(f: Formula) -> Formula:
-    if f.pred == "E":
-        return Formula("eq", (Const("#t"), f.args[0]))
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +716,7 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
         universe = terms_within(bounds)
         ground = _ground_program(sysd, formulas, universe)
         st = preset_structure(sysd.preset)
-        bitmaps = [_formula_bitmap(st, f, ("x", "y")) for f in formulas]
+        bitmaps = [formula_bitmap(st, f, ("x", "y")) for f in formulas]
         # premise set j is the j-th combination; seeds[f] has the sets holding f
         sets = [prem for k in range(max_prem + 1) for prem in combinations(range(len(formulas)), k)]
         full = (1 << len(sets)) - 1
@@ -782,7 +765,7 @@ def suite_extension(max_premises: int = 2) -> dict:
     sizes = {}
     for name, (st, conv) in presets.items():
         sizes[name] = (1 << (st.algebra.size ** 2)) - 1
-        bitmaps[name] = [_formula_bitmap(st, conv(f), names) for f in formulas]
+        bitmaps[name] = [formula_bitmap(st, conv(f), names) for f in formulas]
     violations = []
     checks = 0
     idx = range(len(formulas))

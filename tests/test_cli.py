@@ -124,6 +124,29 @@ def test_jobs_below_one_exits_two(capsys, jobs):
     assert code == 2 and "--jobs" in err
 
 
+def test_output_flag_before_the_subcommand(capsys):
+    code, out, _ = run(capsys, "--output", "json", "decide", "--logic", "BD", "T(x) |- T(x)")
+    assert code == 0 and json.loads(out)["valid"] is True
+    # given on both sides, the one after the subcommand wins
+    code, out, _ = run(capsys, "--output", "json", "decide", "--output", "text",
+                       "--logic", "BD", "T(x) |- T(x)")
+    assert code == 0 and out.startswith("command: decide")
+
+
+def test_jobs_before_the_subcommand_is_checked(capsys):
+    code, out, err = run(capsys, "--jobs", "0", "systems", "list")
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+@pytest.mark.parametrize("key", ["depth", "jobs"])
+def test_non_integer_config_value_exits_two(capsys, tmp_path, key):
+    cfg = tmp_path / "fourval.cfg"
+    cfg.write_text(f"{key}=abc\n")
+    code, out, err = run(capsys, "systems", "list", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config {key}: ")
+
+
 def test_algebra_dump_and_census(capsys):
     code, report, _ = run_json(capsys, "algebra", "dump", "DM4", "--constants", "tn")
     assert code == 0

@@ -1,0 +1,170 @@
+"""The valuation-bitset kernel, checked against point-by-point eval_term sweeps."""
+
+import random
+from itertools import product
+
+import pytest
+
+from fourval import structures
+from fourval.algebra import AlgebraError, congruences
+from fourval.engine import (
+    _congruence_rows,
+    _constant_assignments,
+    candidate_structures,
+    census_pool,
+    classify_models,
+)
+from fourval.structures import (
+    CompiledRules,
+    Structure,
+    eval_term,
+    holds,
+    preset_names,
+    preset_structure,
+)
+from fourval.syntax import Formula, Rule, Var, formula_text, print_rule
+from fourval.systems import all_system_names, system
+from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS, random_rule
+
+
+def _true_at(st, f, valuation):
+    args = [eval_term(st, t, valuation) for t in f.args]
+    if f.pred in st.unary:
+        return bool((st.unary[f.pred] >> args[0]) & 1)
+    return bool((st.binary[f.pred][args[0]] >> args[1]) & 1)
+
+
+def oracle(st, r):
+    """(valid, least counter-valuation, failed conclusions) by visiting the
+    valuations one at a time in lexicographic order."""
+    names = sorted(r.variables())
+    for values in product(range(st.algebra.size), repeat=len(names)):
+        v = dict(zip(names, values))
+        if (all(_true_at(st, f, v) for f in r.premises)
+                and not any(_true_at(st, f, v) for f in r.conclusions)):
+            return False, v, tuple(sorted(r.conclusions, key=formula_text))
+    return True, None, None
+
+
+def _presets():
+    """Every preset, plus its largest constant expansion that exists."""
+    out = []
+    for base in preset_names():
+        out.append(base)
+        for suffix in ("+tnb", "+tb", "+t"):
+            try:
+                preset_structure(base + suffix)
+            except AlgebraError:
+                continue
+            out.append(base + suffix)
+            break
+    return out
+
+
+PRESETS = _presets()
+
+
+def _corpus(st, seed, count=40, max_vars=3):
+    """Seeded random_rule draws that fit the preset's signature."""
+    rng = random.Random(seed)
+    rels = set(st.unary) | set(st.binary)
+    out = []
+    for _ in range(20000):
+        r = random_rule(rng, max_vars=max_vars)
+        if r.predicates() <= rels and r.constants() <= set(st.algebra.constants):
+            out.append(r)
+            if len(out) == count:
+                break
+    return out
+
+
+def test_presets_cover_constant_expansions():
+    assert "BDNF-eq+tnb" in PRESETS and "B2-eq+t" in PRESETS
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_holds_agrees_with_eval_term_sweep(preset):
+    st = preset_structure(preset)
+    corpus = _corpus(st, seed=len(preset) * 1000 + sum(map(ord, preset)))
+    assert len(corpus) == 40
+    # a random rule is mostly invalid; widening its conclusions by its
+    # premises gives a valid one whenever it has premises
+    corpus += [Rule(r.premises, r.conclusions | r.premises) for r in corpus]
+    outcomes = []
+    for r in corpus:
+        v = holds(st, r)
+        assert (v.valid, v.valuation, v.failed_conclusions) == oracle(st, r), print_rule(r)
+        outcomes.append(v.valid)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("block", [1, 4, 64])
+def test_blocked_sweep_agrees_with_one_block(monkeypatch, block):
+    rng = random.Random(block)
+    for preset in ("TNE+tnb", "BDNF-eq+tnb", "KE+tb"):
+        st = preset_structure(preset)
+        corpus = _corpus(st, seed=rng.randrange(1 << 30), count=30, max_vars=4)
+        whole = [holds(st, r) for r in corpus]
+        monkeypatch.setattr(structures, "BLOCK_VALUATIONS", block)
+        assert [holds(st, r) for r in corpus] == whole
+        monkeypatch.undo()
+
+
+def test_blocked_sweep_beyond_the_default_block(monkeypatch):
+    # 4**9 grid points: four blocks of 4**8 at the default block size
+    st = preset_structure("BD")
+    names = "abcdefghi"
+    prems = frozenset(Formula("T", (Var(v),)) for v in names[:-1])
+    r = Rule(prems, frozenset({Formula("T", (Var("i"),))}))
+    v = holds(st, r, var_limit=9)
+    assert not v.valid
+    assert v.valuation == {**{x: 0 for x in names[:-1]}, "i": 2}  # the least: i = f
+    monkeypatch.setattr(structures, "BLOCK_VALUATIONS", 4 ** 9)
+    assert holds(st, r, var_limit=9) == v
+
+
+@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
+def test_model_sets_agree_with_eval_term(name):
+    """The models the classification sweep keeps are exactly those the
+    point-by-point oracle accepts, and classify_models counts them.  The
+    constant variants run at size 2, which keeps the oracle quick."""
+    sysd = system(name)
+    size = 3 if name in CLASSIFIED_FAMILIES else 2
+    program = CompiledRules(sysd.named_rules())
+    total = 0
+    for base in census_pool(size):
+        for alg in _constant_assignments(base, sysd.signature.constants):
+            first_failure = program.for_algebra(alg)
+            cands = list(candidate_structures(sysd, alg))
+            kernel = {c for c in cands if first_failure(c) is None}
+            expected = {c for c in cands
+                        if all(oracle(c, r)[0] for _, r in sysd.named_rules())}
+            assert kernel == expected, f"{name} on |A|={alg.size} {alg.constants}"
+            total += len(kernel)
+    assert classify_models(sysd, size).models == total
+    assert total > 0 or name == "MC-ETL+tnb"  # its two models have size 4
+
+
+def test_eq_ranges_only_over_congruences():
+    """candidate_structures lets eq range over congruences only.  Exhaustive
+    check of the reason: in every eq-system, the constant-free axioms about
+    eq alone reject every other binary relation on each census algebra of
+    size <= 3, whatever the other relations and constants are."""
+    checked = 0
+    for name in all_system_names():
+        sysd = system(name)
+        if "eq" not in sysd.signature.relations:
+            continue
+        eq_rules = [(n, r) for n, r in sysd.named_rules()
+                    if r.predicates() == {"eq"} and not r.constants()]
+        program = CompiledRules(eq_rules)
+        for alg in census_pool(3):
+            n = alg.size
+            first_failure = program.for_algebra(alg)
+            congs = {_congruence_rows(c) for c in congruences(alg)}
+            for rows in product(range(1 << n), repeat=n):
+                if rows not in congs:
+                    checked += 1
+                    assert first_failure(Structure(alg, {}, {"eq": rows})) is not None, \
+                        f"{name}: eq = {rows} on |A|={n} is not rejected"
+    assert checked == 33 * (1 + 14 + 510)

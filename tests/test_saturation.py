@@ -91,7 +91,7 @@ def test_closure_matches_per_set_bfs(name, term_depth):
 def _oracle_violations(sysd, formulas, ground, sets, depth: int) -> list[str]:
     """The violation list of the per-set BFS, in (premise set, conclusion) order."""
     st = preset_structure(sysd.preset)
-    bitmaps = [verify._formula_bitmap(st, f, ("x", "y")) for f in formulas]
+    bitmaps = [verify.formula_bitmap(st, f, ("x", "y")) for f in formulas]
     out = []
     for prem in sets:
         holds_all = (1 << st.algebra.size ** 2) - 1
