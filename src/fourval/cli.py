@@ -69,7 +69,7 @@ class RunConfig:
         return asdict(self)
 
 
-_INT_SETTINGS = frozenset(f.name for f in fields(RunConfig) if f.type == "int")
+_INT_SETTINGS = frozenset(f.name for f in fields(RunConfig) if type(f.default) is int)
 
 
 def _load_config_file(path: str) -> dict:

@@ -28,8 +28,8 @@ BLOCK_VALUATIONS points in blocks that fix the leading variables, block by
 block in lexicographic order, so memory stays bounded however many
 variables a rule has; the first block with a failing point holds the
 least counter-valuation.  `CompiledRules` serves sweeps that check many
-structures over one algebra: it interns a rule list's terms once,
-computes every term's bitsets once per algebra, and memoises formula
+structures over one algebra: it interns a rule list's formulas once,
+computes their argument bitsets once per algebra, and memoises formula
 bitsets per relation value.  `eval_term` evaluates one term at one
 valuation; it is the independent oracle the tests compare the kernel
 against.
@@ -38,7 +38,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -48,7 +48,6 @@ from .syntax import (
     Formula,
     Meet,
     Neg,
-    RELATION_ARITIES,
     Rule,
     SigSpec,
     Term,
@@ -218,13 +217,19 @@ def _binary_bits(rows: Sequence[int], left: tuple[int, ...], right: tuple[int, .
     return out
 
 
+def _relation_bits(value, args: Sequence[tuple[int, ...]]) -> int:
+    """Bitset of R(args) for the value of R: a mask if R is unary (one
+    argument), a tuple of row masks if it is binary (two)."""
+    if len(args) == 1:
+        return _unary_bits(value, args[0])
+    return _binary_bits(value, args[0], args[1])
+
+
 def _formula_bits(s: Structure, f: Formula, env: Mapping[str, tuple[int, ...]], full: int) -> int:
-    if f.pred in s.unary:
-        return _unary_bits(s.unary[f.pred], _term_bits(s.algebra, f.args[0], env, full))
-    if f.pred in s.binary:
-        return _binary_bits(s.binary[f.pred], _term_bits(s.algebra, f.args[0], env, full),
-                            _term_bits(s.algebra, f.args[1], env, full))
-    raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
+    value = (s.unary if len(f.args) == 1 else s.binary).get(f.pred)
+    if value is None:
+        raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
+    return _relation_bits(value, [_term_bits(s.algebra, t, env, full) for t in f.args])
 
 
 def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
@@ -297,118 +302,77 @@ def is_model(s: Structure, named_rules: Iterable[tuple[str, Rule]],
 class CompiledRules:
     """Named rules compiled once, for model checks on many structures.
 
-    Every term of every rule is interned as a node of one DAG, children
-    before parents; rules over the same variables share a grid and so
-    share their common subterms.  `for_algebra` computes each node's
-    bitsets once per algebra and returns a check for structures over that
-    algebra.  The check memoises each formula's bitset per value of its
-    relation; the memo belongs to the check and goes with it.  Each grid
-    is swept whole, in one block: the axiom lists this serves have few
-    variables, and the algebras are census-sized.
+    Every formula is interned once per grid (the rule's sorted variables),
+    so rules that share a formula share its memo.  `for_algebra` computes
+    each formula's argument bitsets once per algebra and returns a check
+    for structures over that algebra.  The check memoises each formula's
+    bitset per value of its relation; the memo belongs to the check and
+    goes with it.  Each grid is swept whole, in one block, so rules are
+    held to the default variable limit.
     """
 
-    def __init__(self, named_rules: Iterable[tuple[str, Rule]],
-                 var_limit: int = DEFAULT_VARIABLE_LIMIT):
-        self.grids: list[int] = []  # number of variables per grid
-        self.nodes: list[tuple] = []  # ("var", grid, i) | ("const", grid, sym) | (op, child ids)
-        self.formulas: list[tuple[str, tuple[int, ...]]] = []  # (pred, argument node ids)
+    def __init__(self, named_rules: Iterable[tuple[str, Rule]]):
+        self.grids: list[tuple[str, ...]] = []  # sorted variables per grid
+        self.formulas: list[tuple[int, Formula]] = []  # (grid, formula) per slot
         self.rules: list[tuple[str, int, tuple[int, ...], tuple[int, ...]]] = []
         grid_ids: dict[tuple[str, ...], int] = {}
-        node_ids: dict[tuple[int, Term], int] = {}
-        formula_ids: dict[tuple[int, Formula], int] = {}
+        slot_ids: dict[tuple[int, Formula], int] = {}
 
-        def node(g: int, names: tuple[str, ...], t: Term) -> int:
-            key = (g, t)
-            nid = node_ids.get(key)
-            if nid is None:
-                kind = type(t)
-                if kind is Var:
-                    spec = ("var", g, names.index(t.name))
-                elif kind is Const:
-                    spec = ("const", g, t.symbol)
-                elif kind is Neg:
-                    spec = ("neg", node(g, names, t.arg))
-                else:
-                    spec = ("meet" if kind is Meet else "join",
-                            node(g, names, t.left), node(g, names, t.right))
-                nid = node_ids[key] = len(self.nodes)
-                self.nodes.append(spec)
-            return nid
-
-        def formula(g: int, names: tuple[str, ...], f: Formula) -> int:
+        def slot(g: int, f: Formula) -> int:
             key = (g, f)
-            fid = formula_ids.get(key)
-            if fid is None:
-                fid = formula_ids[key] = len(self.formulas)
-                self.formulas.append((f.pred, tuple(node(g, names, t) for t in f.args)))
-            return fid
+            k = slot_ids.get(key)
+            if k is None:
+                k = slot_ids[key] = len(self.formulas)
+                self.formulas.append(key)
+            return k
 
         for name, r in named_rules:
             names = tuple(sorted(r.variables()))
-            if len(names) > var_limit:
-                raise VariableLimitError(f"rule has {len(names)} variables, limit is {var_limit}")
+            if len(names) > DEFAULT_VARIABLE_LIMIT:
+                raise VariableLimitError(
+                    f"rule has {len(names)} variables, limit is {DEFAULT_VARIABLE_LIMIT}")
             g = grid_ids.get(names)
             if g is None:
                 g = grid_ids[names] = len(self.grids)
-                self.grids.append(len(names))
+                self.grids.append(names)
             prems = sorted(r.premises, key=formula_text)
             concs = sorted(r.conclusions, key=formula_text)
-            self.rules.append((name, g, tuple(formula(g, names, f) for f in prems),
-                               tuple(formula(g, names, f) for f in concs)))
+            self.rules.append((name, g, tuple(slot(g, f) for f in prems),
+                               tuple(slot(g, f) for f in concs)))
 
     def for_algebra(self, alg: FiniteAlgebra) -> Callable[[Structure], str | None]:
         """A check returning the name of the first rule a structure over
         alg fails, or None for a model."""
         n = alg.size
-        fulls = [(1 << n ** k) - 1 for k in self.grids]
-        bits: list[tuple[int, ...]] = []
-        for spec in self.nodes:
-            kind = spec[0]
-            if kind == "var":
-                bits.append(_variable_bits(n, self.grids[spec[1]], spec[2]))
-            elif kind == "const":
-                bits.append(_constant_bits(alg, spec[2], fulls[spec[1]]))
-            elif kind == "neg":
-                bits.append(_negate(alg.neg, bits[spec[1]]))
-            else:
-                bits.append(_combine(alg.meet if kind == "meet" else alg.join,
-                                     bits[spec[1]], bits[spec[2]]))
-        slots = []  # per formula: (relation, memo by relation value, bitset of a value)
-        for pred, args in self.formulas:
-            arg_bits = [bits[a] for a in args]
-            compute = (partial(_unary_bits, arg=arg_bits[0]) if RELATION_ARITIES[pred] == 1
-                       else partial(_binary_bits, left=arg_bits[0], right=arg_bits[-1]))
-            slots.append((pred, {}, compute))
-        rules = [(name, fulls[g], [slots[k] for k in prems], [slots[k] for k in concs])
+        fulls = [(1 << n ** len(names)) - 1 for names in self.grids]
+        envs = [{v: _variable_bits(n, len(names), i) for i, v in enumerate(names)}
+                for names in self.grids]
+        slots = []  # per formula: (relation, memo by relation value, its arguments' bitsets)
+        for g, f in self.formulas:
+            slots.append((f.pred, {}, [_term_bits(alg, t, envs[g], fulls[g]) for t in f.args]))
+        # a literal's bitset is XORed with its flip: 0 keeps a premise,
+        # -1 complements a conclusion
+        rules = [(name, fulls[g], [(*slots[k], 0) for k in prems] + [(*slots[k], -1) for k in concs])
                  for name, g, prems, concs in self.rules]
-        predicates = {pred for pred, _ in self.formulas}
+        predicates = {f.pred for _, f in self.formulas}
 
         def first_failure(s: Structure) -> str | None:
             rels = {**s.unary, **s.binary}
             if not predicates <= rels.keys():
                 raise SignatureMismatchError(
                     f"predicates not in structure: {sorted(predicates - rels.keys())}")
-            for name, full, prems, concs in rules:
+            for name, full, literals in rules:
                 fail = full
-                for pred, memo, compute in prems:
+                for pred, memo, args, flip in literals:
                     value = rels[pred]
                     f_bits = memo.get(value)
                     if f_bits is None:
-                        f_bits = memo[value] = compute(value)
-                    fail &= f_bits
+                        f_bits = memo[value] = _relation_bits(value, args)
+                    fail &= f_bits ^ flip
                     if not fail:
                         break
                 else:
-                    for pred, memo, compute in concs:
-                        value = rels[pred]
-                        f_bits = memo.get(value)
-                        if f_bits is None:
-                            f_bits = memo[value] = compute(value)
-                        fail &= ~f_bits
-                        if not fail:
-                            break
-                    else:
-                        return name
+                    return name
             return None
 
         return first_failure

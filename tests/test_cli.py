@@ -138,7 +138,7 @@ def test_jobs_before_the_subcommand_is_checked(capsys):
     assert code == 2 and out == "" and "--jobs" in err
 
 
-@pytest.mark.parametrize("key", ["depth", "jobs"])
+@pytest.mark.parametrize("key", ["depth", "size", "max_size", "var_limit", "seed", "jobs"])
 def test_non_integer_config_value_exits_two(capsys, tmp_path, key):
     cfg = tmp_path / "fourval.cfg"
     cfg.write_text(f"{key}=abc\n")
