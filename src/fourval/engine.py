@@ -15,6 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     FiniteAlgebra,
+    Homomorphism,
     builtin,
     check_demorgan,
     check_kleene,
@@ -150,15 +151,49 @@ def _match_formula(pat: Formula, f: Formula, binding: dict[str, Term]) -> dict[s
 
 
 def _match_premises(patterns: Sequence[Formula], facts_by_pred: dict[str, list[Formula]],
-                    binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
+                    fresh: Mapping[str, int] | None, binding: dict[str, Term],
+                    matched: tuple[Formula, ...] = ()
+                    ) -> Iterator[tuple[dict[str, Term], tuple[Formula, ...]]]:
+    """Bindings of the patterns against the facts, in fact order, each with
+    the facts it matched.  With ``fresh`` (predicate -> index of its first
+    fresh fact, 0 when absent), only bindings matching at least one fresh
+    fact are yielded: once an earlier pattern matched a fresh fact the rest
+    range freely, otherwise the last pattern ranges over fresh facts only."""
     if not patterns:
-        yield binding
+        if fresh is None:
+            yield binding, matched
         return
     head, rest = patterns[0], patterns[1:]
-    for fact in facts_by_pred.get(head.pred, ()):
-        b = _match_formula(head, fact, binding)
+    facts = facts_by_pred.get(head.pred, ())
+    start = 0 if fresh is None else fresh.get(head.pred, 0)
+    for i in range(0 if rest else start, len(facts)):
+        b = _match_formula(head, facts[i], binding)
         if b is not None:
-            yield from _match_premises(rest, facts_by_pred, b)
+            yield from _match_premises(rest, facts_by_pred, None if i >= start else fresh,
+                                       b, matched + (facts[i],))
+
+
+def scheme_instances(sys: AxiomSystem, facts_by_pred: dict[str, list[Formula]],
+                     universe: Sequence[Term], fresh: Mapping[str, int] | None = None
+                     ) -> Iterator[tuple[str, dict[str, Term], tuple[Formula, ...], Formula]]:
+    """Ground instances of the schemes whose premises are all facts.
+
+    Yields (scheme name, substitution, matched premise facts in sorted
+    premise order, instantiated conclusion): schemes in order, premise
+    matches in fact order, then the conclusion's free variables over
+    ``universe``.  With ``fresh`` (see _match_premises) this is the same
+    enumeration restricted to bindings that match a fresh fact, so
+    zero-premise schemes yield nothing.
+    """
+    for scheme in sys.schemes:
+        prems = sorted(scheme.rule.premises, key=formula_text)
+        concl = scheme.rule.conclusion
+        free = sorted(formula_variables(concl).difference(*map(formula_variables, prems)))
+        for binding, matched in _match_premises(prems, facts_by_pred, fresh, {}):
+            for extra in iproduct(universe, repeat=len(free)):
+                b = dict(binding)
+                b.update(zip(free, extra))
+                yield scheme.name, b, matched, substitute_formula(concl, b)
 
 
 def _term_universe(r: Rule, sigspec: SigSpec, layers: int, max_terms: int) -> list[Term]:
@@ -195,6 +230,12 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     combinations (capped at max_terms).  Returns a minimal-depth
     certificate, or None when the goal is not reached within `depth`
     rounds; None is inconclusive, never a refutation.
+
+    Rounds are semi-naive (Bancilhon & Ramakrishnan 1986): after round 1
+    only scheme instances matching a fact new in the previous round are
+    tried.  The others cannot yield a new fact, so the certificate is the
+    naive rounds' one.  Instances come from scheme_instances, the grounder
+    engine-soundness uses too.
     """
     if sys.kind != "single-conclusion":
         raise ValueError("derive only searches single-conclusion systems")
@@ -209,36 +250,24 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
 
     universe = _term_universe(r, sys.signature, term_layers, max_terms)
     uset = set(universe)
-    prepared = []
-    for scheme in sys.schemes:
-        prems = sorted(scheme.rule.premises, key=formula_text)
-        concl = scheme.rule.conclusion
-        prem_vars: set[str] = set()
-        for p in prems:
-            prem_vars |= formula_variables(p)
-        free = sorted(formula_variables(concl) - prem_vars)
-        prepared.append((scheme.name, prems, concl, free))
-
+    facts_by_pred: dict[str, list[Formula]] = {}
+    for f in facts:
+        facts_by_pred.setdefault(f.pred, []).append(f)
+    fresh = None
     for rnd in range(1, depth + 1):
-        facts_by_pred: dict[str, list[Formula]] = {}
-        for f in facts:
-            facts_by_pred.setdefault(f.pred, []).append(f)
         new: dict[Formula, _FactInfo] = {}
-        for name, prems, concl, free in prepared:
-            for binding in _match_premises(prems, facts_by_pred, {}):
-                for extra in iproduct(universe, repeat=len(free)):
-                    b = dict(binding)
-                    b.update(zip(free, extra))
-                    inst = substitute_formula(concl, b)
-                    if inst in facts or inst in new:
-                        continue
-                    if any(t not in uset for t in inst.args):
-                        continue
-                    parents = tuple(sorted({substitute_formula(p, b) for p in prems},
-                                           key=formula_text))
-                    new[inst] = _FactInfo(name, tuple(sorted(b.items())), parents, rnd)
+        for name, b, matched, inst in scheme_instances(sys, facts_by_pred, universe, fresh):
+            if inst in facts or inst in new:
+                continue
+            if any(t not in uset for t in inst.args):
+                continue
+            new[inst] = _FactInfo(name, tuple(sorted(b.items())),
+                                  tuple(sorted(set(matched), key=formula_text)), rnd)
         if not new:
             return None
+        fresh = {pred: len(fs) for pred, fs in facts_by_pred.items()}
+        for f in new:
+            facts_by_pred.setdefault(f.pred, []).append(f)
         facts.update(new)
         if len(facts) > max_facts:
             raise DeriveBudgetError(f"fact budget exceeded ({len(facts)} > {max_facts})")
@@ -527,52 +556,13 @@ def _embeds_into(s: Structure, target: Structure) -> bool:
         return False
     from itertools import permutations as perms
 
+    tu, tb = target.unary, target.binary
     for image in perms(range(m), n):
-        hom_ok = True
-        a = s.algebra
-        t = target.algebra
-        for c in set(a.constants) & set(t.constants):
-            if image[a.constants[c]] != t.constants[c]:
-                hom_ok = False
-                break
-        if hom_ok:
-            for x in range(n):
-                if t.neg[image[x]] != image[a.neg[x]]:
-                    hom_ok = False
-                    break
-                for y in range(n):
-                    if t.meet[image[x]][image[y]] != image[a.meet[x][y]]:
-                        hom_ok = False
-                        break
-                    if t.join[image[x]][image[y]] != image[a.join[x][y]]:
-                        hom_ok = False
-                        break
-                if not hom_ok:
-                    break
-        if not hom_ok:
-            continue
-        rel_ok = True
-        for name, mask in s.unary.items():
-            tmask = target.unary[name]
-            for x in range(n):
-                if ((mask >> x) & 1) != ((tmask >> image[x]) & 1):
-                    rel_ok = False
-                    break
-            if not rel_ok:
-                break
-        if rel_ok:
-            for name, rows in s.binary.items():
-                trows = target.binary[name]
-                for x in range(n):
-                    for y in range(n):
-                        if ((rows[x] >> y) & 1) != ((trows[image[x]] >> image[y]) & 1):
-                            rel_ok = False
-                            break
-                    if not rel_ok:
-                        break
-                if not rel_ok:
-                    break
-        if rel_ok:
+        if (Homomorphism(s.algebra, target.algebra, image).check()[0]
+                and all(((mask >> x) & 1) == ((tu[name] >> image[x]) & 1)
+                        for name, mask in s.unary.items() for x in range(n))
+                and all(((rows[x] >> y) & 1) == ((tb[name][image[x]] >> image[y]) & 1)
+                        for name, rows in s.binary.items() for x in range(n) for y in range(n))):
             return True
     return False
 

@@ -16,12 +16,15 @@ purely as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from operator import methodcaller
+from typing import Callable, Sequence
 
 from .algebra import (
     Congruence,
     FiniteAlgebra,
     _canon,
+    congruence_join,
     congruence_meet,
     congruences,
     identity_congruence,
@@ -54,30 +57,26 @@ def crosschecked_binary(alg: "FiniteAlgebra", rows: Sequence[int],
 
 def leibniz_unary(alg: FiniteAlgebra, mask: int, bound: int = 10) -> Congruence:
     """Largest congruence theta with a in F and (a,b) in theta => b in F."""
-    best = identity_congruence(alg)
-    for cong in congruences(alg, bound):
-        if cong.compatible_with_unary(mask):
-            best = _join(best, cong)
-    if not best.compatible_with_unary(mask):
-        raise AssertionError("join of compatible congruences lost compatibility")
-    return best
+    return _largest_compatible(alg, congruences(alg, bound),
+                               methodcaller("compatible_with_unary", mask))
 
 
 def leibniz_binary(alg: FiniteAlgebra, rows: Sequence[int], bound: int = 10) -> Congruence:
     """Largest congruence compatible with a binary relation (two-sided)."""
+    return _largest_compatible(alg, congruences(alg, bound),
+                               methodcaller("compatible_with_binary", rows))
+
+
+def _largest_compatible(alg: FiniteAlgebra, congs: Sequence[Congruence],
+                        compatible: Callable[[Congruence], bool]) -> Congruence:
+    """Join of the congruences in ``congs`` that pass ``compatible``."""
     best = identity_congruence(alg)
-    for cong in congruences(alg, bound):
-        if cong.compatible_with_binary(rows):
-            best = _join(best, cong)
-    if not best.compatible_with_binary(rows):
+    for cong in congs:
+        if compatible(cong):
+            best = congruence_join(best, cong)
+    if not compatible(best):
         raise AssertionError("join of compatible congruences lost compatibility")
     return best
-
-
-def _join(c1: Congruence, c2: Congruence) -> Congruence:
-    from .algebra import congruence_join
-
-    return congruence_join(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +154,12 @@ def _partition_from_signature(alg: FiniteAlgebra, signature: list) -> Congruence
 
 def leibniz_structure(s: Structure, bound: int = 10) -> Congruence:
     """Intersection of the Leibniz congruences of all relations."""
-    result = None
-    for _, mask in sorted(s.unary.items()):
-        cong = leibniz_unary(s.algebra, mask, bound)
-        result = cong if result is None else congruence_meet(result, cong)
-    for _, rows in sorted(s.binary.items()):
-        cong = leibniz_binary(s.algebra, rows, bound)
-        result = cong if result is None else congruence_meet(result, cong)
-    if result is None:
+    tests = [methodcaller("compatible_with_unary", mask) for _, mask in sorted(s.unary.items())]
+    tests += [methodcaller("compatible_with_binary", rows) for _, rows in sorted(s.binary.items())]
+    if not tests:
         raise ValueError("structure has no relations")
-    return result
+    congs = congruences(s.algebra, bound)
+    return reduce(congruence_meet, (_largest_compatible(s.algebra, congs, t) for t in tests))
 
 
 def is_reduced(s: Structure, bound: int = 10) -> bool:

@@ -30,14 +30,16 @@ from .algebra import (
 )
 from .engine import (
     RuleSpaceBounds,
+    _congruence_rows,
     _embeds_into,
-    _match_premises,
+    census_pool,
     classify_models,
     check_derivation,
     decide,
     derive,
     edge_mutations,
     formulas_within,
+    scheme_instances,
     terms_within,
     translate_exact_to_eq,
     translate_exact_to_eq_formula,
@@ -60,11 +62,8 @@ from .syntax import (
     Rule,
     UsageError,
     Var,
-    formula_text,
-    formula_variables,
     parse_rule,
     print_rule,
-    substitute_formula,
 )
 from .systems import AxiomSystem, all_system_names, soundness_check, system
 
@@ -281,9 +280,7 @@ def _binary_relation_family(alg: FiniteAlgebra) -> list[tuple[str, tuple[int, ..
         ("leq", tuple(sum(1 << b for b in range(n) if alg.leq(a, b)) for a in range(n))),
     ]
     for i, cong in enumerate(congruences(alg)):
-        rows = tuple(sum(1 << b for b in range(n) if cong.rep[a] == cong.rep[b])
-                     for a in range(n))
-        fams.append((f"congruence{i}", rows))
+        fams.append((f"congruence{i}", _congruence_rows(cong)))
     for f in enumerate_filters(alg):
         rows = tuple((full & f) if (f >> a) & 1 else 0 for a in range(n))
         fams.append((f"square{f}", rows))
@@ -319,13 +316,6 @@ def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dic
 # ---------------------------------------------------------------------------
 # Suite: facts.  The finitely checkable content of the structural facts.
 
-def _census_upto(n: int) -> list[FiniteAlgebra]:
-    out = []
-    for k in range(1, n + 1):
-        out.extend(enumerate_dm_lattices(k))
-    return out
-
-
 def _bd_base_for(pred: str) -> list[tuple[str, Rule]]:
     base = system("BD-base")
     if pred == "T":
@@ -343,7 +333,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
 
     # model intersection: filters are exactly the truth-base models, and
     # intersections of models stay models
-    for alg in _census_upto(max_size):
+    for alg in census_pool(max_size):
         filters = enumerate_filters(alg)
         subsets_that_model = [m for m in range(1 << alg.size)
                               if is_model(structure(alg, {"T": m}), bd_rules)[0]]
@@ -357,7 +347,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
 
     # intersection for two-relation models (truth / exact truth)
     bde = system("BDE")
-    for alg in _census_upto(pair_size):
+    for alg in census_pool(pair_size):
         models = []
         for t in range(1 << alg.size):
             for e in range(1 << alg.size):
@@ -372,7 +362,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
 
     # reduct invariance: S is a model iff S/theta is, for theta below the
     # Leibniz congruence; and the reduct is reduced
-    for alg in _census_upto(max_size):
+    for alg in census_pool(max_size):
         congs = congruences(alg)
         for t in range(1 << alg.size):
             s = structure(alg, {"T": t})
@@ -393,7 +383,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
                 violations.append(f"|A|={alg.size} T={t:#x}: reduct not idempotent")
 
     # explicit description of the Leibniz congruence of a truth-filter model
-    for alg in _census_upto(max_size):
+    for alg in census_pool(max_size):
         for t in enumerate_filters(alg):
             checks += 1
             omega = leibniz_unary(alg, t)
@@ -413,7 +403,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
     for sys_name in CORE_SINGLE_CONCLUSION + ("MC-BD", "MC-bridges", "MC-ETL"):
         sysd = system(sys_name)
         rules = sysd.named_rules()
-        for alg in _census_upto(3):
+        for alg in census_pool(3):
             from .engine import candidate_structures
 
             for cand in candidate_structures(sysd, alg):
@@ -427,7 +417,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
     # prime-filter reducts embed into the four-element targets
     dm4_t = structure(builtin("DM4"), {"T": (0, 1)})
     dm4_tnf = structure(builtin("DM4"), {"T": (0, 1), "NF": (0, 3)})
-    for alg in _census_upto(max_size):
+    for alg in census_pool(max_size):
         full = (1 << alg.size) - 1
         for t in enumerate_filters(alg, prime_only=True):
             checks += 1
@@ -641,11 +631,14 @@ def _rule_sample(bounds: RuleSpaceBounds, rng: random.Random, count: int) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Suite: engine-soundness.  Saturate every bounded premise set with ground
-# scheme instances over the shared bounded term universe (a superset of
-# every per-goal universe at these bounds, and saturation is monotone in
-# the universe, so this covers each derive() call on the space); every
-# fact reached within the depth must be semantically valid.
+# Suite: engine-soundness.  Saturate every bounded premise set with the
+# ground scheme instances (from scheme_instances, derive's grounder) over
+# the formulas and terms of the bounded rule space (term depth 1, or 0 for
+# the constant variants); every fact reached within the depth must be
+# semantically valid.  This checks the shared grounder and the closure on
+# that space.  It does not cover every derive() call: derive's universe
+# for a goal can leave the space (for E(x /\ (~x \/ y)) |- E(y) in BDE,
+# 81 of its 89 terms lie outside the space's 12).
 
 def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> list[tuple[tuple[int, ...], int]]:
     findex = {f: i for i, f in enumerate(formulas)}
@@ -653,22 +646,12 @@ def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> lis
     for f in formulas:
         by_pred.setdefault(f.pred, []).append(f)
     ground: set[tuple[tuple[int, ...], int]] = set()
-    for scheme in sysd.schemes:
-        prems = sorted(scheme.rule.premises, key=formula_text)
-        concl = scheme.rule.conclusion
-        prem_vars: set[str] = set()
-        for p in prems:
-            prem_vars |= formula_variables(p)
-        free = sorted(formula_variables(concl) - prem_vars)
-        for binding in _match_premises(prems, by_pred, {}):
-            inst_prems = tuple(sorted({findex[substitute_formula(p, binding)] for p in prems}))
-            for extra in iproduct(universe, repeat=len(free)):
-                b = dict(binding)
-                b.update(zip(free, extra))
-                c = substitute_formula(concl, b)
-                ci = findex.get(c)
-                if ci is not None and ci not in inst_prems:
-                    ground.add((inst_prems, ci))
+    for _, _, matched, concl in scheme_instances(sysd, by_pred, universe):
+        ci = findex.get(concl)
+        if ci is not None:
+            prems = tuple(sorted({findex[p] for p in matched}))
+            if ci not in prems:
+                ground.add((prems, ci))
     return sorted(ground)
 
 
