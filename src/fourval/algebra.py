@@ -14,7 +14,6 @@ This fixed order is what makes "first in increasing bitset order" and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from typing import Iterable, Iterator, Sequence
@@ -864,6 +863,3 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     return FiniteAlgebra(data["size"], ops["meet"], ops["join"], ops["neg"],
                          ops.get("const", {}), data.get("labels"))
 
-
-def algebra_to_json_text(alg: FiniteAlgebra) -> str:
-    return json.dumps(algebra_to_json(alg), indent=2, sort_keys=True)

@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from .algebra import BoundExceededError, algebra_to_json, builtin, enumerate_dm_lattices
+from .algebra import AlgebraError, algebra_to_json, builtin, enumerate_dm_lattices
 from .engine import (
     DeriveBudgetError,
     check_derivation,
@@ -28,6 +28,8 @@ from .leibniz import leibniz_binary, leibniz_structure, leibniz_unary, reduct
 from .structures import (
     SignatureMismatchError,
     VariableLimitError,
+    format_name,
+    parse_name,
     preset_structure,
     structure_to_json,
 )
@@ -137,8 +139,12 @@ def cmd_decide(cfg: RunConfig) -> int:
     preset_name, st = _resolve_preset(cfg.logic)
     sigspec = st.signature()
     if cfg.rules_file:
-        with open(cfg.rules_file) as fh:
-            rules = parse_rule_lines(fh.read(), sigspec)
+        try:
+            with open(cfg.rules_file) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read rule file: {exc}") from None
+        rules = parse_rule_lines(text, sigspec)
     else:
         rules = [parse_rule(cfg.rule, sigspec)]
     results = []
@@ -174,6 +180,8 @@ def cmd_derive(cfg: RunConfig) -> int:
         })
         _emit(report, cfg)
         return EXIT_INVALID
+    if sysd.kind != "single-conclusion":
+        raise UsageError(f"derive only searches single-conclusion systems, not {sysd.name}")
     d = derive(sysd, r, cfg.depth)
     if d is None:
         report = _envelope(cfg, {"system": sysd.name, "rule": print_rule(r),
@@ -252,13 +260,11 @@ def cmd_systems(cfg: RunConfig, action: str, name: str | None, as_rules: bool) -
 def cmd_algebra(cfg: RunConfig, action: str, name: str | None, constants: str,
                 kleene: bool) -> int:
     if action == "dump":
-        consts = {f"#{c}" for c in constants}
+        base, consts = parse_name(f"{name}+{constants}" if constants else name)
         try:
-            st = preset_structure(name if not consts else
-                                  name + "+" + "".join(sorted(constants)))
-            data = structure_to_json(st)
+            data = structure_to_json(preset_structure(format_name(base, consts)))
         except UsageError:
-            data = algebra_to_json(builtin(name, consts))
+            data = algebra_to_json(builtin(base, consts))
         report = _envelope(cfg, {"algebra": data})
         _emit(report, cfg)
         return EXIT_OK
@@ -347,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     aa = p.add_subparsers(dest="algebra_action", required=True)
     q = aa.add_parser("dump", parents=[common])
     q.add_argument("name", help="builtin or preset name (B2, K3, DM4, BD, BDE-eq, ...)")
-    q.add_argument("--constants", default="", help="subset of tnb")
+    q.add_argument("--constants", default="",
+                   help="constants to add, as the letters of a +suffix")
     q = aa.add_parser("census", parents=[common])
     q.add_argument("--max-size", type=int, default=None)
     q.add_argument("--kleene", action="store_true")
@@ -378,19 +385,14 @@ def main(argv: list[str] | None = None) -> int:
             return flag
         return merged.get(name, default)
 
+    # the command and its operands come from the command line only; every
+    # other setting from a flag, else the config file, else its default
+    operands = ("logic", "system", "rule")
     cfg = RunConfig(
         command=args.command,
-        logic=getattr(args, "logic", None),
-        system=getattr(args, "system", None),
-        rule=getattr(args, "rule", None),
-        rules_file=pick("rules_file", None),
-        depth=pick("depth", 8),
-        size=pick("size", 4),
-        max_size=pick("max_size", 6),
-        var_limit=pick("var_limit", 8),
-        seed=pick("seed", 0),
-        jobs=pick("jobs", 1),
-        output=pick("output", "text"),
+        **{name: getattr(args, name, None) for name in operands},
+        **{f.name: pick(f.name, f.default) for f in fields(RunConfig)
+           if f.name != "command" and f.name not in operands},
     )
     if cfg.jobs < 1:
         print(f"error: --jobs must be at least 1, got {cfg.jobs}", file=sys.stderr)
@@ -416,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown command {args.command}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, SignatureMismatchError, VariableLimitError, UsageError,
-            BoundExceededError, ValueError) as exc:
+            AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DeriveBudgetError as exc:

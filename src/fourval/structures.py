@@ -78,10 +78,6 @@ class Structure:
         return SigSpec(frozenset(self.unary) | frozenset(self.binary),
                        frozenset(self.algebra.constants))
 
-    @property
-    def relation_names(self) -> list[str]:
-        return sorted(self.unary) + sorted(self.binary)
-
     def is_trivial(self) -> bool:
         full = (1 << self.algebra.size) - 1
         return (all(m == full for m in self.unary.values())
@@ -379,74 +375,70 @@ class CompiledRules:
 
 
 # ---------------------------------------------------------------------------
-# Preset structures.  Base names cover every defining structure in scope;
-# a "+tnb"-style suffix expands the algebra by the named constants, e.g.
-# "BDE+n" or "BD-eq+tnb".
+# Names with a constant suffix.  Preset and axiom-system names take a
+# "+tnb"-style suffix naming the constants that expand the algebra, e.g.
+# "BDE+n" or "BD-eq+tnb"; the letter c stands for the constant #c.  This
+# parser/formatter pair is the only code that reads or writes suffixes.
 
-def _k3(middle: str, constants: frozenset[str]) -> FiniteAlgebra:
-    return builtin("K3", constants, middle_label=middle)
-
-
-def _preset_builders() -> dict[str, Callable[[frozenset[str]], Structure]]:
-    def dm4(consts):
-        return builtin("DM4", consts)
-
-    T_TB = (0, 1)   # {t, b} in DM4
-    E_T = (0,)      # {t}
-    NF_TN = (0, 3)  # {t, n} in DM4
-
-    def eq(alg):
-        return identity_relation(alg)
-
-    builders: dict[str, Callable[[frozenset[str]], Structure]] = {
-        "BD": lambda c: structure(dm4(c), {"T": T_TB}),
-        "ETL": lambda c: structure(dm4(c), {"E": E_T}),
-        "NF": lambda c: structure(dm4(c), {"NF": NF_TN}),
-        "K": lambda c: structure(_k3("i", c), {"T": (0,)}),
-        "LP": lambda c: structure(_k3("i", c), {"T": (0, 1)}),
-        "BDE": lambda c: structure(dm4(c), {"T": T_TB, "E": E_T}),
-        "BDNF": lambda c: structure(dm4(c), {"T": T_TB, "NF": NF_TN}),
-        "KE": lambda c: structure(_k3("i", c), {"T": (0, 1), "E": (0,)}),
-        "TNE": lambda c: structure(dm4(c), {"T": T_TB, "NF": NF_TN, "E": E_T}),
-        "DM-eq": lambda c: structure(dm4(c), {}, {"eq": identity_relation(dm4(c))}),
-        "BD-eq": lambda c: structure(dm4(c), {"T": T_TB}, {"eq": identity_relation(dm4(c))}),
-        "ETL-eq": lambda c: structure(dm4(c), {"E": E_T}, {"eq": identity_relation(dm4(c))}),
-        "BDE-eq": lambda c: structure(dm4(c), {"T": T_TB, "E": E_T},
-                                      {"eq": identity_relation(dm4(c))}),
-        "BDNF-eq": lambda c: structure(dm4(c), {"T": T_TB, "NF": NF_TN},
-                                       {"eq": identity_relation(dm4(c))}),
-        "B2-eq": lambda c: structure(builtin("B2", c), {"T": (0,)},
-                                     {"eq": identity_relation(builtin("B2", c))}),
-        "BD3-eq": lambda c: structure(_k3("b", c), {"T": (0, 1)},
-                                      {"eq": identity_relation(_k3("b", c))}),
-    }
-    return builders
+_SUFFIX_LETTERS = "tnb"  # also the order format_name writes them in
 
 
-_BUILDERS = _preset_builders()
-_SUFFIX_CONSTANTS = {"t": "#t", "n": "#n", "b": "#b"}
-
-
-def parse_preset_name(name: str) -> tuple[str, frozenset[str]]:
+def parse_name(name: str) -> tuple[str, frozenset[str]]:
+    """Split a name into its base and the constants its suffix names; the
+    letters may come in any order and repeat."""
     base, _, suffix = name.partition("+")
-    consts = set()
-    for ch in suffix:
-        if ch not in _SUFFIX_CONSTANTS:
-            raise UsageError(f"bad constant suffix {suffix!r} in preset {name!r}")
-        consts.add(_SUFFIX_CONSTANTS[ch])
-    return base, frozenset(consts)
+    if not set(suffix) <= set(_SUFFIX_LETTERS):
+        raise UsageError(f"bad constant suffix {suffix!r} in {name!r}; "
+                         f"expected letters from {_SUFFIX_LETTERS!r}")
+    return base, frozenset(f"#{ch}" for ch in suffix)
+
+
+def format_name(base: str, constants: Iterable[str]) -> str:
+    """The canonical name of `base` expanded by `constants`."""
+    suffix = "".join(ch for ch in _SUFFIX_LETTERS if f"#{ch}" in constants)
+    return f"{base}+{suffix}" if suffix else base
+
+
+# Preset structures: one row per base name, covering every defining
+# structure in scope: (builtin algebra, K3 middle label, unary relations,
+# whether eq is the identity).  Every preset takes a constant suffix.
+
+_T_TB = (0, 1)  # {t, b} in DM4
+_E_T = (0,)  # {t}
+_NF_TN = (0, 3)  # {t, n} in DM4
+
+_PRESETS: dict[str, tuple[str, str | None, dict[str, tuple[int, ...]], bool]] = {
+    "BD": ("DM4", None, {"T": _T_TB}, False),
+    "ETL": ("DM4", None, {"E": _E_T}, False),
+    "NF": ("DM4", None, {"NF": _NF_TN}, False),
+    "K": ("K3", "i", {"T": (0,)}, False),
+    "LP": ("K3", "i", {"T": (0, 1)}, False),
+    "BDE": ("DM4", None, {"T": _T_TB, "E": _E_T}, False),
+    "BDNF": ("DM4", None, {"T": _T_TB, "NF": _NF_TN}, False),
+    "KE": ("K3", "i", {"T": (0, 1), "E": (0,)}, False),
+    "TNE": ("DM4", None, {"T": _T_TB, "NF": _NF_TN, "E": _E_T}, False),
+    "DM-eq": ("DM4", None, {}, True),
+    "BD-eq": ("DM4", None, {"T": _T_TB}, True),
+    "ETL-eq": ("DM4", None, {"E": _E_T}, True),
+    "BDE-eq": ("DM4", None, {"T": _T_TB, "E": _E_T}, True),
+    "BDNF-eq": ("DM4", None, {"T": _T_TB, "NF": _NF_TN}, True),
+    "B2-eq": ("B2", None, {"T": (0,)}, True),
+    "BD3-eq": ("K3", "b", {"T": (0, 1)}, True),
+}
 
 
 def preset_structure(name: str) -> Structure:
-    base, consts = parse_preset_name(name)
-    builder = _BUILDERS.get(base)
-    if builder is None:
+    base, consts = parse_name(name)
+    row = _PRESETS.get(base)
+    if row is None:
         raise UsageError(f"unknown preset {name!r}")
-    return builder(consts)
+    algebra_name, middle, unary, eq_is_identity = row
+    alg = builtin(algebra_name, consts, middle_label=middle)
+    return structure(alg, unary, {"eq": identity_relation(alg)} if eq_is_identity else {})
 
 
 def preset_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_PRESETS)
 
 
 # ---------------------------------------------------------------------------

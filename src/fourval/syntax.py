@@ -42,8 +42,9 @@ class SignatureError(ParseError):
 
 
 class UsageError(KeyError):
-    """A user-supplied name (preset, system, suite, constant suffix) that
-    names nothing in the registry."""
+    """User input that names nothing usable: an unknown preset, system,
+    suite or constant suffix, an unreadable rule file, or a system the
+    command cannot serve."""
 
     def __str__(self) -> str:
         return str(self.args[0]) if self.args else ""

@@ -1,10 +1,15 @@
 """The catalogue of axiom systems, as named, versioned rule sets.
 
 Each system pairs a rule list with the finite structure that defines the
-logic it is meant to axiomatize.  Constant expansions are separate
-registry entries: "BDE+n" is BDE plus the #n rules, "BD-EQ+tnb" adds all
-three constants, and so on; a listed constant rule is included exactly
-when every constant it mentions is present.
+logic it is meant to axiomatize.  A family is one row of `_FAMILIES`: its
+relation symbols, the predicates that get the truth base, an optional
+characteristic rule, its interaction rules, kind, preset, notes and its
+constant-rule table.  The equality core is included exactly when `eq` is
+a relation symbol.  Constant expansions are separate registry entries:
+"BDE+n" is BDE plus the #n rules, "BD-EQ+tnb" adds all three constants,
+and so on; a listed constant rule is included exactly when every constant
+it mentions is present, and a family supports the constants its table
+mentions.  `system` is the only builder.
 
 The truth-predicate base presentation (used for "the rules of BD" for a
 predicate) is a concrete finite Hilbert-style system: lattice rules for
@@ -17,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Sequence
 
-from .structures import holds, preset_structure
-from .syntax import Rule, SigSpec, UsageError, parse_rule, sig
+from .structures import format_name, holds, parse_name, preset_structure
+from .syntax import CONSTANT_SYMBOLS, FULL_SIG, Rule, SigSpec, UsageError, parse_rule, sig
 
 SCHEME_ROLES = ("base", "interaction", "constant")
 
@@ -105,123 +111,197 @@ _DM_EQUATIONS = [
     ("dm-neg-and", r"|- ~(x /\ y) = ~x \/ ~y"),
 ]
 
-# Constant rules per family: (required constants, name, text).
+# Constant rules, one table per family.  A rule is included exactly when
+# every constant it mentions is present, and a family supports exactly the
+# constants its table mentions.
 _BDE_CONST = [
-    (("#t",), "c-exact-top", "|- E(#t)"),
-    (("#b",), "c-both-true", r"|- T(#b /\ ~#b)"),
-    (("#n",), "c-neither-true-l", r"T(#n \/ x) |- T(x)"),
-    (("#n",), "c-neither-true-r", r"T(~#n \/ x) |- T(x)"),
-    (("#n",), "c-neither-exact-l", r"T(x) |- E(#n \/ x)"),
-    (("#n",), "c-neither-exact-r", r"T(x) |- E(~#n \/ x)"),
+    ("c-exact-top", "|- E(#t)"),
+    ("c-both-true", r"|- T(#b /\ ~#b)"),
+    ("c-neither-true-l", r"T(#n \/ x) |- T(x)"),
+    ("c-neither-true-r", r"T(~#n \/ x) |- T(x)"),
+    ("c-neither-exact-l", r"T(x) |- E(#n \/ x)"),
+    ("c-neither-exact-r", r"T(x) |- E(~#n \/ x)"),
 ]
 
 _BDNF_CONST = [
-    (("#t",), "c-top-true", "|- T(#t)"),
-    (("#t",), "c-top-nonfalse", "|- NF(#t)"),
-    (("#b",), "c-both-true", "|- T(#b)"),
-    (("#b",), "c-negboth-true", "|- T(~#b)"),
-    (("#n",), "c-neither-nonfalse", "|- NF(#n)"),
-    (("#n",), "c-negneither-nonfalse", "|- NF(~#n)"),
+    ("c-top-true", "|- T(#t)"),
+    ("c-top-nonfalse", "|- NF(#t)"),
+    ("c-both-true", "|- T(#b)"),
+    ("c-negboth-true", "|- T(~#b)"),
+    ("c-neither-nonfalse", "|- NF(#n)"),
+    ("c-negneither-nonfalse", "|- NF(~#n)"),
 ]
 
 _KE_CONST = [
-    (("#t",), "c-exact-top", "|- E(#t)"),
-    (("#b",), "c-both-true", "|- T(#b)"),
-    (("#b",), "c-negboth-true", "|- T(~#b)"),
+    ("c-exact-top", "|- E(#t)"),
+    ("c-both-true", "|- T(#b)"),
+    ("c-negboth-true", "|- T(~#b)"),
 ]
 
 _BD_EQ_CONST = [
-    (("#t",), "c-top-eq", r"|- #t = #t \/ x"),
-    (("#t",), "c-top-true", "|- T(#t)"),
-    (("#t",), "c-negtop-collapse", "T(~#t) |- x = y"),
-    (("#n",), "c-neither-fix", "|- #n = ~#n"),
-    (("#n",), "c-neither-true", r"T(#n \/ x) |- T(x)"),
-    (("#n",), "c-neither-absorb", r"T(x) |- #n \/ x \/ y = #n \/ x"),
-    (("#b",), "c-both-true", "|- T(#b)"),
-    (("#b",), "c-negboth-true", "|- T(~#b)"),
-    (("#t", "#n", "#b"), "c-both-neither-top", r"|- #b \/ #n = #t"),
+    ("c-top-eq", r"|- #t = #t \/ x"),
+    ("c-top-true", "|- T(#t)"),
+    ("c-negtop-collapse", "T(~#t) |- x = y"),
+    ("c-neither-fix", "|- #n = ~#n"),
+    ("c-neither-true", r"T(#n \/ x) |- T(x)"),
+    ("c-neither-absorb", r"T(x) |- #n \/ x \/ y = #n \/ x"),
+    ("c-both-true", "|- T(#b)"),
+    ("c-negboth-true", "|- T(~#b)"),
+    ("c-both-neither-top", r"|- #b \/ #n = #t"),
 ]
 
 _ETL_EQ_CONST = [
-    (("#t",), "c-exact-top", "|- E(#t)"),
-    (("#n", "#b"), "c-exact-join", r"|- E(#n \/ #b)"),
-    (("#b",), "c-both-fix", "|- #b = ~#b"),
-    (("#n",), "c-neither-fix", "|- #n = ~#n"),
+    ("c-exact-top", "|- E(#t)"),
+    ("c-exact-join", r"|- E(#n \/ #b)"),
+    ("c-both-fix", "|- #b = ~#b"),
+    ("c-neither-fix", "|- #n = ~#n"),
 ]
 
 _BDE_EQ_CONST = [
-    (("#t",), "c-exact-top", "|- E(#t)"),
-    (("#n", "#b"), "c-exact-join", r"|- E(#n \/ #b)"),
-    (("#n",), "c-neither-fix", "|- #n = ~#n"),
-    (("#b",), "c-both-true", r"|- T(#b /\ ~#b)"),
-    (("#n",), "c-neither-true", r"T(#n \/ x) |- T(x)"),
-    (("#n",), "c-neither-exact", r"T(x) |- E(#n \/ x)"),
+    ("c-exact-top", "|- E(#t)"),
+    ("c-exact-join", r"|- E(#n \/ #b)"),
+    ("c-neither-fix", "|- #n = ~#n"),
+    ("c-both-true", r"|- T(#b /\ ~#b)"),
+    ("c-neither-true", r"T(#n \/ x) |- T(x)"),
+    ("c-neither-exact", r"T(x) |- E(#n \/ x)"),
 ]
-
-_BDNF_EQ_CONST = _BDNF_CONST
 
 _MC_ETL_CONST = [
-    (("#t",), "c-exact-top", "|- E(#t)"),
-    (("#n", "#b"), "c-exact-join", r"|- E(#n \/ #b)"),
-    (("#n",), "c-neither-not-exact", "E(#n) |-"),
-    (("#n",), "c-negneither-not-exact", "E(~#n) |-"),
-    (("#b",), "c-both-not-exact", "E(#b) |-"),
-    (("#b",), "c-negboth-not-exact", "E(~#b) |-"),
+    ("c-exact-top", "|- E(#t)"),
+    ("c-exact-join", r"|- E(#n \/ #b)"),
+    ("c-neither-not-exact", "E(#n) |-"),
+    ("c-negneither-not-exact", "E(~#n) |-"),
+    ("c-both-not-exact", "E(#b) |-"),
+    ("c-negboth-not-exact", "E(~#b) |-"),
 ]
 
-# Which constants each family supports at all.
-_FAMILY_CONSTANTS = {
-    "BD-base": (), "ETL-base": (), "K-base": (), "LP-base": (),
-    "BDE": ("#t", "#n", "#b"),
-    "BDNF": ("#t", "#n", "#b"),
-    "KE": ("#t", "#b"),
-    "TNE-bridge": (),
-    "EQ-core": (),
-    "BD-EQ": ("#t", "#n", "#b"),
-    "ETL-EQ": ("#t", "#n", "#b"),
-    "BDE-EQ": ("#t", "#n", "#b"),
-    "BDNF-EQ": ("#t", "#n", "#b"),
-    "MC-BD": (),
-    "MC-bridges": (),
-    "MC-ETL": ("#t", "#n", "#b"),
-}
+# Interaction rules shared by the truth-with-equality families.
+_TRUE_EQ = [
+    ("true-and", r"T(x), T(y) |- T(x /\ y)"),
+    ("true-order", r"T(x), T(y) |- ~x \/ y = y"),
+    ("true-sep", r"T(z), x /\ z = y /\ z, ~y /\ z = ~x /\ z |- x = y"),
+]
+_EXACT_TOP = ("exact-top", r"E(x) |- x \/ y = x")
 
-_CONST_TABLES = {
-    "BDE": _BDE_CONST,
-    "BDNF": _BDNF_CONST,
-    "KE": _KE_CONST,
-    "BD-EQ": _BD_EQ_CONST,
-    "ETL-EQ": _ETL_EQ_CONST,
-    "BDE-EQ": _BDE_EQ_CONST,
-    "BDNF-EQ": _BDNF_EQ_CONST,
-    "MC-ETL": _MC_ETL_CONST,
-}
 
-_FAMILY_PRESETS = {
-    "BD-base": "BD", "ETL-base": "ETL", "K-base": "K", "LP-base": "LP",
-    "BDE": "BDE", "BDNF": "BDNF", "KE": "KE", "TNE-bridge": "TNE",
-    "EQ-core": "DM-eq", "BD-EQ": "BD-eq", "ETL-EQ": "ETL-eq",
-    "BDE-EQ": "BDE-eq", "BDNF-EQ": "BDNF-eq",
-    "MC-BD": "BD", "MC-bridges": "TNE", "MC-ETL": "ETL",
+@dataclass(frozen=True)
+class _Family:
+    relations: str  # relation symbols, space-separated
+    truth_bases: str  # the predicates that get the truth base, in order
+    preset: str
+    notes: str
+    char: tuple[str, tuple[str, str]] | None = None  # (predicate, rule)
+    interactions: Sequence[tuple[str, str]] = ()
+    constants: Sequence[tuple[str, str]] = ()
+    kind: str = "single-conclusion"
+
+
+_FAMILIES = {
+    "BD-base": _Family("T", "T", "BD", "truth-predicate base presentation"),
+    "ETL-base": _Family(
+        "E", "E", "ETL", "exact-truth base: truth base plus the conjunctive modus ponens rule",
+        char=("E", _ETL_CHAR)),
+    "K-base": _Family("T", "T", "K", "strong three-valued base", char=("T", _K_CHAR)),
+    "LP-base": _Family("T", "T", "LP", "paraconsistent three-valued base",
+                       char=("T", _LP_CHAR)),
+    # The E side only needs the truth base: the conjunctive modus ponens
+    # rule for E is derivable from the interaction rules.
+    "BDE": _Family(
+        "T E", "T E", "BDE", "combined truth / exact-truth logic",
+        interactions=[
+            ("exact-true", "E(x) |- T(x)"),
+            ("exact-mp-true", r"E(x), T(~x \/ y) |- T(y)"),
+            ("true-mp-exact", r"T(x), T(y), E(~x \/ y) |- E(y)"),
+        ],
+        constants=_BDE_CONST),
+    "BDNF": _Family(
+        "T NF", "T NF", "BDNF", "combined truth / non-falsity logic",
+        interactions=[
+            ("true-mp-nonfalse", r"T(x), NF(~x \/ y) |- NF(y)"),
+            ("nonfalse-mp-true", r"NF(x), T(~x \/ y) |- T(y)"),
+        ],
+        constants=_BDNF_CONST),
+    "KE": _Family(
+        "T E", "T E", "KE", "three-valued truth / exact-truth logic",
+        char=("E", _ETL_CHAR),
+        interactions=[
+            ("excluded-middle", r"|- T(x \/ ~x)"),
+            ("exact-true", "E(x) |- T(x)"),
+            ("exact-mp-true", r"E(x), T(~x \/ y) |- T(y)"),
+            ("true-mp-exact", r"T(x), E(~x \/ y) |- E(y)"),
+        ],
+        constants=_KE_CONST),
+    "TNE-bridge": _Family(
+        "T E NF", "", "TNE", "definability of exact truth from truth and non-falsity",
+        interactions=[
+            ("exact-def", "T(x), NF(x) |- E(x)"),
+            ("exact-true", "E(x) |- T(x)"),
+            ("exact-nonfalse", "E(x) |- NF(x)"),
+        ]),
+    "EQ-core": _Family(
+        "eq", "", "DM-eq",
+        "material equivalence: equivalence, congruence, compatibility, variety equations"),
+    "BD-EQ": _Family(
+        "T eq", "T", "BD-eq", "truth with material equivalence",
+        interactions=_TRUE_EQ,
+        constants=_BD_EQ_CONST),
+    "ETL-EQ": _Family(
+        "E eq", "", "ETL-eq", "exact truth with material equivalence",
+        interactions=[_EXACT_TOP],
+        constants=_ETL_EQ_CONST),
+    "BDE-EQ": _Family(
+        "T E eq", "T", "BDE-eq", "truth and exact truth with material equivalence",
+        interactions=_TRUE_EQ + [_EXACT_TOP, ("exact-true", "E(x) |- T(x)")],
+        constants=_BDE_EQ_CONST),
+    "BDNF-EQ": _Family(
+        "T NF eq", "T NF", "BDNF-eq", "truth and non-falsity with material equivalence",
+        interactions=[
+            ("true-order", r"T(x), T(y) |- ~x \/ y = y"),
+            ("nonfalse-mp-true", r"NF(x), T(~x \/ y) |- T(y)"),
+            ("true-mp-nonfalse", r"T(x), NF(~x \/ y) |- NF(y)"),
+            ("nf-cancel", r"NF(x), T(y), T(z), x /\ y <= z |- y <= z"),
+            ("nf-sep", r"T(x), NF(y), x /\ u <= ~y \/ v, x /\ ~v <= ~y \/ ~u |- u <= v"),
+        ],
+        constants=_BDNF_CONST),
+    "MC-BD": _Family(
+        "T", "T", "BD", "multiple-conclusion truth logic",
+        interactions=[("or-split", r"T(x \/ y) |- T(x) | T(y)")],
+        kind="multiple-conclusion"),
+    "MC-bridges": _Family(
+        "T E NF", "", "TNE", "definability bridges for E and NF over the truth predicate",
+        interactions=[
+            ("exact-true", "E(x) |- T(x)"),
+            ("exact-consistent", "T(~x), E(x) |-"),
+            ("true-split", "T(x) |- E(x) | T(~x)"),
+            ("true-or-negnonfalse", "|- T(x) | NF(~x)"),
+            ("nonfalse-consistent", "T(x), NF(~x) |-"),
+        ],
+        kind="multiple-conclusion"),
+    "MC-ETL": _Family(
+        "E", "E", "ETL", "multiple-conclusion exact-truth logic",
+        char=("E", _ETL_CHAR),
+        interactions=[
+            ("mc-neg-both", r"E(x \/ y) |- E(~x \/ ~y) | E(x) | E(y)"),
+            ("mc-neg-one", r"E(x \/ y) |- E(~x \/ y) | E(x) | E(y)"),
+            ("mc-sep-pos",
+             r"E((u /\ ~u) \/ x), E((u /\ ~u) \/ y), E(v \/ x) |- E(v \/ y) | E(x) | E(y)"),
+            ("mc-sep-neg",
+             r"E((u /\ ~u) \/ x), E((u /\ ~u) \/ y), E(v \/ ~x) |- E(v \/ ~y) | E(x) | E(y)"),
+        ],
+        constants=_MC_ETL_CONST,
+        kind="multiple-conclusion"),
 }
 
 
 def _schemes(sigspec: SigSpec, role: str, items: Iterable[tuple[str, str]],
              prefix: str = "") -> list[Scheme]:
-    out = []
-    for name, text in items:
-        out.append(Scheme(prefix + name, parse_rule(text, sigspec), role))
-    return out
+    return [Scheme(prefix + name, parse_rule(text, sigspec), role) for name, text in items]
 
 
-def _truth_base(sigspec: SigSpec, pred: str) -> list[Scheme]:
-    items = [(name, text.replace("P(", f"{pred}(")) for name, text in _TRUTH_BASE]
-    return _schemes(sigspec, "base", items, prefix=f"{pred}.")
-
-
-def _char(sigspec: SigSpec, pred: str, item: tuple[str, str]) -> Scheme:
-    name, text = item
-    return Scheme(f"{pred}.{name}", parse_rule(text.replace("P(", f"{pred}("), sigspec), "base")
+def _base_for(sigspec: SigSpec, pred: str, items: Iterable[tuple[str, str]]) -> list[Scheme]:
+    """Base schemes stated for `P`, instantiated at the predicate `pred`."""
+    return _schemes(sigspec, "base", [(name, text.replace("P(", f"{pred}("))
+                                      for name, text in items], prefix=f"{pred}.")
 
 
 def _eq_core(sigspec: SigSpec) -> list[Scheme]:
@@ -233,204 +313,52 @@ def _eq_core(sigspec: SigSpec) -> list[Scheme]:
     return out
 
 
-def _const_schemes(family: str, sigspec: SigSpec, consts: frozenset[str]) -> list[Scheme]:
-    table = _CONST_TABLES.get(family, [])
-    out = []
-    for required, name, text in table:
-        if set(required) <= consts:
-            out.append(Scheme(name, parse_rule(text, sigspec), "constant"))
-    return out
+@lru_cache(maxsize=None)
+def _mentioned(text: str) -> frozenset[str]:
+    return frozenset(parse_rule(text, FULL_SIG).constants())
 
 
-def _build_family(family: str, consts: frozenset[str]) -> AxiomSystem:
-    allowed = set(_FAMILY_CONSTANTS[family])
-    if not consts <= allowed:
-        raise UsageError(f"system family {family} does not support constants {sorted(consts - allowed)}")
-
-    if family == "BD-base":
-        s = sig({"T"}, consts)
-        schemes = _truth_base(s, "T")
-        kind = "single-conclusion"
-        notes = "truth-predicate base presentation"
-    elif family == "ETL-base":
-        s = sig({"E"}, consts)
-        schemes = _truth_base(s, "E") + [_char(s, "E", _ETL_CHAR)]
-        kind = "single-conclusion"
-        notes = "exact-truth base: truth base plus the conjunctive modus ponens rule"
-    elif family == "K-base":
-        s = sig({"T"}, consts)
-        schemes = _truth_base(s, "T") + [_char(s, "T", _K_CHAR)]
-        kind = "single-conclusion"
-        notes = "strong three-valued base"
-    elif family == "LP-base":
-        s = sig({"T"}, consts)
-        schemes = _truth_base(s, "T") + [_char(s, "T", _LP_CHAR)]
-        kind = "single-conclusion"
-        notes = "paraconsistent three-valued base"
-    elif family == "BDE":
-        s = sig({"T", "E"}, consts)
-        # The E side only needs the truth base: the conjunctive modus
-        # ponens rule for E is derivable from the interaction rules.
-        schemes = _truth_base(s, "T") + _truth_base(s, "E")
-        schemes += _schemes(s, "interaction", [
-            ("exact-true", "E(x) |- T(x)"),
-            ("exact-mp-true", r"E(x), T(~x \/ y) |- T(y)"),
-            ("true-mp-exact", r"T(x), T(y), E(~x \/ y) |- E(y)"),
-        ])
-        kind = "single-conclusion"
-        notes = "combined truth / exact-truth logic"
-    elif family == "BDNF":
-        s = sig({"T", "NF"}, consts)
-        schemes = _truth_base(s, "T") + _truth_base(s, "NF")
-        schemes += _schemes(s, "interaction", [
-            ("true-mp-nonfalse", r"T(x), NF(~x \/ y) |- NF(y)"),
-            ("nonfalse-mp-true", r"NF(x), T(~x \/ y) |- T(y)"),
-        ])
-        kind = "single-conclusion"
-        notes = "combined truth / non-falsity logic"
-    elif family == "KE":
-        s = sig({"T", "E"}, consts)
-        schemes = _truth_base(s, "T") + _truth_base(s, "E") + [_char(s, "E", _ETL_CHAR)]
-        schemes += _schemes(s, "interaction", [
-            ("excluded-middle", r"|- T(x \/ ~x)"),
-            ("exact-true", "E(x) |- T(x)"),
-            ("exact-mp-true", r"E(x), T(~x \/ y) |- T(y)"),
-            ("true-mp-exact", r"T(x), E(~x \/ y) |- E(y)"),
-        ])
-        kind = "single-conclusion"
-        notes = "three-valued truth / exact-truth logic"
-    elif family == "TNE-bridge":
-        s = sig({"T", "E", "NF"})
-        schemes = _schemes(s, "interaction", [
-            ("exact-def", "T(x), NF(x) |- E(x)"),
-            ("exact-true", "E(x) |- T(x)"),
-            ("exact-nonfalse", "E(x) |- NF(x)"),
-        ])
-        kind = "single-conclusion"
-        notes = "definability of exact truth from truth and non-falsity"
-    elif family == "EQ-core":
-        s = sig({"eq"}, consts)
-        schemes = _eq_core(s)
-        kind = "single-conclusion"
-        notes = "material equivalence: equivalence, congruence, compatibility, variety equations"
-    elif family == "BD-EQ":
-        s = sig({"T", "eq"}, consts)
-        schemes = _truth_base(s, "T") + _eq_core(s)
-        schemes += _schemes(s, "interaction", [
-            ("true-and", r"T(x), T(y) |- T(x /\ y)"),
-            ("true-order", r"T(x), T(y) |- ~x \/ y = y"),
-            ("true-sep", r"T(z), x /\ z = y /\ z, ~y /\ z = ~x /\ z |- x = y"),
-        ])
-        kind = "single-conclusion"
-        notes = "truth with material equivalence"
-    elif family == "ETL-EQ":
-        s = sig({"E", "eq"}, consts)
-        schemes = _eq_core(s)
-        schemes += _schemes(s, "interaction", [
-            ("exact-top", r"E(x) |- x \/ y = x"),
-        ])
-        kind = "single-conclusion"
-        notes = "exact truth with material equivalence"
-    elif family == "BDE-EQ":
-        s = sig({"T", "E", "eq"}, consts)
-        schemes = _truth_base(s, "T") + _eq_core(s)
-        schemes += _schemes(s, "interaction", [
-            ("true-and", r"T(x), T(y) |- T(x /\ y)"),
-            ("true-order", r"T(x), T(y) |- ~x \/ y = y"),
-            ("true-sep", r"T(z), x /\ z = y /\ z, ~y /\ z = ~x /\ z |- x = y"),
-            ("exact-top", r"E(x) |- x \/ y = x"),
-            ("exact-true", "E(x) |- T(x)"),
-        ])
-        kind = "single-conclusion"
-        notes = "truth and exact truth with material equivalence"
-    elif family == "BDNF-EQ":
-        s = sig({"T", "NF", "eq"}, consts)
-        schemes = _truth_base(s, "T") + _truth_base(s, "NF") + _eq_core(s)
-        schemes += _schemes(s, "interaction", [
-            ("true-order", r"T(x), T(y) |- ~x \/ y = y"),
-            ("nonfalse-mp-true", r"NF(x), T(~x \/ y) |- T(y)"),
-            ("true-mp-nonfalse", r"T(x), NF(~x \/ y) |- NF(y)"),
-            ("nf-cancel", r"NF(x), T(y), T(z), x /\ y <= z |- y <= z"),
-            ("nf-sep", r"T(x), NF(y), x /\ u <= ~y \/ v, x /\ ~v <= ~y \/ ~u |- u <= v"),
-        ])
-        kind = "single-conclusion"
-        notes = "truth and non-falsity with material equivalence"
-    elif family == "MC-BD":
-        s = sig({"T"})
-        schemes = _truth_base(s, "T")
-        schemes += _schemes(s, "interaction", [
-            ("or-split", r"T(x \/ y) |- T(x) | T(y)"),
-        ])
-        kind = "multiple-conclusion"
-        notes = "multiple-conclusion truth logic"
-    elif family == "MC-bridges":
-        s = sig({"T", "E", "NF"})
-        schemes = _schemes(s, "interaction", [
-            ("exact-true", "E(x) |- T(x)"),
-            ("exact-consistent", "T(~x), E(x) |-"),
-            ("true-split", "T(x) |- E(x) | T(~x)"),
-            ("true-or-negnonfalse", "|- T(x) | NF(~x)"),
-            ("nonfalse-consistent", "T(x), NF(~x) |-"),
-        ])
-        kind = "multiple-conclusion"
-        notes = "definability bridges for E and NF over the truth predicate"
-    elif family == "MC-ETL":
-        s = sig({"E"}, consts)
-        schemes = _truth_base(s, "E") + [_char(s, "E", _ETL_CHAR)]
-        schemes += _schemes(s, "interaction", [
-            ("mc-neg-both", r"E(x \/ y) |- E(~x \/ ~y) | E(x) | E(y)"),
-            ("mc-neg-one", r"E(x \/ y) |- E(~x \/ y) | E(x) | E(y)"),
-            ("mc-sep-pos", r"E((u /\ ~u) \/ x), E((u /\ ~u) \/ y), E(v \/ x) |- E(v \/ y) | E(x) | E(y)"),
-            ("mc-sep-neg", r"E((u /\ ~u) \/ x), E((u /\ ~u) \/ y), E(v \/ ~x) |- E(v \/ ~y) | E(x) | E(y)"),
-        ])
-        kind = "multiple-conclusion"
-        notes = "multiple-conclusion exact-truth logic"
-    else:
-        raise KeyError(f"unknown system family {family!r}")
-
-    schemes += _const_schemes(family, s, consts)
-    preset = _FAMILY_PRESETS[family]
-    if consts:
-        preset += "+" + "".join(ch for ch in "tnb" if f"#{ch}" in consts)
-    name = family
-    if consts:
-        name += "+" + "".join(ch for ch in "tnb" if f"#{ch}" in consts)
-    return AxiomSystem(name, s, tuple(schemes), kind, preset,
-                       notes=_build_notes(family, notes, consts))
-
-
-def _build_notes(family: str, notes: str, consts: frozenset[str]) -> str:
-    if consts:
-        return notes + " expanded by " + ", ".join(sorted(consts))
-    return notes
+def _supported(fam: _Family) -> frozenset[str]:
+    return frozenset().union(*(_mentioned(text) for _, text in fam.constants))
 
 
 @lru_cache(maxsize=None)
 def system(name: str) -> AxiomSystem:
-    """Look up a registry entry, e.g. system("BDE") or system("BD-EQ+tn")."""
-    base, _, suffix = name.partition("+")
-    if base not in _FAMILY_CONSTANTS:
+    """Look up a registry entry, e.g. system("BDE") or system("BD-EQ+tn").
+
+    The schemes come in a fixed order: the truth bases, the characteristic
+    rule, the equality core, the interaction rules, the constant rules."""
+    family, consts = parse_name(name)
+    fam = _FAMILIES.get(family)
+    if fam is None:
         raise UsageError(f"unknown axiom system {name!r}")
-    consts = set()
-    for ch in suffix:
-        if ch not in "tnb":
-            raise UsageError(f"bad constant suffix in {name!r}")
-        consts.add(f"#{ch}")
-    return _build_family(base, frozenset(consts))
+    if not consts <= _supported(fam):
+        raise UsageError(f"axiom system {name!r}: family {family} does not support "
+                         f"constants {sorted(consts - _supported(fam))}")
+    s = sig(fam.relations.split(), consts)
+    schemes = []
+    for pred in fam.truth_bases.split():
+        schemes += _base_for(s, pred, _TRUTH_BASE)
+    if fam.char:
+        pred, item = fam.char
+        schemes += _base_for(s, pred, [item])
+    if "eq" in s.relations:
+        schemes += _eq_core(s)
+    schemes += _schemes(s, "interaction", fam.interactions)
+    schemes += _schemes(s, "constant", [(n, t) for n, t in fam.constants
+                                        if _mentioned(t) <= consts])
+    notes = fam.notes + (" expanded by " + ", ".join(sorted(consts)) if consts else "")
+    return AxiomSystem(format_name(family, consts), s, tuple(schemes), fam.kind,
+                       format_name(fam.preset, consts), notes=notes)
 
 
 def all_system_names() -> list[str]:
     """Every registry entry: each family with each supported constant set."""
     out = []
-    for family, allowed in _FAMILY_CONSTANTS.items():
-        subsets = [""]
-        letters = [c[1] for c in ("#t", "#n", "#b") if c in allowed]
-        for r in range(1, len(letters) + 1):
-            from itertools import combinations
-
-            subsets += ["".join(c) for c in combinations(letters, r)]
-        for suffix in subsets:
-            out.append(family + ("+" + suffix if suffix else ""))
+    for family, fam in _FAMILIES.items():
+        supported = [c for c in CONSTANT_SYMBOLS if c in _supported(fam)]
+        for r in range(len(supported) + 1):
+            out += [format_name(family, subset) for subset in combinations(supported, r)]
     return out
 
 

@@ -118,6 +118,45 @@ def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
         main(["leibniz", "--preset", "BD"])
 
 
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(cfg):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "cmd_leibniz", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["leibniz", "--preset", "BD"])
+
+
+def test_derive_multiple_conclusion_system_exits_two(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("derive called")
+
+    monkeypatch.setattr(cli, "derive", unreachable)
+    code, out, err = run(capsys, "derive", "--system", "MC-ETL", "E(x) |- E(x)")
+    assert code == 2 and out == ""
+    assert "single-conclusion" in err and "MC-ETL" in err
+
+
+def test_decide_unreadable_rule_file_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.rules"
+    code, out, err = run(capsys, "decide", "--logic", "BD", "--file", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read rule file") and "missing.rules" in err
+    binary = tmp_path / "binary.rules"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "decide", "--logic", "BD", "--file", str(binary))
+    assert code == 2 and err.startswith("error: cannot read rule file")
+
+
+def test_algebra_dump_constants_use_the_suffix_codec(capsys):
+    _, by_flag, _ = run_json(capsys, "algebra", "dump", "BDE-eq", "--constants", "bt")
+    _, by_name, _ = run_json(capsys, "algebra", "dump", "BDE-eq+tb")
+    assert by_flag["algebra"] == by_name["algebra"]
+    assert by_flag["algebra"]["ops"]["const"] == {"#b": 1, "#t": 0}
+    code, _, err = run(capsys, "algebra", "dump", "DM4", "--constants", "q")
+    assert code == 2 and "bad constant suffix" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_two(capsys, jobs):
     code, _, err = run(capsys, "verify", "mc-classification", "--jobs", jobs)

@@ -7,16 +7,18 @@ from fourval.structures import (
     SignatureMismatchError,
     VariableLimitError,
     eval_term,
+    format_name,
     holds,
     identity_relation,
     is_model,
+    parse_name,
     preset_structure,
     preset_names,
     structure,
     structure_from_json,
     structure_to_json,
 )
-from fourval.syntax import Var, apply_subst, parse_rule, parse_term, sig
+from fourval.syntax import UsageError, Var, apply_subst, parse_rule, parse_term, sig
 from fourval.systems import system
 from fourval.verify import random_rule
 
@@ -250,3 +252,24 @@ def test_structure_from_json_rejects_bad_relations(rels, message):
     data["rels"] = rels
     with pytest.raises(ValueError, match=message):
         structure_from_json(data)
+
+
+def test_constant_suffix_codec():
+    assert parse_name("BD-eq+tnb") == ("BD-eq", frozenset({"#t", "#n", "#b"}))
+    assert parse_name("BD") == parse_name("BD+") == ("BD", frozenset())
+    assert parse_name("BDE+bnbt") == parse_name("BDE+tnb")
+    assert format_name("BD-eq", {"#b", "#t"}) == "BD-eq+tb"
+    assert format_name("BD", ()) == "BD"
+    for suffix in ("", "t", "n", "b", "tn", "tb", "nb", "tnb"):
+        name = "BDE+" + suffix if suffix else "BDE"
+        assert format_name(*parse_name(name)) == name
+    for bad in ("BD+q", "BD+t+n", "BD+T"):
+        with pytest.raises(UsageError, match="bad constant suffix"):
+            parse_name(bad)
+
+
+def test_preset_constants_expand_the_algebra():
+    st = preset_structure("BDE-eq+nt")
+    assert st == preset_structure("BDE-eq+tn")
+    assert st.algebra.constants == {"#t": T, "#n": N}
+    assert st.binary["eq"] == identity_relation(st.algebra)

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from fourval.structures import holds, preset_structure
-from fourval.syntax import parse_rule, print_rule, sig
+from fourval.syntax import UsageError, parse_rule, print_rule, sig
 from fourval.systems import (
     AxiomSystem,
     Scheme,
@@ -34,6 +36,29 @@ def test_unknown_system():
         system("XYZ")
     with pytest.raises(KeyError):
         system("KE+n")  # unsupported constant for this family
+
+
+def test_registry_names_are_canonical():
+    for name in all_system_names():
+        sysd = system(name)
+        assert sysd.name == name
+        family, plus, suffix = name.partition("+")
+        assert sysd.preset == system(family).preset + plus + suffix
+
+
+@pytest.mark.parametrize("variant, canonical_name", [
+    ("BDE+nt", "BDE+tn"), ("BDE+tt", "BDE+t"), ("BD-EQ+btn", "BD-EQ+tnb"),
+    ("MC-ETL+bbn", "MC-ETL+nb"),
+])
+def test_suffix_letters_in_any_order_name_one_system(variant, canonical_name):
+    assert system(variant) == system(canonical_name)
+    assert system(variant).name == canonical_name
+
+
+@pytest.mark.parametrize("name", ["KE+n", "KE+tnb", "BDE+q", "TNE-bridge+t", "XYZ"])
+def test_bad_system_names_are_usage_errors(name):
+    with pytest.raises(UsageError, match=re.escape(repr(name))):
+        system(name)
 
 
 def test_bde_interaction_rules_exactly():
