@@ -692,6 +692,9 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
 # create lower bounds), and no pair may have two minimal upper bounds
 # among the existing elements (new elements cannot get below them).
 
+CENSUS_BOUND = 6  # sizes above this need allow_slow
+
+
 def _downsets(below: list[int], size: int) -> list[int]:
     out = []
     for m in range(1 << size):
@@ -771,7 +774,7 @@ def _gen_posets(n: int) -> Iterator[list[int]]:
     yield from rec([0])
 
 
-def enumerate_dm_lattices(n: int, kleene_only: bool = False, bound: int = 6,
+def enumerate_dm_lattices(n: int, kleene_only: bool = False,
                           allow_slow: bool = False) -> list[FiniteAlgebra]:
     """All De Morgan (or Kleene) lattices of exactly size n, up to isomorphism.
 
@@ -780,8 +783,8 @@ def enumerate_dm_lattices(n: int, kleene_only: bool = False, bound: int = 6,
     """
     if n < 1:
         raise BoundExceededError("size must be at least 1")
-    if n > bound and not allow_slow:
-        raise BoundExceededError(f"size {n} above census bound {bound}; pass allow_slow to force")
+    if n > CENSUS_BOUND and not allow_slow:
+        raise BoundExceededError(f"size {n} above census bound {CENSUS_BOUND}; pass allow_slow to force")
     if n > 8:
         raise BoundExceededError("census above size 8 is not supported")
     seen: dict[tuple, FiniteAlgebra] = {}

@@ -397,6 +397,11 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.jobs < 1:
         print(f"error: --jobs must be at least 1, got {cfg.jobs}", file=sys.stderr)
         return EXIT_USAGE
+    for name in ("size", "max_size", "depth", "var_limit"):
+        value = getattr(cfg, name)
+        if value < 0:
+            print(f"error: --{name.replace('_', '-')} must be at least 0, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         if args.command == "decide":
             if not cfg.rule and not cfg.rules_file:

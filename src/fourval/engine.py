@@ -10,7 +10,7 @@ come from decide().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -35,6 +35,7 @@ from .syntax import (
     SigSpec,
     Term,
     Var,
+    apply_subst,
     formula_text,
     formula_variables,
     print_rule,
@@ -411,25 +412,12 @@ def canonical_rule(r: Rule) -> Rule:
     pool = _VAR_POOL[:len(names)]
     best = None
     best_text = None
-    for perm in _permute(names, pool):
-        candidate = apply_rename(r, perm)
+    for perm in permutations(pool):
+        candidate = apply_subst(r, {old: Var(new) for old, new in zip(names, perm)})
         text = print_rule(candidate)
         if best_text is None or text < best_text:
             best, best_text = candidate, text
     return best
-
-
-def _permute(names: Sequence[str], pool: Sequence[str]) -> Iterator[dict[str, str]]:
-    from itertools import permutations as perms
-
-    for p in perms(pool):
-        yield dict(zip(names, p))
-
-
-def apply_rename(r: Rule, mapping: Mapping[str, str]) -> Rule:
-    sub = {old: Var(new) for old, new in mapping.items()}
-    return Rule(frozenset(substitute_formula(f, sub) for f in r.premises),
-                frozenset(substitute_formula(f, sub) for f in r.conclusions))
 
 
 def count_rule_space(bounds: RuleSpaceBounds) -> int:
@@ -523,7 +511,7 @@ def candidate_structures(sys: AxiomSystem, alg: FiniteAlgebra) -> Iterator[Struc
     ranges over congruence relations: the reflexivity, symmetry,
     transitivity, congruence, and compatibility axioms in every catalogued
     eq-system reject anything else, so non-congruence interpretations can
-    never be models (the test suite spot-checks this).
+    never be models (checked exhaustively at n <= 3 in ``tests/test_kernel.py``).
     """
     unary_names = sorted(p for p in sys.signature.relations if p != "eq")
     has_eq = "eq" in sys.signature.relations

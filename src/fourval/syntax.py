@@ -249,17 +249,6 @@ def apply_subst(r: Rule, s: Mapping[str, Term]) -> Rule:
     )
 
 
-def rename_predicate(r: Rule, old: str, new: str) -> Rule:
-    """Replace every occurrence of predicate `old` by `new` (same arity)."""
-    if RELATION_ARITIES[old] != RELATION_ARITIES[new]:
-        raise ValueError("predicate arity mismatch")
-
-    def ren(f: Formula) -> Formula:
-        return Formula(new, f.args) if f.pred == old else f
-
-    return Rule(frozenset(map(ren, r.premises)), frozenset(map(ren, r.conclusions)))
-
-
 # ---------------------------------------------------------------------------
 # Printing.  Precedence: ~ binds tightest, then /\, then \/.  Binary
 # operators print left associatively with minimal parentheses, so that

@@ -316,20 +316,11 @@ def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dic
 # ---------------------------------------------------------------------------
 # Suite: facts.  The finitely checkable content of the structural facts.
 
-def _bd_base_for(pred: str) -> list[tuple[str, Rule]]:
-    base = system("BD-base")
-    if pred == "T":
-        return base.named_rules()
-    from .syntax import rename_predicate
-
-    return [(name, rename_predicate(r, "T", pred)) for name, r in base.named_rules()]
-
-
 def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
     started = time.time()
     violations = []
     checks = 0
-    bd_rules = _bd_base_for("T")
+    bd_rules = system("BD-base").named_rules()
 
     # model intersection: filters are exactly the truth-base models, and
     # intersections of models stay models
@@ -510,6 +501,52 @@ def suite_mc_classification(size: int = 4, jobs: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Premise-set tables.  Translation, extension and engine-soundness decide
+# "premise set j entails conclusion c" over a bounded rule space for every
+# pair at once: each formula holds an int bitset over the premise sets.
+
+def _premise_sets(n_formulas: int, max_premises: int) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Premise set j is the j-th ``combinations(range(n_formulas), k)`` item
+    for k = 0..max_premises; bit j of ``seeds[f]`` says formula f is in set
+    j, and ``full`` has one bit per set."""
+    sets = [prem for k in range(max_premises + 1) for prem in combinations(range(n_formulas), k)]
+    # set bits in bytearrays: OR-ing 1 << j into an int copies the whole int
+    seeds = [bytearray(len(sets) // 8 + 1) for _ in range(n_formulas)]
+    for j, prem in enumerate(sets):
+        for p in prem:
+            seeds[p][j >> 3] |= 1 << (j & 7)
+    return sets, [int.from_bytes(b, "little") for b in seeds], (1 << len(sets)) - 1
+
+
+def _bitmaps(st, formulas) -> list[int]:
+    return [formula_bitmap(st, f, ("x", "y")) for f in formulas]
+
+
+def _refuted(seeds: Sequence[int], full: int, bitmaps: Sequence[int], points: int) -> list[int]:
+    """Per conclusion c, the premise sets j for which ``sets[j] |- c`` fails:
+    the OR, over the grid points where c fails, of the sets all of whose
+    members hold there."""
+    refuted = [0] * len(bitmaps)
+    for v in range(points):
+        fails = [f for f, bm in enumerate(bitmaps) if not (bm >> v) & 1]
+        sat = full  # the premise sets all of whose members hold at v
+        for f in fails:
+            sat &= ~seeds[f]
+        for c in fails:
+            refuted[c] |= sat
+    return refuted
+
+
+def _pairs(table) -> list[tuple[int, int]]:
+    """The (premise set, conclusion) pairs set in a per-conclusion table, in order."""
+    return sorted((j, c) for c, bits in enumerate(table) for j in mask_iter(bits))
+
+
+def _rule_at(formulas: Sequence[Formula], sets, j: int, c: int) -> Rule:
+    return Rule(frozenset(formulas[p] for p in sets[j]), frozenset({formulas[c]}))
+
+
+# ---------------------------------------------------------------------------
 # Suite: translation.  The exact-truth-to-equation device preserves and
 # reflects validity between its two presets, over the full bounded rule
 # space (a superset of the renaming-deduplicated stream, which can only
@@ -519,47 +556,29 @@ def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -
     started = time.time()
     bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T", "E", "eq"}))
     formulas = formulas_within(bounds)
-    names = ("x", "y")
+    sets, seeds, full = _premise_sets(len(formulas), max_premises)
     src = preset_structure("BDE-eq")
     tgt = preset_structure("BD-eq+t")
-    src_bm = [formula_bitmap(src, f, names) for f in formulas]
-    tgt_bm = [formula_bitmap(tgt, translate_exact_to_eq_formula(f), names) for f in formulas]
-    all_vals = (1 << (src.algebra.size ** 2)) - 1
-    violations = []
-    checks = 0
-    idx = range(len(formulas))
-    for k in range(max_premises + 1):
-        for prem in combinations(idx, k):
-            pm_src = all_vals
-            pm_tgt = all_vals
-            for p in prem:
-                pm_src &= src_bm[p]
-                pm_tgt &= tgt_bm[p]
-            for c in idx:
-                checks += 1
-                v_src = (pm_src & ~src_bm[c]) == 0
-                v_tgt = (pm_tgt & ~tgt_bm[c]) == 0
-                if v_src != v_tgt:
-                    r = Rule(frozenset(formulas[p] for p in prem), frozenset({formulas[c]}))
-                    violations.append(f"mismatch on {print_rule(r)}")
-    # bind the bitmap sweep to decide() on a seeded sample
-    rng = random.Random(seed)
-    for _ in range(sample):
-        k = rng.randint(0, max_premises)
-        prem = tuple(rng.sample(idx, k)) if k else ()
-        c = rng.choice(idx)
-        r = Rule(frozenset(formulas[p] for p in prem), frozenset({formulas[c]}))
+    src_ref = _refuted(seeds, full, _bitmaps(src, formulas), src.algebra.size ** 2)
+    tgt_ref = _refuted(seeds, full, _bitmaps(tgt, map(translate_exact_to_eq_formula, formulas)),
+                       tgt.algebra.size ** 2)
+    violations = [f"mismatch on {print_rule(_rule_at(formulas, sets, j, c))}"
+                  for j, c in _pairs(s ^ t for s, t in zip(src_ref, tgt_ref))]
+    # bind the table to decide() on a seeded sample
+    findex = {f: i for i, f in enumerate(formulas)}
+    for r in _rule_sample(bounds, random.Random(seed), sample):
+        containing = full  # the premise sets containing r's premises; the least is r's own
+        for p in r.premises:
+            containing &= seeds[findex[p]]
+        j = (containing & -containing).bit_length() - 1
         v_src = decide(src, r).valid
         v_tgt = decide(tgt, translate_exact_to_eq(r)).valid
-        pm = all_vals
-        for p in prem:
-            pm &= src_bm[p]
         if v_src != v_tgt:
             violations.append(f"sample mismatch on {print_rule(r)}")
-        if v_src != ((pm & ~src_bm[c]) == 0):
+        if v_src == bool((src_ref[findex[r.conclusion]] >> j) & 1):
             violations.append(f"bitmap/decide disagreement on {print_rule(r)}")
     return _report("translation", {"max_premises": max_premises, "sample": sample, "seed": seed},
-                   checks, violations, started)
+                   len(sets) * len(formulas), violations, started)
 
 
 # ---------------------------------------------------------------------------
@@ -699,26 +718,12 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
         universe = terms_within(bounds)
         ground = _ground_program(sysd, formulas, universe)
         st = preset_structure(sysd.preset)
-        bitmaps = [formula_bitmap(st, f, ("x", "y")) for f in formulas]
-        # premise set j is the j-th combination; seeds[f] has the sets holding f
-        sets = [prem for k in range(max_prem + 1) for prem in combinations(range(len(formulas)), k)]
-        full = (1 << len(sets)) - 1
-        seeds = [0] * len(formulas)
-        for j, prem in enumerate(sets):
-            for p in prem:
-                seeds[p] |= 1 << j
+        sets, seeds, full = _premise_sets(len(formulas), max_prem)
         level = _horn_closure(ground, seeds, depth, full)
         reached = [lv & ~s for lv, s in zip(level, seeds)]
-        invalid = set()
-        for v in range(st.algebra.size ** 2):
-            fails = [f for f, bm in enumerate(bitmaps) if not (bm >> v) & 1]
-            sat = full  # the premise sets all of whose members hold at v
-            for f in fails:
-                sat &= ~seeds[f]
-            invalid.update((j, c) for c in fails for j in mask_iter(reached[c] & sat))
-        for j, c in sorted(invalid):
-            r = Rule(frozenset(formulas[p] for p in sets[j]), frozenset({formulas[c]}))
-            violations.append(f"{sys_name}: derived but invalid: {print_rule(r)}")
+        refuted = _refuted(seeds, full, _bitmaps(st, formulas), st.algebra.size ** 2)
+        for j, c in _pairs(a & b for a, b in zip(reached, refuted)):
+            violations.append(f"{sys_name}: derived but invalid: {print_rule(_rule_at(formulas, sets, j, c))}")
         derived = sum(r.bit_count() for r in reached)
         checks += derived
         stats[sys_name] = {"ground_rules": len(ground), "premise_sets": len(sets),
@@ -735,37 +740,21 @@ def suite_extension(max_premises: int = 2) -> dict:
     started = time.time()
     bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T"}))
     formulas = formulas_within(bounds)
-    names = ("x", "y")
-    from .syntax import rename_predicate
+    sets, seeds, full = _premise_sets(len(formulas), max_premises)
 
-    presets = {
-        "BD": (preset_structure("BD"), lambda f: f),
-        "ETL": (preset_structure("ETL"), lambda f: Formula("E", f.args) if f.pred == "T" else f),
-        "K": (preset_structure("K"), lambda f: f),
-        "LP": (preset_structure("LP"), lambda f: f),
-    }
-    bitmaps = {}
-    sizes = {}
-    for name, (st, conv) in presets.items():
-        sizes[name] = (1 << (st.algebra.size ** 2)) - 1
-        bitmaps[name] = [formula_bitmap(st, conv(f), names) for f in formulas]
-    violations = []
-    checks = 0
-    idx = range(len(formulas))
-    for k in range(max_premises + 1):
-        for prem in combinations(idx, k):
-            masks = {name: sizes[name] for name in presets}
-            for p in prem:
-                for name in presets:
-                    masks[name] &= bitmaps[name][p]
-            for c in idx:
-                if (masks["BD"] & ~bitmaps["BD"][c]) == 0:
-                    checks += 1
-                    for name in ("ETL", "K", "LP"):
-                        if (masks[name] & ~bitmaps[name][c]) != 0:
-                            r = Rule(frozenset(formulas[p] for p in prem),
-                                     frozenset({formulas[c]}))
-                            violations.append(f"{name} loses base-valid rule {print_rule(r)}")
+    def refuted(preset: str, conv=lambda f: f) -> list[int]:
+        st = preset_structure(preset)
+        return _refuted(seeds, full, _bitmaps(st, map(conv, formulas)), st.algebra.size ** 2)
+
+    base = refuted("BD")
+    extensions = {"ETL": refuted("ETL", lambda f: Formula("E", f.args)),
+                  "K": refuted("K"), "LP": refuted("LP")}
+    checks = sum((full & ~b).bit_count() for b in base)
+    # a pair's lines follow the presets' order above, which is also name order
+    lost = sorted((j, c, name) for name, ext in extensions.items()
+                  for j, c in _pairs(x & ~b for x, b in zip(ext, base)))
+    violations = [f"{name} loses base-valid rule {print_rule(_rule_at(formulas, sets, j, c))}"
+                  for j, c, name in lost]
     return _report("extension", {"max_premises": max_premises}, checks, violations, started)
 
 

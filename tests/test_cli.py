@@ -163,6 +163,36 @@ def test_jobs_below_one_exits_two(capsys, jobs):
     assert code == 2 and "--jobs" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "classification", "--size", "-1"),
+    ("algebra", "census", "--max-size", "-1"),
+    ("derive", "--system", "BDE", "--depth", "-1", "E(x) |- T(x)"),
+    ("decide", "--logic", "BD", "--var-limit", "-1", "T(x) |- T(x)"),
+])
+def test_negative_setting_flag_exits_two(capsys, argv):
+    flag = argv[argv.index("-1") - 1]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("key", ["size", "max_size", "depth", "var_limit"])
+def test_negative_setting_in_config_exits_two(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = -1\n")
+    code, out, err = run(capsys, "systems", "list", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: --{key.replace('_', '-')} must be at least 0, got -1\n"
+
+
+def test_zero_settings_stay_accepted(capsys):
+    code, report, _ = run_json(capsys, "algebra", "census", "--max-size", "0")
+    assert code == 0 and report["count"] == 0
+    code, report, _ = run_json(capsys, "derive", "--system", "BDE", "--depth", "0",
+                               "E(x) |- T(x)")
+    assert code == 3 and report["depth"] == 0
+
+
 def test_output_flag_before_the_subcommand(capsys):
     code, out, _ = run(capsys, "--output", "json", "decide", "--logic", "BD", "T(x) |- T(x)")
     assert code == 0 and json.loads(out)["valid"] is True

@@ -5,7 +5,6 @@ import pytest
 from fourval.engine import (
     DeriveBudgetError,
     RuleSpaceBounds,
-    apply_rename,
     canonical_rule,
     check_derivation,
     classify_models,
@@ -19,7 +18,7 @@ from fourval.engine import (
     translate_exact_to_eq,
 )
 from fourval.structures import preset_structure
-from fourval.syntax import parse_rule, print_rule, sig
+from fourval.syntax import Var, apply_subst, parse_rule, print_rule, sig
 from fourval.systems import system
 from fourval.verify import random_rule
 
@@ -203,8 +202,8 @@ def test_canonical_rule_idempotent_and_invariant():
         r = random_rule(rng, max_vars=3, max_depth=1)
         c1 = canonical_rule(r)
         assert canonical_rule(c1) == c1
-        renamed = apply_rename(r, {v: n for v, n in zip(sorted(r.variables()),
-                                                        ("p", "q", "r", "s"))})
+        renamed = apply_subst(r, {v: Var(n) for v, n in zip(sorted(r.variables()),
+                                                            ("p", "q", "r", "s"))})
         assert canonical_rule(renamed) == c1
 
 
