@@ -10,6 +10,7 @@ come from decide().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from typing import Iterator, Mapping, Sequence
 
@@ -44,8 +45,9 @@ from .syntax import (
     subterms,
     term_depth,
     term_text,
+    term_variables,
 )
-from .systems import AxiomSystem
+from .systems import AxiomSystem, Scheme
 
 
 class DeriveBudgetError(RuntimeError):
@@ -115,86 +117,259 @@ def derivation_to_json(d: Derivation) -> dict:
     return {"nodes": nodes, "root": d.root}
 
 
-# -- one-way term matching --------------------------------------------------
+# -- the interned term universe and the scheme grounder ----------------------
 
-def _match_term(pat: Term, t: Term, binding: dict[str, Term]) -> dict[str, Term] | None:
+class Universe:
+    """A subterm-closed term universe interned as ids (hash-consing:
+    Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006).
+
+    Id i is ``terms[i]``, so ids keep the given order.  ``shape[i]`` is the
+    term's constructor with its child ids: ``(Neg, a)``, ``(Meet, a, b)``,
+    ``(Join, a, b)``, or ``(Var,)`` / ``(Const,)``.  ``neg[a]`` and
+    ``table[op][a][b]`` (op is Meet or Join) build composites: -1 when the
+    composite is outside.  ``rows[op][a]`` and ``cols[op][b]`` list, in id
+    order, the partners b and a for which op of a and b is inside.  A fact
+    is ``(pred, arg ids)``.
+    """
+
+    def __init__(self, terms: Sequence[Term]):
+        self.terms = list(terms)
+        self.index = {t: i for i, t in enumerate(self.terms)}
+        n = len(self.terms)
+        self.neg = [-1] * n
+        self.table = {op: [[-1] * n for _ in range(n)] for op in (Meet, Join)}
+        self.rows = {op: [[] for _ in range(n)] for op in (Meet, Join)}
+        self.cols = {op: [[] for _ in range(n)] for op in (Meet, Join)}
+        self.shape: list[tuple] = []
+        for i, t in enumerate(self.terms):
+            if isinstance(t, Neg):
+                a = self.index[t.arg]
+                self.neg[a] = i
+                self.shape.append((Neg, a))
+            elif isinstance(t, (Meet, Join)):
+                op = type(t)
+                a, b = self.index[t.left], self.index[t.right]
+                self.table[op][a][b] = i
+                self.rows[op][a].append(b)
+                self.cols[op][b].append(a)
+                self.shape.append((op, a, b))
+            else:
+                self.shape.append((type(t),))
+        for lists in (*self.rows.values(), *self.cols.values()):
+            for ids in lists:
+                ids.sort()
+
+    def fact(self, f: Formula) -> tuple[str, tuple[int, ...]]:
+        return f.pred, tuple(self.index[t] for t in f.args)
+
+    def formula(self, fact: tuple[str, tuple[int, ...]]) -> Formula:
+        return Formula(fact[0], tuple(self.terms[i] for i in fact[1]))
+
+
+def _matcher(pat: Term):
+    """(id, binding, universe) -> the binding extended so that pat matches
+    the term, or None.  A binding maps variable names to ids and is never
+    mutated."""
     if isinstance(pat, Var):
-        bound = binding.get(pat.name)
-        if bound is None:
-            out = dict(binding)
-            out[pat.name] = t
-            return out
-        return binding if bound == t else None
+        name = pat.name
+
+        def match_var(i, b, uni):
+            bound = b.get(name)
+            if bound is None:
+                out = dict(b)
+                out[name] = i
+                return out
+            return b if bound == i else None
+        return match_var
     if isinstance(pat, Const):
-        return binding if pat == t else None
+        return lambda i, b, uni: b if uni.index.get(pat) == i else None
     if isinstance(pat, Neg):
-        return _match_term(pat.arg, t.arg, binding) if isinstance(t, Neg) else None
-    if isinstance(pat, Meet):
-        if not isinstance(t, Meet):
+        arg = _matcher(pat.arg)
+
+        def match_neg(i, b, uni):
+            s = uni.shape[i]
+            return arg(s[1], b, uni) if s[0] is Neg else None
+        return match_neg
+    op, left, right = type(pat), _matcher(pat.left), _matcher(pat.right)
+
+    def match_binary(i, b, uni):
+        s = uni.shape[i]
+        if s[0] is not op:
             return None
-        b = _match_term(pat.left, t.left, binding)
-        return _match_term(pat.right, t.right, b) if b is not None else None
-    if not isinstance(t, Join):
-        return None
-    b = _match_term(pat.left, t.left, binding)
-    return _match_term(pat.right, t.right, b) if b is not None else None
+        b = left(s[1], b, uni)
+        return None if b is None else right(s[2], b, uni)
+    return match_binary
 
 
-def _match_formula(pat: Formula, f: Formula, binding: dict[str, Term]) -> dict[str, Term] | None:
-    if pat.pred != f.pred:
-        return None
-    b: dict[str, Term] | None = binding
-    for pt, t in zip(pat.args, f.args):
-        b = _match_term(pt, t, b)
-        if b is None:
-            return None
-    return b
+def _builder(pat: Term):
+    """(binding, universe) -> id of the instantiated term, -1 when it is
+    outside."""
+    if isinstance(pat, Var):
+        name = pat.name
+        return lambda b, uni: b[name]
+    if isinstance(pat, Const):
+        return lambda b, uni: uni.index.get(pat, -1)
+    if isinstance(pat, Neg):
+        arg = _builder(pat.arg)
+
+        def build_neg(b, uni):
+            a = arg(b, uni)
+            return -1 if a < 0 else uni.neg[a]
+        return build_neg
+    op, left, right = type(pat), _builder(pat.left), _builder(pat.right)
+
+    def build_binary(b, uni):
+        a = left(b, uni)
+        if a < 0:
+            return -1
+        c = right(b, uni)
+        return -1 if c < 0 else uni.table[op][a][c]
+    return build_binary
 
 
-def _match_premises(patterns: Sequence[Formula], facts_by_pred: dict[str, list[Formula]],
-                    fresh: Mapping[str, int] | None, binding: dict[str, Term],
-                    matched: tuple[Formula, ...] = ()
-                    ) -> Iterator[tuple[dict[str, Term], tuple[Formula, ...]]]:
-    """Bindings of the patterns against the facts, in fact order, each with
-    the facts it matched.  With ``fresh`` (predicate -> index of its first
-    fresh fact, 0 when absent), only bindings matching at least one fresh
-    fact are yielded: once an earlier pattern matched a fresh fact the rest
-    range freely, otherwise the last pattern ranges over fresh facts only."""
+def _match_premises(patterns: Sequence[tuple[str, list]],
+                    facts_by_pred: Mapping[str, list[tuple[int, ...]]],
+                    fresh: Mapping[str, int] | None, uni: Universe, binding: dict[str, int],
+                    matched: tuple = ()) -> Iterator[tuple[dict[str, int], tuple]]:
+    """Bindings of the premise patterns against the facts, in fact order,
+    each with the facts it matched.  With ``fresh`` (predicate -> index of
+    its first fresh fact, 0 when absent), only bindings matching at least
+    one fresh fact are yielded: once an earlier pattern matched a fresh
+    fact the rest range freely, otherwise the last pattern ranges over
+    fresh facts only."""
     if not patterns:
         if fresh is None:
             yield binding, matched
         return
-    head, rest = patterns[0], patterns[1:]
-    facts = facts_by_pred.get(head.pred, ())
-    start = 0 if fresh is None else fresh.get(head.pred, 0)
+    (pred, matchers), rest = patterns[0], patterns[1:]
+    facts = facts_by_pred.get(pred, ())
+    start = 0 if fresh is None else fresh.get(pred, 0)
     for i in range(0 if rest else start, len(facts)):
-        b = _match_formula(head, facts[i], binding)
-        if b is not None:
-            yield from _match_premises(rest, facts_by_pred, None if i >= start else fresh,
-                                       b, matched + (facts[i],))
+        b = binding
+        for m, a in zip(matchers, facts[i]):
+            b = m(a, b, uni)
+            if b is None:
+                break
+        else:
+            if rest:
+                yield from _match_premises(rest, facts_by_pred, None if i >= start else fresh,
+                                           uni, b, matched + ((pred, facts[i]),))
+            else:
+                yield b, matched + ((pred, facts[i]),)
 
 
-def scheme_instances(sys: AxiomSystem, facts_by_pred: dict[str, list[Formula]],
-                     universe: Sequence[Term], fresh: Mapping[str, int] | None = None
-                     ) -> Iterator[tuple[str, dict[str, Term], tuple[Formula, ...], Formula]]:
-    """Ground instances of the schemes whose premises are all facts.
+class _GroundScheme:
+    """One scheme compiled for every universe.
 
-    Yields (scheme name, substitution, matched premise facts in sorted
-    premise order, instantiated conclusion): schemes in order, premise
-    matches in fact order, then the conclusion's free variables over
-    ``universe``.  With ``fresh`` (see _match_premises) this is the same
-    enumeration restricted to bindings that match a fresh fact, so
-    zero-premise schemes yield nothing.
+    Premises are matched in sorted premise order.  The conclusion's free
+    variables are then assigned in name order, each over the universe in id
+    order.  After each assignment the conclusion subterms it completes are
+    built, and the partial assignment is dropped if one is outside.  A free
+    variable that is a direct child of a meet or join whose sibling is
+    already determined ranges only over that sibling's row or column.
     """
-    for scheme in sys.schemes:
+
+    def __init__(self, scheme: Scheme):
+        self.name = scheme.name
         prems = sorted(scheme.rule.premises, key=formula_text)
         concl = scheme.rule.conclusion
-        free = sorted(formula_variables(concl).difference(*map(formula_variables, prems)))
-        for binding, matched in _match_premises(prems, facts_by_pred, fresh, {}):
-            for extra in iproduct(universe, repeat=len(free)):
-                b = dict(binding)
-                b.update(zip(free, extra))
-                yield scheme.name, b, matched, substitute_formula(concl, b)
+        bound = set().union(*map(formula_variables, prems))
+        free = sorted(formula_variables(concl) - bound)
+        self.premises = [(p.pred, [_matcher(t) for t in p.args]) for p in prems]
+        self.pred = concl.pred
+        self.args = [_builder(t) for t in concl.args]
+        # stage of a variable: 0 when premises bind it, k + 1 for free[k]
+        stage = {v: 0 for v in bound} | {v: k + 1 for k, v in enumerate(free)}
+
+        def stage_of(t: Term) -> int:
+            return max((stage[v] for v in term_variables(t)), default=0)
+
+        # checks[s]: builders of the subterms complete at stage s whose
+        # parent is completed later (building one builds what lies beneath);
+        # domains[k]: for free[k], (builder of the sibling, row or column,
+        # op) from its first meet or join whose sibling is complete earlier
+        checks: list[list] = [[] for _ in range(len(free) + 1)]
+        domains: list = [None] * len(free)
+
+        def visit(t: Term, parent_stage: int) -> None:
+            s = stage_of(t)
+            if not isinstance(t, Var) and s < parent_stage:
+                checks[s].append(_builder(t))
+            if isinstance(t, Neg):
+                visit(t.arg, s)
+            elif isinstance(t, (Meet, Join)):
+                for child, sibling, by_row in ((t.right, t.left, True), (t.left, t.right, False)):
+                    if isinstance(child, Var) and stage[child.name] > stage_of(sibling):
+                        k = stage[child.name] - 1
+                        if domains[k] is None:
+                            domains[k] = (_builder(sibling), by_row, type(t))
+                visit(t.left, s)
+                visit(t.right, s)
+
+        # the arguments themselves are built last, so never checked early
+        for t in concl.args:
+            visit(t, stage_of(t))
+        self.checks0 = checks[0]
+        self.levels = [(v, domains[k], checks[k + 1]) for k, v in enumerate(free)]
+
+    def _assign(self, k: int, b: dict[str, int], uni: Universe) -> Iterator[dict[str, int]]:
+        if k == len(self.levels):
+            yield b
+            return
+        name, domain, checks = self.levels[k]
+        if domain is None:
+            values = range(len(uni.terms))
+        else:
+            sibling, by_row, op = domain
+            s = sibling(b, uni)
+            values = () if s < 0 else (uni.rows if by_row else uni.cols)[op][s]
+        for v in values:
+            out = dict(b)
+            out[name] = v
+            if all(check(out, uni) >= 0 for check in checks):
+                yield from self._assign(k + 1, out, uni)
+
+    def instances(self, facts_by_pred, fresh, uni: Universe):
+        pred, args, checks0 = self.pred, self.args, self.checks0
+        for binding, matched in _match_premises(self.premises, facts_by_pred, fresh, uni, {}):
+            if checks0 and any(check(binding, uni) < 0 for check in checks0):
+                continue
+            for b in (self._assign(0, binding, uni) if self.levels else (binding,)):
+                ids = tuple([build(b, uni) for build in args])
+                if min(ids) >= 0:
+                    yield self.name, b, matched, (pred, ids)
+
+
+# a compiled scheme takes the universe as an argument, so it is compiled
+# once per scheme, not once per derive call
+_ground_scheme = lru_cache(maxsize=None)(_GroundScheme)
+
+
+class Grounder:
+    """Ground scheme instances of one system over one interned universe:
+    the grounder derive and engine-soundness share.
+
+    ``instances(facts_by_pred, fresh)`` yields (scheme name, substitution
+    as variable -> id, matched premise facts in sorted premise order,
+    conclusion fact) for every instance whose premises are all facts and
+    whose conclusion lies inside the universe: schemes in order, premise
+    matches in fact order, then the conclusion's free variables in
+    lexicographic universe order.  ``facts_by_pred`` maps a predicate to
+    its facts' arg-id tuples.  With ``fresh`` (see _match_premises) only
+    instances matching a fresh fact are yielded, so zero-premise schemes
+    yield nothing.  An instance with a term outside the universe is
+    rejected by a failed table lookup before any Formula is built.
+    """
+
+    def __init__(self, sys: AxiomSystem, universe: Universe):
+        self.universe = universe
+        self.schemes = [_ground_scheme(s) for s in sys.schemes]
+
+    def instances(self, facts_by_pred: Mapping[str, list[tuple[int, ...]]],
+                  fresh: Mapping[str, int] | None = None
+                  ) -> Iterator[tuple[str, dict[str, int], tuple, tuple[str, tuple[int, ...]]]]:
+        for scheme in self.schemes:
+            yield from scheme.instances(facts_by_pred, fresh, self.universe)
 
 
 def _term_universe(r: Rule, sigspec: SigSpec, layers: int, max_terms: int) -> list[Term]:
@@ -235,8 +410,11 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     Rounds are semi-naive (Bancilhon & Ramakrishnan 1986): after round 1
     only scheme instances matching a fact new in the previous round are
     tried.  The others cannot yield a new fact, so the certificate is the
-    naive rounds' one.  Instances come from scheme_instances, the grounder
-    engine-soundness uses too.
+    naive rounds' one.  Instances come from a Grounder over the universe
+    interned as ids, the grounder engine-soundness uses too: facts are
+    (predicate, arg ids), an instance with a term outside the universe
+    fails a table lookup, and only the new facts a round keeps become
+    Formulas.
     """
     if sys.kind != "single-conclusion":
         raise ValueError("derive only searches single-conclusion systems")
@@ -249,30 +427,32 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     if goal in facts:
         return _extract(facts, goal)
 
-    universe = _term_universe(r, sys.signature, term_layers, max_terms)
-    uset = set(universe)
-    facts_by_pred: dict[str, list[Formula]] = {}
-    for f in facts:
-        facts_by_pred.setdefault(f.pred, []).append(f)
+    uni = Universe(_term_universe(r, sys.signature, term_layers, max_terms))
+    grounder = Grounder(sys, uni)
+    known = {uni.fact(f): f for f in facts}
+    goal_fact = uni.fact(goal)
+    facts_by_pred: dict[str, list[tuple[int, ...]]] = {}
+    for pred, args in known:
+        facts_by_pred.setdefault(pred, []).append(args)
     fresh = None
     for rnd in range(1, depth + 1):
-        new: dict[Formula, _FactInfo] = {}
-        for name, b, matched, inst in scheme_instances(sys, facts_by_pred, universe, fresh):
-            if inst in facts or inst in new:
-                continue
-            if any(t not in uset for t in inst.args):
-                continue
-            new[inst] = _FactInfo(name, tuple(sorted(b.items())),
-                                  tuple(sorted(set(matched), key=formula_text)), rnd)
+        new: dict[tuple, tuple] = {}
+        for name, b, matched, fact in grounder.instances(facts_by_pred, fresh):
+            if fact not in known and fact not in new:
+                new[fact] = (name, b, matched)
         if not new:
             return None
         fresh = {pred: len(fs) for pred, fs in facts_by_pred.items()}
-        for f in new:
-            facts_by_pred.setdefault(f.pred, []).append(f)
-        facts.update(new)
+        for fact, (name, b, matched) in new.items():
+            f = uni.formula(fact)
+            facts[f] = _FactInfo(name, tuple(sorted((v, uni.terms[i]) for v, i in b.items())),
+                                 tuple(sorted({known[m] for m in matched}, key=formula_text)),
+                                 rnd)
+            known[fact] = f
+            facts_by_pred.setdefault(fact[0], []).append(fact[1])
         if len(facts) > max_facts:
             raise DeriveBudgetError(f"fact budget exceeded ({len(facts)} > {max_facts})")
-        if goal in facts:
+        if goal_fact in new:
             return _extract(facts, goal)
     return None
 
@@ -304,8 +484,10 @@ def check_derivation(sys: AxiomSystem, d: Derivation, r: Rule) -> tuple[bool, st
     """Replay a certificate: scheme lookup, substitution, parent matching."""
     if not r.is_single_conclusion:
         return False, "goal rule is not single-conclusion"
+    if not 0 <= d.root < len(d.nodes):
+        return False, f"root {d.root} is not a node index"
     for i, node in enumerate(d.nodes):
-        if any(p >= i for p in node.parents):
+        if not all(0 <= p < i for p in node.parents):
             return False, f"node {i}: parent does not precede child"
         if node.scheme is None:
             if node.formula not in r.premises:

@@ -29,7 +29,9 @@ from .algebra import (
     subalgebra,
 )
 from .engine import (
+    Grounder,
     RuleSpaceBounds,
+    Universe,
     _congruence_rows,
     _embeds_into,
     census_pool,
@@ -39,7 +41,6 @@ from .engine import (
     derive,
     edge_mutations,
     formulas_within,
-    scheme_instances,
     terms_within,
     translate_exact_to_eq,
     translate_exact_to_eq_formula,
@@ -651,21 +652,23 @@ def _rule_sample(bounds: RuleSpaceBounds, rng: random.Random, count: int) -> lis
 
 # ---------------------------------------------------------------------------
 # Suite: engine-soundness.  Saturate every bounded premise set with the
-# ground scheme instances (from scheme_instances, derive's grounder) over
-# the formulas and terms of the bounded rule space (term depth 1, or 0 for
-# the constant variants); every fact reached within the depth must be
-# semantically valid.  This checks the shared grounder and the closure on
+# ground scheme instances over the formulas and terms of the bounded rule
+# space (term depth 1, or 0 for the constant variants); every fact reached
+# within the depth must be semantically valid.  The instances come from
+# derive's Grounder over the space's terms interned as ids, mapped to
+# formula indices, so this checks the shared grounder and the closure on
 # that space.  It does not cover every derive() call: derive's universe
 # for a goal can leave the space (for E(x /\ (~x \/ y)) |- E(y) in BDE,
 # 81 of its 89 terms lie outside the space's 12).
 
 def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> list[tuple[tuple[int, ...], int]]:
-    findex = {f: i for i, f in enumerate(formulas)}
-    by_pred: dict[str, list[Formula]] = {}
-    for f in formulas:
-        by_pred.setdefault(f.pred, []).append(f)
+    uni = Universe(universe)
+    findex = {uni.fact(f): i for i, f in enumerate(formulas)}
+    by_pred: dict[str, list[tuple[int, ...]]] = {}
+    for pred, args in findex:
+        by_pred.setdefault(pred, []).append(args)
     ground: set[tuple[tuple[int, ...], int]] = set()
-    for _, _, matched, concl in scheme_instances(sysd, by_pred, universe):
+    for _, _, matched, concl in Grounder(sysd, uni).instances(by_pred):
         ci = findex.get(concl)
         if ci is not None:
             prems = tuple(sorted({findex[p] for p in matched}))

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from fourval.engine import (
+    Derivation,
+    DerivationNode,
     DeriveBudgetError,
     RuleSpaceBounds,
     canonical_rule,
@@ -18,7 +20,7 @@ from fourval.engine import (
     translate_exact_to_eq,
 )
 from fourval.structures import preset_structure
-from fourval.syntax import Var, apply_subst, parse_rule, print_rule, sig
+from fourval.syntax import Meet, Var, apply_subst, atom, parse_rule, print_rule, sig
 from fourval.systems import system
 from fourval.verify import random_rule
 
@@ -107,6 +109,24 @@ def test_check_derivation_rejects_foreign_premise():
     d = derive(bde, r, depth=1)
     other = parse_rule("E(y) |- T(y)", bde.signature)
     assert not check_derivation(bde, d, other)[0]
+
+
+def test_check_derivation_rejects_circular_certificate():
+    # a parent index of -1 would read the last node: T(x) "derived" from
+    # T(x /\ x), itself "derived" from T(x), for a rule decide refutes
+    bde = system("BDE")
+    r = parse_rule("|- T(x)", bde.signature)
+    assert not decide(bde.preset, r).valid
+    x = Var("x")
+    forged = Derivation((
+        DerivationNode(atom("T", Meet(x, x)), "T.and-intro", (("x", x), ("y", x)), (-1,)),
+        DerivationNode(atom("T", x), "T.and-elim-l", (("x", x), ("y", x)), (0,)),
+    ), 1)
+    ok, msg = check_derivation(bde, forged, r)
+    assert not ok and "node 0" in msg
+    for root in (2, -1):
+        assert not check_derivation(bde, Derivation(forged.nodes, root), r)[0]
+    assert check_derivation(bde, Derivation((), 0), r) == (False, "root 0 is not a node index")
 
 
 def test_certificate_invariant_under_renaming():

@@ -1,7 +1,9 @@
 """The shared scheme grounder and derive's semi-naive rounds, against naive
-oracles: derive against the naive round loop it replaced, and the
+oracles: the id-level grounder against the Formula-level grounder it
+replaced, derive against the naive round loop it replaced, and the
 engine-soundness ground program against brute-force substitution."""
 
+import random
 from functools import lru_cache
 from itertools import product
 
@@ -10,7 +12,9 @@ import pytest
 from fourval import engine, verify
 from fourval.engine import (
     DeriveBudgetError,
+    Grounder,
     RuleSpaceBounds,
+    Universe,
     decide,
     derivation_to_json,
     derive,
@@ -18,8 +22,84 @@ from fourval.engine import (
     formulas_within,
     terms_within,
 )
-from fourval.syntax import formula_text, formula_variables, parse_rule, substitute_formula
+from fourval.syntax import (
+    Const,
+    Formula,
+    Join,
+    Meet,
+    Neg,
+    Var,
+    formula_text,
+    formula_variables,
+    parse_rule,
+    substitute_formula,
+)
 from fourval.systems import system
+
+
+# -- the Formula-level grounder, kept here as an oracle ----------------------
+
+def _match_term(pat, t, binding):
+    if isinstance(pat, Var):
+        bound = binding.get(pat.name)
+        if bound is None:
+            out = dict(binding)
+            out[pat.name] = t
+            return out
+        return binding if bound == t else None
+    if isinstance(pat, Const):
+        return binding if pat == t else None
+    if isinstance(pat, Neg):
+        return _match_term(pat.arg, t.arg, binding) if isinstance(t, Neg) else None
+    if isinstance(pat, Meet):
+        if not isinstance(t, Meet):
+            return None
+        b = _match_term(pat.left, t.left, binding)
+        return _match_term(pat.right, t.right, b) if b is not None else None
+    if not isinstance(t, Join):
+        return None
+    b = _match_term(pat.left, t.left, binding)
+    return _match_term(pat.right, t.right, b) if b is not None else None
+
+
+def _match_formula(pat, f, binding):
+    if pat.pred != f.pred:
+        return None
+    b = binding
+    for pt, t in zip(pat.args, f.args):
+        b = _match_term(pt, t, b)
+        if b is None:
+            return None
+    return b
+
+
+def _formula_matches(patterns, facts_by_pred, fresh, binding, matched=()):
+    if not patterns:
+        if fresh is None:
+            yield binding, matched
+        return
+    head, rest = patterns[0], patterns[1:]
+    facts = facts_by_pred.get(head.pred, ())
+    start = 0 if fresh is None else fresh.get(head.pred, 0)
+    for i in range(0 if rest else start, len(facts)):
+        b = _match_formula(head, facts[i], binding)
+        if b is not None:
+            yield from _formula_matches(rest, facts_by_pred, None if i >= start else fresh,
+                                        b, matched + (facts[i],))
+
+
+def formula_scheme_instances(sysd, facts_by_pred, universe, fresh=None):
+    """Every instance, its conclusion built by substitution whether or not
+    its terms lie in the universe."""
+    for scheme in sysd.schemes:
+        prems = sorted(scheme.rule.premises, key=formula_text)
+        concl = scheme.rule.conclusion
+        free = sorted(formula_variables(concl).difference(*map(formula_variables, prems)))
+        for binding, matched in _formula_matches(prems, facts_by_pred, fresh, {}):
+            for extra in product(universe, repeat=len(free)):
+                b = dict(binding)
+                b.update(zip(free, extra))
+                yield scheme.name, b, matched, substitute_formula(concl, b)
 
 
 def _naive_matches(patterns, facts_by_pred, binding):
@@ -27,7 +107,7 @@ def _naive_matches(patterns, facts_by_pred, binding):
         yield binding
         return
     for fact in facts_by_pred.get(patterns[0].pred, ()):
-        b = engine._match_formula(patterns[0], fact, binding)
+        b = _match_formula(patterns[0], fact, binding)
         if b is not None:
             yield from _naive_matches(patterns[1:], facts_by_pred, b)
 
@@ -84,6 +164,54 @@ def _outcome(search, sysd, r, depth, **kwargs):
     except DeriveBudgetError as exc:
         return ("budget", str(exc))
     return None if d is None else derivation_to_json(d)
+
+
+# (system, goal whose universe is used, term layers): or-intro with the free
+# variable on either side (BDE, K-base), premises over two predicates
+# (TNE-bridge) and the zero-premise De Morgan equations with three free
+# variables (BD-EQ)
+_GROUNDER_CASES = [
+    ("BDE", r"E(x /\ (~x \/ y)) |- E(y)", 1),
+    ("K-base", r"T(x), T(~x) |- T(y)", 1),
+    ("TNE-bridge", r"T(x), NF(x) |- NF(x \/ y)", 1),
+    ("BD-EQ", r"x = y |- x /\ (y \/ z) = (x /\ y) \/ (x /\ z)", 0),
+]
+
+
+@pytest.mark.parametrize("name,text,layers", _GROUNDER_CASES)
+@pytest.mark.parametrize("with_fresh", [False, True])
+def test_grounder_yields_the_in_universe_formula_instances_in_order(name, text, layers,
+                                                                    with_fresh):
+    sysd = system(name)
+    r = parse_rule(text, sysd.signature)
+    universe = engine._term_universe(r, sysd.signature, layers, 120)
+    uni = Universe(universe)
+    rng = random.Random(f"{name} {text}")
+    pool = [Formula(pred, (t,)) for pred in sorted(sysd.signature.relations - {"eq"})
+            for t in universe]
+    if "eq" in sysd.signature.relations:
+        pool += [Formula("eq", (s, t)) for s in universe for t in universe]
+    facts = sorted(r.premises, key=formula_text) + rng.sample(pool, min(40, len(pool)))
+    by_pred, id_facts = {}, {}
+    for f in dict.fromkeys(facts):
+        by_pred.setdefault(f.pred, []).append(f)
+        id_facts.setdefault(f.pred, []).append(uni.fact(f)[1])
+    fresh = {pred: len(fs) // 2 for pred, fs in by_pred.items()} if with_fresh else None
+
+    every = list(formula_scheme_instances(sysd, by_pred, universe, fresh))
+    uset = set(universe)
+    want = [inst for inst in every if all(t in uset for t in inst[3].args)]
+    got = [(scheme, {v: uni.terms[i] for v, i in b.items()},
+            tuple(map(uni.formula, matched)), uni.formula(concl))
+           for scheme, b, matched, concl in Grounder(sysd, uni).instances(id_facts, fresh)]
+    assert got == want
+    # what each case is chosen for
+    schemes = {inst[0] for inst in want}
+    if name in ("BDE", "K-base") and not with_fresh:
+        assert {"T.or-intro-l", "T.or-intro-r"} <= schemes
+    elif name == "BD-EQ" and not with_fresh:
+        assert "eq.dm-dist" in schemes
+    assert want and (name == "TNE-bridge" or len(want) < len(every))
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +282,9 @@ def brute_force_ground(sysd, formulas, universe):
 
 
 @pytest.mark.parametrize("name,term_depth",
-                         [(n, 0) for n in verify.CORE_SINGLE_CONCLUSION] + [("BDE", 1)])
+                         [(n, 0) for n in verify.CORE_SINGLE_CONCLUSION]
+                         + [("BDE", 1), ("BD-EQ", 1)]
+                         + [(n, 0) for n in verify.VARIANT_SMOKE])
 def test_ground_program_matches_brute_force_substitution(name, term_depth):
     sysd = system(name)
     bounds = RuleSpaceBounds(2, term_depth, 2, 1, sysd.signature.relations,
