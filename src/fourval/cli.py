@@ -118,6 +118,9 @@ def _emit_text(report: dict, out):
                 out.write(f"  {line}\n")
         else:
             out.write(f"{key}: {value}\n")
+    for rep in report.get("suites", ()):
+        if rep.get("empty"):
+            out.write(f"{rep['suite']}: nothing checked\n")
 
 
 def _envelope(cfg: RunConfig, result: dict) -> dict:

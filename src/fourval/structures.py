@@ -23,11 +23,16 @@ Validity is decided by one kernel over valuation bitsets.
   Bit order is grid order, so the lowest set bit of that int is the
   lexicographically least counter-valuation, which is the one reported.
 
-`holds` decides one rule and compiles nothing.  It sweeps grids above
-BLOCK_VALUATIONS points in blocks that fix the leading variables, block by
-block in lexicographic order, so memory stays bounded however many
-variables a rule has; the first block with a failing point holds the
-least counter-valuation.  `CompiledRules` serves sweeps that check many
+`holds` decides one rule and compiles nothing.  It walks the rule once
+to collect its variables, predicates and constants, and rejects a symbol
+the structure does not interpret before it evaluates anything.  Premises
+are ANDed in set order, since AND commutes, and evaluation stops at the
+first zero; conclusions are sorted by text only to report a failure.  A
+grid of at most BLOCK_VALUATIONS points is swept whole.  Larger grids are
+swept in blocks that fix the leading variables, block by block in
+lexicographic order, so memory stays bounded however many variables a
+rule has; the first block with a failing point holds the least
+counter-valuation.  `CompiledRules` serves sweeps that check many
 structures over one algebra: it interns a rule list's formulas once,
 computes their argument bitsets once per algebra, and memoises formula
 bitsets per relation value.  `eval_term` evaluates one term at one
@@ -265,23 +270,35 @@ def _grid_point(names: Sequence[str], n: int, index: int) -> dict[str, int]:
 
 def holds(s: Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
     """Validity of r in s, with the least counter-valuation when it fails."""
-    names = sorted(r.variables())
-    if len(names) > var_limit:
-        raise VariableLimitError(f"rule has {len(names)} variables, limit is {var_limit}")
-    missing = r.predicates() - set(s.unary) - set(s.binary)
+    variables, constants, predicates = r.symbols()
+    if len(variables) > var_limit:
+        raise VariableLimitError(f"rule has {len(variables)} variables, limit is {var_limit}")
+    missing = predicates - s.unary.keys() - s.binary.keys()
     if missing:
         raise SignatureMismatchError(f"predicates not in structure: {sorted(missing)}")
-    premises = sorted(r.premises, key=formula_text)
-    conclusions = sorted(r.conclusions, key=formula_text)
-    for first, env, full in _blocks(s.algebra.size, names):
+    missing = constants - s.algebra.constants.keys()
+    if missing:
+        raise SignatureMismatchError(f"constant {min(missing)} not interpreted in the structure")
+    names = sorted(variables)
+    n, k = s.algebra.size, len(names)
+    if n ** k <= BLOCK_VALUATIONS:
+        blocks = [(0, {v: _variable_bits(n, k, i) for i, v in enumerate(names)}, (1 << n ** k) - 1)]
+    else:
+        blocks = _blocks(n, names)
+    for first, env, full in blocks:
         fail = full
-        for f in premises:
+        for f in r.premises:
+            if not fail:
+                break
             fail &= _formula_bits(s, f, env, full)
-        for f in conclusions:
+        for f in r.conclusions:
+            if not fail:
+                break
             fail &= ~_formula_bits(s, f, env, full)
         if fail:
             point = first + (fail & -fail).bit_length() - 1
-            return Verdict(False, _grid_point(names, s.algebra.size, point), tuple(conclusions))
+            return Verdict(False, _grid_point(names, n, point),
+                           tuple(sorted(r.conclusions, key=formula_text)))
     return Verdict(True)
 
 

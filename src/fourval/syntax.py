@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 FUNCTION_ARITIES = {"meet": 2, "join": 2, "neg": 1}
@@ -108,24 +109,30 @@ class Join:
 Term = Union[Var, Const, Neg, Meet, Join]
 
 
+def term_symbols(t: Term, variables: set[str], constants: set[str]) -> None:
+    """Add t's variable names into `variables` and its constants into `constants`."""
+    kind = type(t)
+    if kind is Var:
+        variables.add(t.name)
+    elif kind is Const:
+        constants.add(t.symbol)
+    elif kind is Neg:
+        term_symbols(t.arg, variables, constants)
+    else:
+        term_symbols(t.left, variables, constants)
+        term_symbols(t.right, variables, constants)
+
+
 def term_variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
-        return set()
-    if isinstance(t, Neg):
-        return term_variables(t.arg)
-    return term_variables(t.left) | term_variables(t.right)
+    out: set[str] = set()
+    term_symbols(t, out, set())
+    return out
 
 
 def term_constants(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return set()
-    if isinstance(t, Const):
-        return {t.symbol}
-    if isinstance(t, Neg):
-        return term_constants(t.arg)
-    return term_constants(t.left) | term_constants(t.right)
+    out: set[str] = set()
+    term_symbols(t, set(), out)
+    return out
 
 
 def subterms(t: Term) -> set[Term]:
@@ -177,15 +184,17 @@ def atom(pred: str, *args: Term) -> Formula:
 
 def formula_variables(f: Formula) -> set[str]:
     out: set[str] = set()
+    constants: set[str] = set()
     for t in f.args:
-        out |= term_variables(t)
+        term_symbols(t, out, constants)
     return out
 
 
 def formula_constants(f: Formula) -> set[str]:
+    variables: set[str] = set()
     out: set[str] = set()
     for t in f.args:
-        out |= term_constants(t)
+        term_symbols(t, variables, out)
     return out
 
 
@@ -205,24 +214,29 @@ class Rule:
     premises: frozenset[Formula]
     conclusions: frozenset[Formula]
 
+    def symbols(self) -> tuple[set[str], set[str], set[str]]:
+        """(variables, constants, predicates), from one walk over the rule."""
+        variables: set[str] = set()
+        constants: set[str] = set()
+        predicates: set[str] = set()
+        for f in chain(self.premises, self.conclusions):
+            predicates.add(f.pred)
+            for t in f.args:
+                term_symbols(t, variables, constants)
+        return variables, constants, predicates
+
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for f in self.premises | self.conclusions:
-            out |= formula_variables(f)
-        return out
+        return self.symbols()[0]
 
     def constants(self) -> set[str]:
-        out: set[str] = set()
-        for f in self.premises | self.conclusions:
-            out |= formula_constants(f)
-        return out
+        return self.symbols()[1]
 
     def predicates(self) -> set[str]:
-        return {f.pred for f in self.premises | self.conclusions}
+        return {f.pred for f in chain(self.premises, self.conclusions)}
 
     def terms(self) -> set[Term]:
         out: set[Term] = set()
-        for f in self.premises | self.conclusions:
+        for f in chain(self.premises, self.conclusions):
             out.update(f.args)
         return out
 
@@ -294,153 +308,169 @@ def print_rule(r: Rule) -> str:
 # ---------------------------------------------------------------------------
 # Parsing.
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<turnstile>\|-)
-  | (?P<bar>\|)
-  | (?P<comma>,)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<join>\\/)
-  | (?P<meet>/\\)
-  | (?P<neg>~)
-  | (?P<le><=)
-  | (?P<eq>=)
-  | (?P<const>\#[tnbf])
-  | (?P<ident>[A-Za-z][A-Za-z0-9]*)
-    """,
-    re.VERBOSE,
-)
+# One findall lexes a rule: every token is one match of _TOKEN_RE, whose
+# alternatives put "|-" before "|" and "<=" before "=".  A token's kind is
+# read from its text.  findall skips what no alternative matches, so the
+# tokens must cover the text without its whitespace; otherwise the first
+# uncovered character is reported.  Positions are computed only for errors.
+
+_TOKEN_RE = re.compile(r"\|-|<=|#[tnbf]|[A-Za-z][A-Za-z0-9]*|\\/|/\\|[|,()~=]")
+_EOF = ""  # the token after the last one
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, last first, on top of an end-of-input token."""
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            if text[pos:m.start()].strip():
+                break
+            pos = m.end()
+        while text[pos].isspace():
+            pos += 1
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(_EOF)
+    tokens.reverse()
+    return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, sigspec: SigSpec):
-        self.tokens = _tokenize(text)
-        self.ix = 0
-        self.sig = sigspec
+class _Failure(Exception):
+    """A parse error found at a token, raised as `cls` with its position
+    once the parser has unwound; `left` counts the tokens from the
+    offending one to the end of input, both included."""
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.ix]
+    def __init__(self, cls: type[ParseError], message: str, left: int):
+        super().__init__(message)
+        self.cls, self.left = cls, left
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.ix]
-        self.ix += 1
-        return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
+def _found(token: str) -> str:
+    return repr(token or "end of input")
 
-    def parse_rule(self) -> Rule:
-        premises: list[Formula] = []
-        if self.peek()[0] not in ("turnstile",):
-            premises.append(self.parse_formula())
-            while self.peek()[0] == "comma":
-                self.next()
-                premises.append(self.parse_formula())
-        self.expect("turnstile")
-        conclusions: list[Formula] = []
-        if self.peek()[0] != "eof":
-            conclusions.append(self.parse_formula())
-            while self.peek()[0] == "bar":
-                self.next()
-                conclusions.append(self.parse_formula())
-        self.expect("eof")
-        return Rule(frozenset(premises), frozenset(conclusions))
 
-    def parse_formula(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "ident" and value in PREDICATE_NAMES:
-            self.next()
-            if value not in self.sig.relations:
-                raise SignatureError(f"predicate {value} is not in the signature", pos)
-            self.expect("lpar")
-            t = self.parse_term()
-            self.expect("rpar")
-            return Formula(value, (t,))
-        left = self.parse_term()
-        kind, value, pos = self.next()
-        if kind == "eq":
-            right = self.parse_term()
-        elif kind == "le":
-            # s <= t abbreviates s \/ t = t
-            right = self.parse_term()
-            left = Join(left, right)
-        else:
-            raise ParseError(f"expected '=' or '<=', found {value or 'end of input'!r}", pos)
-        if "eq" not in self.sig.relations:
-            raise SignatureError("predicate eq is not in the signature", pos)
-        return Formula("eq", (left, right))
+def _expect(tokens: list[str], token: str, kind: str) -> None:
+    got = tokens.pop()
+    if got != token:
+        raise _Failure(ParseError, f"expected {kind}, found {_found(got)}", len(tokens) + 1)
 
-    def parse_term(self) -> Term:
-        t = self.parse_meet()
-        while self.peek()[0] == "join":
-            self.next()
-            t = Join(t, self.parse_meet())
+
+def _rule(tokens: list[str], sigspec: SigSpec) -> Rule:
+    premises: list[Formula] = []
+    if tokens[-1] != "|-":
+        premises.append(_formula(tokens, sigspec))
+        while tokens[-1] == ",":
+            tokens.pop()
+            premises.append(_formula(tokens, sigspec))
+    _expect(tokens, "|-", "turnstile")
+    conclusions: list[Formula] = []
+    if tokens[-1] != _EOF:
+        conclusions.append(_formula(tokens, sigspec))
+        while tokens[-1] == "|":
+            tokens.pop()
+            conclusions.append(_formula(tokens, sigspec))
+    _expect(tokens, _EOF, "eof")
+    return Rule(frozenset(premises), frozenset(conclusions))
+
+
+def _formula(tokens: list[str], sigspec: SigSpec) -> Formula:
+    token = tokens[-1]
+    if token in PREDICATE_NAMES:
+        tokens.pop()
+        if token not in sigspec.relations:
+            raise _Failure(SignatureError, f"predicate {token} is not in the signature",
+                           len(tokens) + 1)
+        _expect(tokens, "(", "lpar")
+        t = _term(tokens, sigspec)
+        _expect(tokens, ")", "rpar")
+        return Formula(token, (t,))
+    left = _term(tokens, sigspec)
+    token = tokens.pop()
+    left_at = len(tokens) + 1
+    if token == "=":
+        right = _term(tokens, sigspec)
+    elif token == "<=":
+        # s <= t abbreviates s \/ t = t
+        right = _term(tokens, sigspec)
+        left = Join(left, right)
+    else:
+        raise _Failure(ParseError, f"expected '=' or '<=', found {_found(token)}", left_at)
+    if "eq" not in sigspec.relations:
+        raise _Failure(SignatureError, "predicate eq is not in the signature", left_at)
+    return Formula("eq", (left, right))
+
+
+def _term(tokens: list[str], sigspec: SigSpec) -> Term:
+    """Joins of meets of negated atoms, both left associative."""
+    joined = None
+    while True:
+        t = _atom(tokens, sigspec)
+        while tokens[-1] == "/\\":
+            tokens.pop()
+            t = Meet(t, _atom(tokens, sigspec))
+        joined = t if joined is None else Join(joined, t)
+        if tokens[-1] != "\\/":
+            return joined
+        tokens.pop()
+
+
+# Leaves are immutable, so parsed trees share them.
+_var = lru_cache(maxsize=1024)(Var)
+_CONSTANTS = {c: Const(c) for c in CONSTANT_SYMBOLS}
+_FALSE = Neg(_CONSTANTS["#t"])
+
+
+def _atom(tokens: list[str], sigspec: SigSpec) -> Term:
+    token = tokens.pop()
+    if token.isalnum():  # of all tokens, only identifiers are alphanumeric
+        if token in PREDICATE_NAMES:
+            raise _Failure(ParseError, f"{token} is a reserved predicate name, not a variable",
+                           len(tokens) + 1)
+        return _var(token)
+    if token == "~":
+        return Neg(_atom(tokens, sigspec))
+    if token == "(":
+        t = _term(tokens, sigspec)
+        _expect(tokens, ")", "rpar")
         return t
+    if token[:1] == "#":
+        if token == "#f":
+            if "#t" not in sigspec.constants:
+                raise _Failure(SignatureError,
+                               "constant #t is not in the signature (needed for #f)",
+                               len(tokens) + 1)
+            return _FALSE
+        if token not in sigspec.constants:
+            raise _Failure(SignatureError, f"constant {token} is not in the signature",
+                           len(tokens) + 1)
+        return _CONSTANTS[token]
+    raise _Failure(ParseError, f"expected a term, found {_found(token)}", len(tokens) + 1)
 
-    def parse_meet(self) -> Term:
-        t = self.parse_neg()
-        while self.peek()[0] == "meet":
-            self.next()
-            t = Meet(t, self.parse_neg())
-        return t
 
-    def parse_neg(self) -> Term:
-        kind, value, pos = self.peek()
-        if kind == "neg":
-            self.next()
-            return Neg(self.parse_neg())
-        if kind == "lpar":
-            self.next()
-            t = self.parse_term()
-            self.expect("rpar")
-            return t
-        if kind == "const":
-            self.next()
-            if value == "#f":
-                if "#t" not in self.sig.constants:
-                    raise SignatureError("constant #t is not in the signature (needed for #f)", pos)
-                return Neg(Const("#t"))
-            if value not in self.sig.constants:
-                raise SignatureError(f"constant {value} is not in the signature", pos)
-            return Const(value)
-        if kind == "ident":
-            self.next()
-            if value in PREDICATE_NAMES:
-                raise ParseError(f"{value} is a reserved predicate name, not a variable", pos)
-            return Var(value)
-        raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos)
+def _parse(text: str, sigspec: SigSpec, parser):
+    tokens = _tokens(text)
+    count = len(tokens)
+    try:
+        return parser(tokens, sigspec)
+    except _Failure as failure:
+        index = count - failure.left  # of the offending token
+        starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+        raise failure.cls(str(failure), starts[index]) from None
+
+
+def _whole_term(tokens: list[str], sigspec: SigSpec) -> Term:
+    t = _term(tokens, sigspec)
+    _expect(tokens, _EOF, "eof")
+    return t
 
 
 def parse_rule(text: str, sigspec: SigSpec = FULL_SIG) -> Rule:
     """Parse a rule in the concrete grammar against the given signature."""
-    return _Parser(text, sigspec).parse_rule()
+    return _parse(text, sigspec, _rule)
 
 
 def parse_term(text: str, sigspec: SigSpec = FULL_SIG) -> Term:
-    p = _Parser(text, sigspec)
-    t = p.parse_term()
-    p.expect("eof")
-    return t
+    return _parse(text, sigspec, _whole_term)
 
 
 def parse_rule_lines(text: str, sigspec: SigSpec = FULL_SIG) -> list[Rule]:
@@ -456,13 +486,9 @@ def parse_rule_lines(text: str, sigspec: SigSpec = FULL_SIG) -> list[Rule]:
     return rules
 
 
+_COMMENT_RE = re.compile(r"#(?![tnbf])")  # a '#' that does not start a constant
+
+
 def _strip_comment(line: str) -> str:
-    i = 0
-    while i < len(line):
-        if line[i] == "#":
-            if i + 1 < len(line) and line[i + 1] in "tnbf":
-                i += 2
-                continue
-            return line[:i]
-        i += 1
-    return line
+    m = _COMMENT_RE.search(line)
+    return line[:m.start()] if m else line

@@ -5,7 +5,8 @@ Each suite returns a JSON-friendly report:
     {"suite": ..., "config": {...}, "checks": int, "violations": [...],
      "ok": bool, "timings": {...}}
 
-A suite passes when its violation list is empty.  The known-gaps output
+A suite passes when its violation list is empty.  A report with no checks
+also carries "empty": true, since passing it says nothing.  The known-gaps output
 of the completeness-evidence suite is not a violation: syntactic search
 is one-sided, so gaps are logged rather than failed.
 """
@@ -87,6 +88,8 @@ def _report(suite: str, config: dict, checks: int, violations: list[str],
         "violations": violations,
         "ok": not violations,
     }
+    if checks == 0:  # ok, but it says nothing
+        out["empty"] = True
     if extra:
         out.update(extra)
     out["timings"] = {"total_s": round(time.time() - started, 3)}

@@ -193,6 +193,19 @@ def test_zero_settings_stay_accepted(capsys):
     assert code == 3 and report["depth"] == 0
 
 
+def test_empty_suite_report_is_flagged(capsys):
+    code, report, _ = run_json(capsys, "verify", "classification", "--size", "0")
+    (suite,) = report["suites"]
+    assert code == 0 and report["ok"] is True
+    assert suite["checks"] == 0 and suite["empty"] is True
+    code, out, _ = run(capsys, "verify", "classification", "--size", "0")
+    assert code == 0 and out.endswith("classification: nothing checked\n")
+    code, report, _ = run_json(capsys, "verify", "rule-ledger")
+    assert report["suites"][0]["checks"] > 0 and "empty" not in report["suites"][0]
+    code, out, _ = run(capsys, "verify", "rule-ledger")
+    assert "nothing checked" not in out
+
+
 def test_output_flag_before_the_subcommand(capsys):
     code, out, _ = run(capsys, "--output", "json", "decide", "--logic", "BD", "T(x) |- T(x)")
     assert code == 0 and json.loads(out)["valid"] is True

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fourval import structures
 from fourval.algebra import builtin, mask_of
 from fourval.structures import (
     SignatureMismatchError,
@@ -18,7 +19,16 @@ from fourval.structures import (
     structure_from_json,
     structure_to_json,
 )
-from fourval.syntax import UsageError, Var, apply_subst, parse_rule, parse_term, sig
+from fourval.syntax import (
+    FULL_SIG,
+    UsageError,
+    Var,
+    apply_subst,
+    formula_text,
+    parse_rule,
+    parse_term,
+    sig,
+)
 from fourval.systems import system
 from fourval.verify import random_rule
 
@@ -88,6 +98,27 @@ def test_holds_signature_and_variable_guards():
                       sig({"T"}))
     with pytest.raises(VariableLimitError):
         holds(bd, many)
+
+
+def test_holds_names_the_least_missing_constant_before_evaluating(monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a formula was evaluated")
+
+    monkeypatch.setattr(structures, "_formula_bits", evaluated)
+    # by formula text T(#n) comes first, but #b is the least missing constant
+    r = parse_rule(r"T(#n), T(x /\ #b) |- T(x)", FULL_SIG)
+    with pytest.raises(SignatureMismatchError) as err:
+        holds(preset_structure("BD"), r)
+    assert str(err.value) == "constant #b not interpreted in the structure"
+
+
+def test_failed_conclusions_sorted_by_text():
+    r = parse_rule(r"T(x) |- T(z) | T(~x) | T(x /\ y)", sig({"T"}))
+    verdict = holds(preset_structure("BD"), r)
+    assert not verdict.valid
+    assert [formula_text(c) for c in verdict.failed_conclusions] == [
+        r"T(x /\ y)", "T(z)", "T(~x)"]
+    assert verdict.failed_conclusions == tuple(sorted(r.conclusions, key=formula_text))
 
 
 def test_counter_valuation_replays():

@@ -1,15 +1,21 @@
 import random
+import re
 
 import pytest
 
 from fourval.syntax import (
+    FULL_SIG,
+    PREDICATE_NAMES,
     Const,
+    Formula,
     Join,
     Meet,
     Neg,
     ParseError,
     Rule,
     SignatureError,
+    SigSpec,
+    Term,
     Var,
     apply_subst,
     atom,
@@ -149,7 +155,246 @@ def test_rule_file_parsing_with_comments():
     # a comment
     E(x) |- T(x)   # trailing comment
     |- T(#t)  # constant #t inside comment stays intact
+    ##t a comment, not a constant
+    |- T(x) #x is a comment too
+    |- T(#t)#
+    |- x = #b#comment right after a constant
     """
-    rules = parse_rule_lines(text, sig({"T", "E"}, {"#t"}))
-    assert len(rules) == 2
-    assert print_rule(rules[1]) == "|- T(#t)"
+    rules = parse_rule_lines(text, sig({"T", "E", "eq"}, {"#t", "#b"}))
+    assert [print_rule(r) for r in rules] == [
+        "E(x) |- T(x)", "|- T(#t)", "|- T(x)", "|- T(#t)", "|- x = #b"]
+
+
+# ---------------------------------------------------------------------------
+# The parser checked differentially against the lexer and parser it
+# replaced, kept here as the oracle: a named-group regex matched token by
+# token into (kind, text, position) tuples, walked by a parser object.
+
+_OLD_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<turnstile>\|-)
+  | (?P<bar>\|)
+  | (?P<comma>,)
+  | (?P<lpar>\()
+  | (?P<rpar>\))
+  | (?P<join>\\/)
+  | (?P<meet>/\\)
+  | (?P<neg>~)
+  | (?P<le><=)
+  | (?P<eq>=)
+  | (?P<const>\#[tnbf])
+  | (?P<ident>[A-Za-z][A-Za-z0-9]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def _old_tokenize(text: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append((kind, m.group(), pos))
+        pos = m.end()
+    out.append(("eof", "", len(text)))
+    return out
+
+
+class _OldParser:
+    def __init__(self, text: str, sigspec: SigSpec):
+        self.tokens = _old_tokenize(text)
+        self.ix = 0
+        self.sig = sigspec
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.ix]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.ix]
+        self.ix += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+        return tok
+
+    def parse_rule(self) -> Rule:
+        premises: list[Formula] = []
+        if self.peek()[0] not in ("turnstile",):
+            premises.append(self.parse_formula())
+            while self.peek()[0] == "comma":
+                self.next()
+                premises.append(self.parse_formula())
+        self.expect("turnstile")
+        conclusions: list[Formula] = []
+        if self.peek()[0] != "eof":
+            conclusions.append(self.parse_formula())
+            while self.peek()[0] == "bar":
+                self.next()
+                conclusions.append(self.parse_formula())
+        self.expect("eof")
+        return Rule(frozenset(premises), frozenset(conclusions))
+
+    def parse_formula(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "ident" and value in PREDICATE_NAMES:
+            self.next()
+            if value not in self.sig.relations:
+                raise SignatureError(f"predicate {value} is not in the signature", pos)
+            self.expect("lpar")
+            t = self.parse_term()
+            self.expect("rpar")
+            return Formula(value, (t,))
+        left = self.parse_term()
+        kind, value, pos = self.next()
+        if kind == "eq":
+            right = self.parse_term()
+        elif kind == "le":
+            right = self.parse_term()
+            left = Join(left, right)
+        else:
+            raise ParseError(f"expected '=' or '<=', found {value or 'end of input'!r}", pos)
+        if "eq" not in self.sig.relations:
+            raise SignatureError("predicate eq is not in the signature", pos)
+        return Formula("eq", (left, right))
+
+    def parse_term(self) -> Term:
+        t = self.parse_meet()
+        while self.peek()[0] == "join":
+            self.next()
+            t = Join(t, self.parse_meet())
+        return t
+
+    def parse_meet(self) -> Term:
+        t = self.parse_neg()
+        while self.peek()[0] == "meet":
+            self.next()
+            t = Meet(t, self.parse_neg())
+        return t
+
+    def parse_neg(self) -> Term:
+        kind, value, pos = self.peek()
+        if kind == "neg":
+            self.next()
+            return Neg(self.parse_neg())
+        if kind == "lpar":
+            self.next()
+            t = self.parse_term()
+            self.expect("rpar")
+            return t
+        if kind == "const":
+            self.next()
+            if value == "#f":
+                if "#t" not in self.sig.constants:
+                    raise SignatureError("constant #t is not in the signature (needed for #f)", pos)
+                return Neg(Const("#t"))
+            if value not in self.sig.constants:
+                raise SignatureError(f"constant {value} is not in the signature", pos)
+            return Const(value)
+        if kind == "ident":
+            self.next()
+            if value in PREDICATE_NAMES:
+                raise ParseError(f"{value} is a reserved predicate name, not a variable", pos)
+            return Var(value)
+        raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos)
+
+
+def _old_parse_rule(text, sigspec):
+    return _OldParser(text, sigspec).parse_rule()
+
+
+def _old_parse_term(text, sigspec):
+    p = _OldParser(text, sigspec)
+    t = p.parse_term()
+    p.expect("eof")
+    return t
+
+
+def _outcome(parse, text, sigspec):
+    try:
+        return parse(text, sigspec)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+_SPACES = ("", "", " ", " ", "  ", "\t", "\n", " \t\n ")
+
+
+def _random_term_text(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            return rng.choice(("#t", "#n", "#b", "#f"))
+        return rng.choice(("x", "y", "z", "v1", "ab"))
+    op = rng.randrange(4)
+    if op == 0:
+        return "~" + _random_term_text(rng, depth - 1)
+    if op == 1:
+        return "(" + rng.choice(_SPACES) + _random_term_text(rng, depth - 1) + ")"
+    return (_random_term_text(rng, depth - 1) + rng.choice(_SPACES)
+            + ("/\\" if op == 2 else "\\/") + rng.choice(_SPACES)
+            + _random_term_text(rng, depth - 1))
+
+
+def _random_formula_text(rng: random.Random) -> str:
+    pred = rng.choice(("T", "E", "NF", "eq", "le"))
+    depth = rng.randint(0, 3)
+    if pred in ("eq", "le"):
+        op = "=" if pred == "eq" else "<="
+        return (_random_term_text(rng, depth) + rng.choice(_SPACES) + op + rng.choice(_SPACES)
+                + _random_term_text(rng, depth))
+    return pred + rng.choice(_SPACES) + "(" + _random_term_text(rng, depth) + ")"
+
+
+def _random_rule_text(rng: random.Random) -> str:
+    prems = [_random_formula_text(rng) for _ in range(rng.randint(0, 3))]
+    concs = [_random_formula_text(rng) for _ in range(rng.randint(0, 2))]
+    sep = rng.choice(_SPACES)
+    return (rng.choice(_SPACES) + (sep + "," + sep).join(prems) + sep + "|-" + sep
+            + (sep + "|" + sep).join(concs) + rng.choice(_SPACES))
+
+
+_SIGNATURES = (FULL_SIG, sig({"T", "eq"}, {"#t"}), sig({"E", "NF"}, {"#n"}))
+_INSERTS = ("@", "1", "/", "\\", "<", "|", "#", "#x", "Tx")
+
+
+def _differential_inputs() -> tuple[list[str], list[str]]:
+    rng = random.Random(2024)
+    valid = [_random_rule_text(rng) for _ in range(3000)]
+    corpus = valid[:20]
+    broken = [text[:i] for text in corpus for i in range(len(text) + 1)]
+    broken += [text[:i] + ins + text[i:] for text in corpus for ins in _INSERTS
+               for i in range(len(text) + 1)]
+    return valid, broken
+
+
+def test_parser_agrees_with_the_old_parser():
+    valid, broken = _differential_inputs()
+    for text in valid:
+        assert parse_rule(text) == _old_parse_rule(text, FULL_SIG), text
+    errors = set()
+    for sigspec in _SIGNATURES:
+        for text in valid + broken:
+            got = _outcome(parse_rule, text, sigspec)
+            assert got == _outcome(_old_parse_rule, text, sigspec), (text, sigspec)
+            if isinstance(got, tuple):
+                errors.add(got[0])
+    assert errors == {ParseError, SignatureError}
+
+
+def test_parse_term_agrees_with_the_old_parser():
+    rng = random.Random(77)
+    terms = [_random_term_text(rng, rng.randint(0, 4)) for _ in range(1000)]
+    inputs = terms + [text[:i] + ins + text[i:] for text in terms[:20] for ins in _INSERTS
+                      for i in range(len(text) + 1)]
+    inputs += [text[:i] for text in terms[:20] for i in range(len(text) + 1)]
+    for sigspec in _SIGNATURES:
+        for text in inputs:
+            assert (_outcome(parse_term, text, sigspec)
+                    == _outcome(_old_parse_term, text, sigspec)), (text, sigspec)
