@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
+    Congruence,
     FiniteAlgebra,
     Homomorphism,
     builtin,
@@ -661,11 +663,17 @@ class ClassificationReport:
         }
 
 
-def census_pool(size: int) -> list[FiniteAlgebra]:
-    pool: list[FiniteAlgebra] = []
-    for n in range(1, size + 1):
-        pool.extend(enumerate_dm_lattices(n))
-    return pool
+@lru_cache(maxsize=None)
+def census_pool(size: int) -> tuple[FiniteAlgebra, ...]:
+    """The census of De Morgan lattices of sizes 1..size, smallest first.
+
+    Cached per size, so each size is enumerated once per process; the
+    tuple and its algebras are immutable and shared by every caller.
+    """
+    if size < 1:
+        return ()
+    largest = tuple(enumerate_dm_lattices(size))  # raises above the census bound
+    return census_pool(size - 1) + largest
 
 
 def _constant_assignments(alg: FiniteAlgebra, consts: frozenset[str]) -> Iterator[FiniteAlgebra]:
@@ -686,23 +694,81 @@ def _congruence_rows(cong) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _relation_names(sys: AxiomSystem) -> list[str]:
+    """The relations of a system in candidate order: unary names sorted, eq last."""
+    names = sorted(p for p in sys.signature.relations if p != "eq")
+    return names + ["eq"] if "eq" in sys.signature.relations else names
+
+
+def _relation_ranges(names: Sequence[str], alg: FiniteAlgebra,
+                     lattice: Sequence[Congruence] | None) -> list[Sequence]:
+    """The values each relation ranges over on alg: every subset for a
+    unary relation, the rows of each congruence in ``lattice`` for eq."""
+    return [[_congruence_rows(c) for c in lattice] if name == "eq" else range(1 << alg.size)
+            for name in names]
+
+
+def _structure(alg: FiniteAlgebra, names: Sequence[str], values: Sequence) -> Structure:
+    unary = dict(zip(names, values))
+    eq_rows = unary.pop("eq", None)
+    return Structure(alg, unary, {} if eq_rows is None else {"eq": eq_rows})
+
+
 def candidate_structures(sys: AxiomSystem, alg: FiniteAlgebra) -> Iterator[Structure]:
-    """All relation interpretations worth checking on one algebra.
+    """All relation interpretations worth checking on one algebra: the
+    full product, unary relations in sorted name order, eq innermost.
 
     Unary relations range over all subsets.  The equality predicate only
     ranges over congruence relations: the reflexivity, symmetry,
     transitivity, congruence, and compatibility axioms in every catalogued
     eq-system reject anything else, so non-congruence interpretations can
     never be models (checked exhaustively at n <= 3 in ``tests/test_kernel.py``).
+
+    ``classify_models`` does not build this product (see ``ModelSweep``).
+    The generator serves the reduct-invariance check of the facts suite
+    and is the oracle the factorised sweep is tested against.
     """
-    unary_names = sorted(p for p in sys.signature.relations if p != "eq")
-    has_eq = "eq" in sys.signature.relations
-    eq_choices = [_congruence_rows(c) for c in congruences(alg)] if has_eq else [None]
-    for masks in iproduct(range(1 << alg.size), repeat=len(unary_names)):
-        for eq_rows in eq_choices:
-            unary = dict(zip(unary_names, masks))
-            binary = {"eq": eq_rows} if has_eq else {}
-            yield Structure(alg, unary, binary)
+    names = _relation_names(sys)
+    lattice = congruences(alg) if "eq" in names else None
+    for values in iproduct(*_relation_ranges(names, alg, lattice)):
+        yield _structure(alg, names, values)
+
+
+class ModelSweep:
+    """A system's axioms compiled once for the factorised sweep.
+
+    The axioms are split by the relations they mention: per relation,
+    those that mention it alone; those that mention two or more; and
+    those that mention none.  ``models`` filters each relation's values by
+    its own axioms, then checks only the product of the survivors against
+    the joint axioms.  A combination outside that product fails a
+    one-relation axiom, so the models and their order are those of
+    filtering the full product by every axiom.
+    """
+
+    def __init__(self, sys: AxiomSystem):
+        named = sorted(sys.named_rules(),
+                       key=lambda nr: (len(nr[1].variables()), len(nr[1].premises)))
+        self.names = _relation_names(sys)
+        self._own = [CompiledRules([nr for nr in named if nr[1].predicates() == {name}])
+                     for name in self.names]
+        self._joint = CompiledRules([nr for nr in named if len(nr[1].predicates()) > 1])
+        self._unrelated = CompiledRules([nr for nr in named if not nr[1].predicates()])
+
+    def models(self, alg: FiniteAlgebra, ranges: Sequence[Sequence]) -> Iterator[Structure]:
+        """The models among the product of ``ranges`` (one per relation, in
+        ``names`` order), in product order."""
+        if self._unrelated.for_algebra(alg)(Structure(alg, {}, {})) is not None:
+            return
+        survivors = []
+        for name, values, program in zip(self.names, ranges, self._own):
+            check = program.for_algebra(alg)
+            survivors.append([v for v in values if check(_structure(alg, (name,), (v,))) is None])
+        first_failure = self._joint.for_algebra(alg)
+        for values in iproduct(*survivors):
+            cand = _structure(alg, self.names, values)
+            if first_failure(cand) is None:
+                yield cand
 
 
 def _top_element(alg: FiniteAlgebra) -> int:
@@ -777,21 +843,29 @@ def shape_violations(family: str, reduct: Structure) -> list[str]:
 
 def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     """Sweep all candidate structures over the census, reduce the models,
-    and check each reduct against the family's documented shape."""
+    and check each reduct against the family's documented shape.
+
+    The sweep is factorised (``ModelSweep``): it checks only the
+    combinations whose every relation passes its own axioms, and
+    ``structures`` still counts the full product, whose other members
+    each fail a one-relation axiom.  Each algebra's congruence lattice is
+    enumerated at most once, for the eq values and the Leibniz congruences
+    of its models.
+    """
     family = sys.name.partition("+")[0]
     report = ClassificationReport(sys.name, size)
-    program = CompiledRules(sorted(sys.named_rules(),
-                                   key=lambda nr: (len(nr[1].variables()), len(nr[1].premises))))
+    sweep = ModelSweep(sys)
     for base_alg in census_pool(size):
         for alg in _constant_assignments(base_alg, sys.signature.constants):
             report.algebras += 1
-            first_failure = program.for_algebra(alg)
-            for cand in candidate_structures(sys, alg):
-                report.structures += 1
-                if first_failure(cand) is not None:
-                    continue
+            lattice = congruences(alg) if "eq" in sweep.names else None
+            ranges = _relation_ranges(sweep.names, alg, lattice)
+            report.structures += prod(map(len, ranges))
+            for cand in sweep.models(alg, ranges):
                 report.models += 1
-                theta = leibniz_structure(cand)
+                if lattice is None:
+                    lattice = congruences(alg)
+                theta = leibniz_structure(cand, lattice=lattice)
                 red, _ = quotient_structure(cand, theta)
                 if not leibniz_structure(red).is_identity:
                     report.violations.append(

@@ -2,9 +2,13 @@
 
 Two independent algorithms are implemented and cross-checked:
 
-* congruence search: join of all congruences compatible with the relation
-  (the largest compatible congruence exists because joins of compatible
-  congruences stay compatible);
+* congruence search: the largest congruence compatible with the relation.
+  The compatible congruences are closed under join: the join of two
+  congruences is the transitive closure of their union, and a relation
+  closed under each of them is closed under that closure.  So the join of
+  all compatible congruences is itself compatible and every compatible
+  congruence refines it: it is the compatible congruence with the fewest
+  classes, picked by one scan of the lattice with no join computed;
 * polynomial test: a ~ b iff every unary polynomial (pointwise closure of
   the identity and all constant functions under meet/join/neg) agrees on
   membership at a and b.
@@ -16,16 +20,13 @@ purely as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import Callable, Sequence
 
 from .algebra import (
     Congruence,
     FiniteAlgebra,
     _canon,
-    congruence_join,
-    congruence_meet,
     congruences,
     identity_congruence,
     quotient,
@@ -69,13 +70,24 @@ def leibniz_binary(alg: FiniteAlgebra, rows: Sequence[int], bound: int = 10) -> 
 
 def _largest_compatible(alg: FiniteAlgebra, congs: Sequence[Congruence],
                         compatible: Callable[[Congruence], bool]) -> Congruence:
-    """Join of the congruences in ``congs`` that pass ``compatible``."""
-    best = identity_congruence(alg)
-    for cong in congs:
-        if compatible(cong):
-            best = congruence_join(best, cong)
-    if not compatible(best):
-        raise AssertionError("join of compatible congruences lost compatibility")
+    """Join of the congruences in ``congs`` that pass ``compatible``.
+
+    Compatibility is closed under join, so the join is the compatible
+    congruence with the fewest classes, and that one is returned without
+    computing any join.  Every compatible congruence must refine it; the
+    check raises if one does not, which would mean ``congs`` is not the
+    whole lattice or ``compatible`` is not a compatibility test.  The
+    identity, compatible with every relation, is the answer when no
+    congruence passes.
+    """
+    passing = [cong for cong in congs if compatible(cong)]
+    if not passing:
+        return identity_congruence(alg)
+    best = min(passing, key=attrgetter("num_classes"))
+    for cong in passing:
+        if not cong.refines(best):
+            raise AssertionError(
+                f"compatible congruence {cong.rep} does not refine the largest {best.rep}")
     return best
 
 
@@ -152,14 +164,23 @@ def _partition_from_signature(alg: FiniteAlgebra, signature: list) -> Congruence
 # ---------------------------------------------------------------------------
 # Whole structures.
 
-def leibniz_structure(s: Structure, bound: int = 10) -> Congruence:
-    """Intersection of the Leibniz congruences of all relations."""
+def leibniz_structure(s: Structure, bound: int = 10,
+                      lattice: Sequence[Congruence] | None = None) -> Congruence:
+    """Intersection of the Leibniz congruences of all relations.
+
+    A congruence that refines a compatible one is compatible too, so the
+    intersection is the largest congruence compatible with every relation,
+    found in one scan of the lattice.  ``lattice`` is the congruence
+    lattice of ``s.algebra`` when the caller already has it; otherwise it
+    is enumerated here.
+    """
     tests = [methodcaller("compatible_with_unary", mask) for _, mask in sorted(s.unary.items())]
     tests += [methodcaller("compatible_with_binary", rows) for _, rows in sorted(s.binary.items())]
     if not tests:
         raise ValueError("structure has no relations")
-    congs = congruences(s.algebra, bound)
-    return reduce(congruence_meet, (_largest_compatible(s.algebra, congs, t) for t in tests))
+    if lattice is None:
+        lattice = congruences(s.algebra, bound)
+    return _largest_compatible(s.algebra, lattice, lambda cong: all(t(cong) for t in tests))
 
 
 def is_reduced(s: Structure, bound: int = 10) -> bool:

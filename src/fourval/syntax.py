@@ -35,6 +35,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -477,12 +478,18 @@ def parse_rule_lines(text: str, sigspec: SigSpec = FULL_SIG) -> list[Rule]:
     """Parse a rule file: one rule per line, '#'-to-end-of-line comments.
 
     A '#' starts a comment only when it is not part of a constant token.
+    A parse error is re-raised as the same class with its message prefixed
+    by the 1-based line number; its position, counted from the line's
+    first non-blank character, is kept.
     """
     rules = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = _strip_comment(line).strip()
         if stripped:
-            rules.append(parse_rule(stripped, sigspec))
+            try:
+                rules.append(parse_rule(stripped, sigspec))
+            except ParseError as exc:
+                raise type(exc)(f"line {number}: {exc.message}", exc.position) from None
     return rules
 
 

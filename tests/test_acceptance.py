@@ -71,6 +71,17 @@ def test_criterion_6_classification_sweeps():
                combined, budget_s=600.0)
 
 
+def test_classification_sweeps_at_size_5():
+    """Criterion 6 one size further: 1,836,456 candidate structures, of
+    which the factorised sweep checks in full only those whose every
+    relation passes its own axioms."""
+    report = verify.suite_classification(size=5, include_variants=True)
+    mc = verify.suite_mc_classification(size=5)
+    assert (report["checks"], mc["checks"]) == (1_829_040, 7_416)
+    assert report["violations"] == [] and mc["violations"] == []
+    assert report["ok"] and mc["ok"]
+
+
 def test_criterion_7_derivability_ledger():
     report = verify.suite_derivability(depth=8, mutations_needed=100)
     assert report["mutations_rejected"] == 100

@@ -51,6 +51,14 @@ def test_decide_rule_file(capsys, tmp_path):
     assert code == 0 and len(report["results"]) == 2
 
 
+def test_decide_rule_file_error_names_its_line(capsys, tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("T(x) |- T(x)\n# a comment line\nT(x) |- T(@)\n")
+    code, out, err = run(capsys, "decide", "--logic", "BD", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: unexpected character '@' (at position 10)\n"
+
+
 def test_derive_certificate(capsys):
     code, report, _ = run_json(capsys, "derive", "--system", "BDE", "--depth", "6",
                                r"E(x /\ (~x \/ y)) |- E(y)")

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from fourval.algebra import enumerate_dm_lattices
 from fourval.engine import (
     Derivation,
     DerivationNode,
     DeriveBudgetError,
     RuleSpaceBounds,
     canonical_rule,
+    census_pool,
     check_derivation,
     classify_models,
     count_rule_space,
@@ -228,6 +230,13 @@ def test_canonical_rule_idempotent_and_invariant():
 
 
 # -- classification -----------------------------------------------------------
+
+def test_census_pool_is_one_shared_tuple_per_size():
+    pool = census_pool(4)
+    assert isinstance(pool, tuple) and census_pool(4) is pool
+    assert pool == census_pool(3) + tuple(enumerate_dm_lattices(4))
+    assert census_pool(0) == () == census_pool(-1)
+
 
 def test_classify_bde_size_3():
     rep = classify_models(system("BDE"), 3)

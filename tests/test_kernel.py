@@ -8,8 +8,10 @@ import pytest
 from fourval import structures
 from fourval.algebra import AlgebraError, congruences
 from fourval.engine import (
+    ModelSweep,
     _congruence_rows,
     _constant_assignments,
+    _relation_ranges,
     candidate_structures,
     census_pool,
     classify_models,
@@ -143,6 +145,31 @@ def test_model_sets_agree_with_eval_term(name):
             total += len(kernel)
     assert classify_models(sysd, size).models == total
     assert total > 0 or name == "MC-ETL+tnb"  # its two models have size 4
+
+
+@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
+def test_factorised_sweep_agrees_with_full_product(name):
+    """The factorised sweep keeps exactly the candidates of the full
+    product that pass every axiom, in candidate_structures order, and
+    classify_models counts the whole product."""
+    sysd = system(name)
+    size = 3
+    program = CompiledRules(sysd.named_rules())
+    sweep = ModelSweep(sysd)
+    full = kept = 0
+    for base in census_pool(size):
+        for alg in _constant_assignments(base, sysd.signature.constants):
+            first_failure = program.for_algebra(alg)
+            cands = list(candidate_structures(sysd, alg))
+            expected = [c for c in cands if first_failure(c) is None]
+            lattice = congruences(alg) if "eq" in sweep.names else None
+            models = list(sweep.models(alg, _relation_ranges(sweep.names, alg, lattice)))
+            assert models == expected, f"{name} on |A|={alg.size} {alg.constants}"
+            full += len(cands)
+            kept += len(models)
+    report = classify_models(sysd, size)
+    assert (report.structures, report.models) == (full, kept)
+    assert kept > 0 or name == "MC-ETL+tnb"  # its two models have size 4
 
 
 def test_eq_ranges_only_over_congruences():

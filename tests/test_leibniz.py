@@ -1,18 +1,25 @@
+from functools import reduce
 from itertools import product as iproduct
+from operator import methodcaller
 
 import pytest
 
 from fourval.algebra import (
     builtin,
+    congruence_join,
+    congruence_meet,
     congruences,
     enumerate_dm_lattices,
     enumerate_filters,
+    identity_congruence,
     is_congruence_partition,
     iter_partitions,
     mask_of,
     product,
 )
+from fourval.engine import ModelSweep, _relation_ranges, census_pool
 from fourval.leibniz import (
+    _largest_compatible,
     is_reduced,
     leibniz_binary,
     leibniz_binary_poly,
@@ -24,6 +31,7 @@ from fourval.leibniz import (
     unary_polynomials,
 )
 from fourval.structures import identity_relation, preset_structure, structure
+from fourval.systems import system
 
 DM4 = builtin("DM4")
 B2 = builtin("B2")
@@ -156,3 +164,74 @@ def test_quotient_structure_requires_compatibility():
 
     with pytest.raises(ValueError):
         quotient_structure(s, total_congruence(DM4))
+
+
+# ---------------------------------------------------------------------------
+# The largest compatible congruence, picked as the compatible one with the
+# fewest classes, checked exhaustively against the join-based search it
+# replaced, kept here as the oracle.
+
+def joined_largest_compatible(alg, congs, compatible):
+    """Join every compatible congruence into the identity, one by one."""
+    best = identity_congruence(alg)
+    for cong in congs:
+        if compatible(cong):
+            best = congruence_join(best, cong)
+    assert compatible(best)
+    return best
+
+
+def joined_leibniz_structure(s):
+    """Meet of the relations' Leibniz congruences, each found by joins."""
+    congs = congruences(s.algebra)
+    tests = [methodcaller("compatible_with_unary", m) for _, m in sorted(s.unary.items())]
+    tests += [methodcaller("compatible_with_binary", r) for _, r in sorted(s.binary.items())]
+    return reduce(congruence_meet,
+                  (joined_largest_compatible(s.algebra, congs, t) for t in tests))
+
+
+def test_leibniz_unary_is_the_join_on_every_census_mask():
+    checked = 0
+    for alg in census_pool(5):
+        congs = congruences(alg)
+        for mask in range(1 << alg.size):
+            oracle = joined_largest_compatible(
+                alg, congs, methodcaller("compatible_with_unary", mask))
+            assert leibniz_unary(alg, mask) == oracle, (alg, mask)
+            checked += 1
+    assert checked == 2 + 4 + 8 + 3 * 16 + 32  # census sizes 1, 2, 3, 4 (three), 5
+
+
+def test_leibniz_binary_is_the_join_on_every_relation():
+    checked = 0
+    for alg in census_pool(3):
+        n = alg.size
+        congs = congruences(alg)
+        for rows in iproduct(range(1 << n), repeat=n):
+            oracle = joined_largest_compatible(
+                alg, congs, methodcaller("compatible_with_binary", rows))
+            assert leibniz_binary(alg, rows) == oracle, (alg, rows)
+            checked += 1
+    assert checked == 2 + 16 + 512  # census sizes 1, 2, 3
+
+
+def test_leibniz_structure_is_the_join_on_bdnf_eq_models():
+    sweep = ModelSweep(system("BDNF-EQ"))
+    models = 0
+    for alg in census_pool(4):
+        lattice = congruences(alg)
+        for s in sweep.models(alg, _relation_ranges(sweep.names, alg, lattice)):
+            assert leibniz_structure(s) == joined_leibniz_structure(s)
+            assert leibniz_structure(s, lattice=lattice) == leibniz_structure(s)
+            models += 1
+    assert models == 90
+
+
+def test_largest_compatible_raises_when_the_pick_is_not_largest():
+    # the two projection kernels of B2 x B2 both have two classes, and
+    # neither refines the other: a test passing exactly those is not
+    # closed under join
+    p = product([B2, B2])
+    with pytest.raises(AssertionError, match="does not refine"):
+        _largest_compatible(p, congruences(p), lambda c: c.num_classes == 2)
+    assert _largest_compatible(p, [], lambda c: True).is_identity

@@ -165,6 +165,19 @@ def test_rule_file_parsing_with_comments():
         "E(x) |- T(x)", "|- T(#t)", "|- T(x)", "|- T(#t)", "|- x = #b"]
 
 
+def test_parse_rule_lines_errors_keep_class_and_position():
+    text = "E(x) |- T(x)\n\n  T(x) |- T(@)  # the bad rule\n"
+    with pytest.raises(ParseError) as err:
+        parse_rule_lines(text, sig({"T", "E"}, set()))
+    assert type(err.value) is ParseError
+    assert str(err.value) == "line 3: unexpected character '@' (at position 10)"
+    assert err.value.position == 10
+    with pytest.raises(SignatureError) as err:
+        parse_rule_lines("E(x) |- T(x)\nNF(x) |- T(x)\n", sig({"T", "E"}, set()))
+    assert str(err.value).startswith("line 2: ")
+    assert err.value.position == 0
+
+
 # ---------------------------------------------------------------------------
 # The parser checked differentially against the lexer and parser it
 # replaced, kept here as the oracle: a named-group regex matched token by
