@@ -23,16 +23,21 @@ Validity is decided by one kernel over valuation bitsets.
   Bit order is grid order, so the lowest set bit of that int is the
   lexicographically least counter-valuation, which is the one reported.
 
-`holds` decides one rule and compiles nothing.  It walks the rule once
-to collect its variables, predicates and constants, and rejects a symbol
-the structure does not interpret before it evaluates anything.  Premises
-are ANDed in set order, since AND commutes, and evaluation stops at the
-first zero; conclusions are sorted by text only to report a failure.  A
-grid of at most BLOCK_VALUATIONS points is swept whole.  Larger grids are
-swept in blocks that fix the leading variables, block by block in
-lexicographic order, so memory stays bounded however many variables a
-rule has; the first block with a failing point holds the least
-counter-valuation.  `CompiledRules` serves sweeps that check many
+`holds` decides one rule.  It walks the rule once to collect its
+variables, predicates and constants, and rejects a symbol the structure
+does not interpret before it evaluates anything.  Premises are ANDed in
+set order, since AND commutes, and evaluation stops at the first zero;
+conclusions are sorted by text only to report a failure.  A grid of at
+most BLOCK_VALUATIONS points is swept whole, and each formula's bitset
+over it is memoised on the structure, per grid: formulas are hash-consed
+(see `syntax`), so a formula met again in another rule is one dict
+lookup.  The memo's keys are weak, so it is bounded by the formulas the
+program still references, and it is not part of the structure's
+equality, hash, repr or JSON.  Larger grids are swept in blocks that fix
+the leading variables, block by block in lexicographic order, so memory
+stays bounded however many variables a rule has; the first block with a
+failing point holds the least counter-valuation.  Their bitsets are not
+memoised.  `CompiledRules` serves sweeps that check many
 structures over one algebra: it interns a rule list's formulas once,
 computes their argument bitsets once per algebra, and memoises formula
 bitsets per relation value.  `eval_term` evaluates one term at one
@@ -42,10 +47,11 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .algebra import FiniteAlgebra, builtin, mask_iter, mask_of
 from .syntax import (
@@ -78,6 +84,11 @@ class Structure:
     algebra: FiniteAlgebra
     unary: dict[str, int]
     binary: dict[str, tuple[int, ...]]
+    # holds' memo: grid (sorted variable names) -> formula -> bitset over the
+    # whole grid; weak keys, so an entry goes when its formula does.  Set on
+    # the first holds, so a structure never decided carries none.
+    _bitsets: dict[tuple[str, ...], WeakKeyDictionary] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def signature(self) -> SigSpec:
         return SigSpec(frozenset(self.unary) | frozenset(self.binary),
@@ -95,6 +106,10 @@ class Structure:
     def __eq__(self, other):
         return (isinstance(other, Structure) and self.algebra == other.algebra
                 and self.unary == other.unary and self.binary == other.binary)
+
+    def __reduce__(self):
+        # the memo holds weak references, which do not pickle; a copy starts empty
+        return Structure, (self.algebra, self.unary, self.binary)
 
 
 def structure(algebra: FiniteAlgebra, unary: Mapping[str, Iterable[int] | int] | None = None,
@@ -244,10 +259,35 @@ def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
     return _formula_bits(s, f, env, (1 << n ** k) - 1)
 
 
-def _blocks(n: int, names: Sequence[str]) -> Iterator[tuple[int, dict[str, tuple[int, ...]], int]]:
-    """(first grid point, variable bitsets, all-ones) per block, in grid order;
-    the bitsets dict is one object, updated in place for each block."""
-    k = len(names)
+def _whole_grid(s: Structure, names: tuple[str, ...]) -> tuple[int, int, Callable[[Formula], int]]:
+    """(first grid point, all-ones, formula bitsets) for the grid of
+    `names` swept in one block; the bitsets are memoised on s."""
+    n, k = s.algebra.size, len(names)
+    full = (1 << n ** k) - 1
+    memos = s._bitsets
+    if memos is None:
+        memos = {}
+        object.__setattr__(s, "_bitsets", memos)  # a cache, not a field of the value
+    memo = memos.get(names)
+    if memo is None:
+        memo = memos[names] = WeakKeyDictionary()
+    env = {}
+
+    def bits(f: Formula) -> int:
+        b = memo.get(f)
+        if b is None:
+            if not env:
+                env.update((v, _variable_bits(n, k, i)) for i, v in enumerate(names))
+            b = memo[f] = _formula_bits(s, f, env, full)
+        return b
+
+    return 0, full, bits
+
+
+def _blocks(s: Structure, names: Sequence[str]) -> Iterator[tuple[int, int, Callable[[Formula], int]]]:
+    """(first grid point, all-ones, formula bitsets) per block, in grid order;
+    the bitsets of one block are computed afresh, not memoised."""
+    n, k = s.algebra.size, len(names)
     lead = 0
     while n ** (k - lead) > BLOCK_VALUATIONS:
         lead += 1
@@ -257,7 +297,7 @@ def _blocks(n: int, names: Sequence[str]) -> Iterator[tuple[int, dict[str, tuple
     for block, prefix in enumerate(iproduct(range(n), repeat=lead)):
         for name, value in zip(names, prefix):
             env[name] = tuple(full if a == value else 0 for a in range(n))
-        yield block * size, env, full
+        yield block * size, full, lambda f: _formula_bits(s, f, env, full)
 
 
 def _grid_point(names: Sequence[str], n: int, index: int) -> dict[str, int]:
@@ -279,22 +319,19 @@ def holds(s: Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Ver
     missing = constants - s.algebra.constants.keys()
     if missing:
         raise SignatureMismatchError(f"constant {min(missing)} not interpreted in the structure")
-    names = sorted(variables)
+    names = tuple(sorted(variables))
     n, k = s.algebra.size, len(names)
-    if n ** k <= BLOCK_VALUATIONS:
-        blocks = [(0, {v: _variable_bits(n, k, i) for i, v in enumerate(names)}, (1 << n ** k) - 1)]
-    else:
-        blocks = _blocks(n, names)
-    for first, env, full in blocks:
+    blocks = [_whole_grid(s, names)] if n ** k <= BLOCK_VALUATIONS else _blocks(s, names)
+    for first, full, bits in blocks:
         fail = full
         for f in r.premises:
             if not fail:
                 break
-            fail &= _formula_bits(s, f, env, full)
+            fail &= bits(f)
         for f in r.conclusions:
             if not fail:
                 break
-            fail &= ~_formula_bits(s, f, env, full)
+            fail &= ~bits(f)
         if fail:
             point = first + (fail & -fail).bit_length() - 1
             return Verdict(False, _grid_point(names, n, point),

@@ -14,13 +14,25 @@ Grammar (ASCII):
 PRED is one of T, E, NF; those names are reserved and cannot be variables.
 `#f` is sugar for `~#t`, and `s <= t` is sugar for `s \\/ t = t`; neither
 survives parsing.
+
+Terms and formulas are hash-consed (Filliâtre & Conchon, "Type-safe
+modular hash-consing", ML Workshop 2006).  Each constructor looks up its
+class and fields in one module store and returns the stored node if there
+is one, so equal terms and formulas are the same object: `==` is identity
+and `hash` reads no more than the object's address, however deep the
+tree.  The store holds its nodes through weak references, and a node's
+entry is dropped when the node is collected, so the store is bounded by
+the nodes the program still references and has no size to set.  Nodes
+are immutable, since every holder shares them; pickling and copying call
+the constructor again and so return the stored node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
@@ -80,31 +92,109 @@ def sig(relations: Iterable[str], constants: Iterable[str] = ()) -> SigSpec:
 FULL_SIG = sig(RELATION_ARITIES, CONSTANT_SYMBOLS)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+# ---------------------------------------------------------------------------
+# Hash-consed nodes; see the module docstring.
+
+_store: dict[tuple, weakref.KeyedRef] = {}  # (class, *fields) -> the node
+_store_lock = threading.RLock()  # held on a miss, so threads never build two equal nodes
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    symbol: str
+def _forget(ref: weakref.KeyedRef, store=_store, lock=_store_lock) -> None:
+    """Callback of a node's weak reference: drop its entry, unless a new
+    node for the same key has replaced it.  The store and lock are bound
+    as defaults, so nodes freed while the module is torn down at exit
+    still find them."""
+    with lock:
+        if store.get(ref.key) is ref:
+            del store[ref.key]
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    arg: "Term"
+def _intern(key: tuple):
+    """The node of key, (class, *fields), built if it is not stored.  The
+    constructors look the key up first, without the lock."""
+    with _store_lock:
+        ref = _store.get(key)
+        node = ref and ref()
+        if node is None:
+            cls = key[0]
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, key[1:]):
+                object.__setattr__(node, name, value)
+            _store[key] = weakref.KeyedRef(node, _forget, key)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
-class Meet:
-    left: "Term"
-    right: "Term"
+class _Node:
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickling and copying call the constructor, which re-interns
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Join:
-    left: "Term"
-    right: "Term"
+class _Term(_Node):
+    __slots__ = ("_text",)  # term_text, filled on first use
+
+
+class Var(_Term):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
+
+
+class Const(_Term):
+    __slots__ = _fields = ("symbol",)
+
+    def __new__(cls, symbol: str):
+        key = (cls, symbol)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
+
+
+class Neg(_Term):
+    __slots__ = _fields = ("arg",)
+
+    def __new__(cls, arg: Term):
+        key = (cls, arg)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
+
+
+class Meet(_Term):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
+
+
+class Join(_Term):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
 
 
 Term = Union[Var, Const, Neg, Meet, Join]
@@ -166,17 +256,21 @@ def term_depth(t: Term) -> int:
     return 1 + max(term_depth(t.left), term_depth(t.right))
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
-    pred: str
-    args: tuple[Term, ...]
+class Formula(_Node):
+    __slots__ = _fields = ("pred", "args")
 
-    def __post_init__(self):
-        arity = RELATION_ARITIES.get(self.pred)
-        if arity is None:
-            raise ValueError(f"unknown predicate {self.pred!r}")
-        if len(self.args) != arity:
-            raise ValueError(f"{self.pred} expects {arity} argument(s), got {len(self.args)}")
+    def __new__(cls, pred: str, args: tuple[Term, ...]):
+        key = (cls, pred, args)
+        ref = _store.get(key)
+        node = ref and ref()
+        if node is None:  # validated before it is stored, so a stored formula is valid
+            arity = RELATION_ARITIES.get(pred)
+            if arity is None:
+                raise ValueError(f"unknown predicate {pred!r}")
+            if len(args) != arity:
+                raise ValueError(f"{pred} expects {arity} argument(s), got {len(args)}")
+            node = _intern(key)
+        return node
 
 
 def atom(pred: str, *args: Term) -> Formula:
@@ -286,9 +380,13 @@ def _render(t: Term, min_prec: int) -> str:
     return "(" + s + ")" if _PREC_JOIN < min_prec else s
 
 
-@lru_cache(maxsize=None)
 def term_text(t: Term) -> str:
-    return _render(t, 0)
+    try:
+        return t._text
+    except AttributeError:  # not printed yet
+        text = _render(t, 0)
+        object.__setattr__(t, "_text", text)  # a cache in the node, not a field
+        return text
 
 
 def formula_text(f: Formula) -> str:
@@ -415,19 +513,13 @@ def _term(tokens: list[str], sigspec: SigSpec) -> Term:
         tokens.pop()
 
 
-# Leaves are immutable, so parsed trees share them.
-_var = lru_cache(maxsize=1024)(Var)
-_CONSTANTS = {c: Const(c) for c in CONSTANT_SYMBOLS}
-_FALSE = Neg(_CONSTANTS["#t"])
-
-
 def _atom(tokens: list[str], sigspec: SigSpec) -> Term:
     token = tokens.pop()
     if token.isalnum():  # of all tokens, only identifiers are alphanumeric
         if token in PREDICATE_NAMES:
             raise _Failure(ParseError, f"{token} is a reserved predicate name, not a variable",
                            len(tokens) + 1)
-        return _var(token)
+        return Var(token)
     if token == "~":
         return Neg(_atom(tokens, sigspec))
     if token == "(":
@@ -440,11 +532,11 @@ def _atom(tokens: list[str], sigspec: SigSpec) -> Term:
                 raise _Failure(SignatureError,
                                "constant #t is not in the signature (needed for #f)",
                                len(tokens) + 1)
-            return _FALSE
+            return Neg(Const("#t"))
         if token not in sigspec.constants:
             raise _Failure(SignatureError, f"constant {token} is not in the signature",
                            len(tokens) + 1)
-        return _CONSTANTS[token]
+        return Const(token)
     raise _Failure(ParseError, f"expected a term, found {_found(token)}", len(tokens) + 1)
 
 
@@ -454,9 +546,14 @@ def _parse(text: str, sigspec: SigSpec, parser):
     try:
         return parser(tokens, sigspec)
     except _Failure as failure:
-        index = count - failure.left  # of the offending token
-        starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
-        raise failure.cls(str(failure), starts[index]) from None
+        cls, message, left = failure.cls, str(failure), failure.left
+    except RecursionError:
+        # the parser recurses once per "~" and per parenthesis, so input
+        # nested deeper than the interpreter's stack allows is refused here
+        cls, message, left = ParseError, "nested too deeply", len(tokens) + 1
+    index = count - left  # of the offending token
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    raise cls(message, starts[index]) from None
 
 
 def _whole_term(tokens: list[str], sigspec: SigSpec) -> Term:
@@ -466,7 +563,10 @@ def _whole_term(tokens: list[str], sigspec: SigSpec) -> Term:
 
 
 def parse_rule(text: str, sigspec: SigSpec = FULL_SIG) -> Rule:
-    """Parse a rule in the concrete grammar against the given signature."""
+    """Parse a rule in the concrete grammar against the given signature.
+
+    A rule nested deeper than the interpreter's recursion limit lets the
+    parser follow raises ParseError ("nested too deeply")."""
     return _parse(text, sigspec, _rule)
 
 

@@ -59,6 +59,31 @@ def test_decide_rule_file_error_names_its_line(capsys, tmp_path):
     assert err == "error: line 3: unexpected character '@' (at position 10)\n"
 
 
+def _decide_rule_or_file(capsys, tmp_path, rule, via_file, *argv):
+    if via_file:
+        path = tmp_path / "rules.txt"
+        path.write_text(rule + "\n")
+        return run(capsys, "decide", "--logic", "BDE", "--file", str(path), *argv)
+    return run(capsys, "decide", "--logic", "BDE", rule, *argv)
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_decide_too_deeply_nested_rule_exits_two(capsys, tmp_path, via_file):
+    rule = "T(" + "~" * 5000 + "x) |- T(x)"
+    code, out, err = _decide_rule_or_file(capsys, tmp_path, rule, via_file)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: nested too deeply (at position " if via_file
+                          else "error: nested too deeply (at position ")
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_decide_rule_nested_900_deep(capsys, tmp_path, via_file):
+    rule = "T(" + "~" * 900 + "x) |- T(x)"
+    code, out, err = _decide_rule_or_file(capsys, tmp_path, rule, via_file, "--output", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"] == [{"rule": rule, "valid": True}]
+
+
 def test_derive_certificate(capsys):
     code, report, _ = run_json(capsys, "derive", "--system", "BDE", "--depth", "6",
                                r"E(x /\ (~x \/ y)) |- E(y)")

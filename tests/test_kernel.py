@@ -1,5 +1,7 @@
 """The valuation-bitset kernel, checked against point-by-point eval_term sweeps."""
 
+import gc
+import pickle
 import random
 from itertools import product
 
@@ -23,8 +25,9 @@ from fourval.structures import (
     holds,
     preset_names,
     preset_structure,
+    structure_to_json,
 )
-from fourval.syntax import Formula, Rule, Var, formula_text, print_rule
+from fourval.syntax import Formula, Rule, Var, formula_text, parse_rule, print_rule
 from fourval.systems import all_system_names, system
 from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS, random_rule
 
@@ -121,8 +124,26 @@ def test_blocked_sweep_beyond_the_default_block(monkeypatch):
     v = holds(st, r, var_limit=9)
     assert not v.valid
     assert v.valuation == {**{x: 0 for x in names[:-1]}, "i": 2}  # the least: i = f
+    assert not st._bitsets  # a blocked grid's bitsets are not memoised
     monkeypatch.setattr(structures, "BLOCK_VALUATIONS", 4 ** 9)
     assert holds(st, r, var_limit=9) == v
+    assert list(st._bitsets) == [tuple(names)]
+
+
+def test_holds_memo_is_weak_and_outside_the_structure():
+    st, twin = preset_structure("BDE"), preset_structure("BDE")
+    r = parse_rule(r"T(x /\ ~mv), E(mv) |- E(x) | T(mv)")
+    v = holds(st, r)
+    memo = st._bitsets[("mv", "x")]
+    assert 0 < len(memo) <= 4 and set(memo) <= r.premises | r.conclusions
+    assert holds(st, r) == v == holds(twin, r)
+    assert st == twin and hash(st) == hash(twin) and repr(st) == repr(twin)
+    assert "_bitsets" not in repr(st) and structure_to_json(st) == structure_to_json(twin)
+    copied = pickle.loads(pickle.dumps(st))
+    assert copied == st and not copied._bitsets
+    del r, v
+    gc.collect()
+    assert len(memo) == 0
 
 
 @pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)

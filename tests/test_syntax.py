@@ -1,8 +1,14 @@
+import copy
+import gc
+import pickle
 import random
 import re
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from fourval import syntax
 from fourval.syntax import (
     FULL_SIG,
     PREDICATE_NAMES,
@@ -177,6 +183,77 @@ def test_parse_rule_lines_errors_keep_class_and_position():
     assert str(err.value).startswith("line 2: ")
     assert err.value.position == 0
 
+
+def _stored(*key) -> bool:
+    return key in syntax._store
+
+
+@pytest.mark.parametrize("pred, args, message", [
+    ("Q", (Var("x"),), "unknown predicate 'Q'"),
+    ("T", (Var("x"), Var("y")), r"T expects 1 argument\(s\), got 2"),
+    ("eq", (Var("x"),), r"eq expects 2 argument\(s\), got 1"),
+])
+def test_formula_validation_rejects_and_stores_nothing(pred, args, message):
+    with pytest.raises(ValueError, match=message):
+        Formula(pred, args)
+    assert not _stored(Formula, pred, args)
+
+
+def test_equal_nodes_built_apart_are_one_object():
+    x, y = Var("x"), Var("y")
+    t = Join(Meet(Neg(x), y), Const("#t"))
+    assert Var("x") is x
+    assert parse_term(r"~x /\ y \/ #t") is t
+    assert parse_term("#f") is Neg(Const("#t"))
+    f = atom("eq", t, y)
+    assert parse_rule(r"|- ~x /\ y \/ #t = y").conclusion is f
+    assert Formula("eq", (t, y)) is f and hash(f) == hash(Formula("eq", (t, y)))
+    assert Join(x, y) is not Meet(x, y) and Var("#t") is not Const("#t")
+
+
+def test_copies_and_pickles_are_the_same_object():
+    t = parse_term(r"~(x /\ #b) \/ y")
+    f = atom("T", t)
+    for node in (t, f, Var("x")):
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+    r = parse_rule(r"T(~(x /\ #b) \/ y) |- x = y")
+    assert pickle.loads(pickle.dumps(r)) == r and copy.deepcopy(r) == r
+    assert repr(f) == ("Formula(pred='T', args=(Join(left=Neg(arg=Meet(left=Var(name='x'), "
+                       "right=Const(symbol='#b'))), right=Var(name='y')),))")
+
+
+def test_fields_cannot_be_assigned():
+    t, f = Meet(Var("x"), Var("y")), atom("T", Var("x"))
+    with pytest.raises(FrozenInstanceError):
+        t.left = Var("z")
+    with pytest.raises(FrozenInstanceError):
+        f.pred = "E"
+    with pytest.raises(FrozenInstanceError):
+        del Var("x").name
+    assert t.left is Var("x") and f.pred == "T"
+
+
+def test_unreferenced_nodes_leave_the_store():
+    f = atom("NF", Neg(Var("only_here")))
+    t = f.args[0]
+    assert _stored(Formula, "NF", (t,)) and _stored(Neg, Var("only_here"))
+    del f, t
+    gc.collect()
+    # a key holds its node's fields, so the leaf's entry outlives its parents'
+    assert not _stored(Var, "only_here")
+
+
+def test_printing_a_term_does_not_keep_it_alive():
+    t = Join(Var("printed_once"), Neg(Var("printed_twice")))
+    ref = weakref.ref(t)
+    assert term_text(t) == r"printed_once \/ ~printed_twice"
+    assert term_text(t) == r"printed_once \/ ~printed_twice"
+    del t
+    gc.collect()
+    assert ref() is None
+    assert not _stored(Var, "printed_once")
 
 # ---------------------------------------------------------------------------
 # The parser checked differentially against the lexer and parser it
