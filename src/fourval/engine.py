@@ -423,9 +423,9 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     if not r.is_single_conclusion:
         raise ValueError("derive needs a single-conclusion goal")
     goal = r.conclusion
-    facts: dict[Formula, _FactInfo] = {}
-    for f in r.premises:
-        facts[f] = _FactInfo(None, (), (), 0)
+    # seeded in text order: premises is a frozenset of nodes hashed by
+    # address, so its own order, and with it the certificate, varies by run
+    facts = {f: _FactInfo(None, (), (), 0) for f in sorted(r.premises, key=formula_text)}
     if goal in facts:
         return _extract(facts, goal)
 

@@ -28,6 +28,7 @@ from fourval.syntax import (
     Join,
     Meet,
     Neg,
+    Rule,
     Var,
     formula_text,
     formula_variables,
@@ -116,7 +117,7 @@ def naive_derive(sysd, r, depth, term_layers=1, max_terms=120, max_facts=20000):
     """Oracle: derive with naive rounds, every scheme matched against every
     fact in every round, and premises re-instantiated by substitution."""
     goal = r.conclusion
-    facts = {f: engine._FactInfo(None, (), (), 0) for f in r.premises}
+    facts = {f: engine._FactInfo(None, (), (), 0) for f in sorted(r.premises, key=formula_text)}
     if goal in facts:
         return engine._extract(facts, goal)
     universe = engine._term_universe(r, sysd.signature, term_layers, max_terms)
@@ -234,6 +235,29 @@ def test_derive_matches_naive_rounds_on_the_bde_space(layers, max_terms, stride)
         outcomes["none" if got is None else "derived"] += 1
     # both branches are exercised
     assert min(outcomes.values()) > 0, outcomes
+
+
+class _OrderedPremises(frozenset):
+    """A premise set that iterates in text order, or its reverse."""
+
+    def __new__(cls, formulas, reverse):
+        out = super().__new__(cls, formulas)
+        out.reverse = reverse
+        return out
+
+    def __iter__(self):
+        return iter(sorted(frozenset.__iter__(self), key=formula_text, reverse=self.reverse))
+
+
+def test_derive_certificate_does_not_depend_on_premise_iteration_order():
+    bde = system("BDE")
+    goals = [parse_rule(r"E(x /\ x), E(x /\ y) |- T(x)", bde.signature)]
+    goals += [r for r in _bde_space_goals()[::5] if len(r.premises) == 2]
+    for r in goals:
+        want = _outcome(derive, bde, r, 3)
+        for reverse in (False, True):
+            ordered = Rule(_OrderedPremises(r.premises, reverse), r.conclusions)
+            assert _outcome(derive, bde, ordered, 3) == want, (str(r), reverse)
 
 
 @pytest.mark.parametrize("name,text,depth,layers", [
