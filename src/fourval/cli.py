@@ -71,14 +71,20 @@ class RunConfig:
         return asdict(self)
 
 
+OUTPUT_FORMATS = ("text", "json")
+# the command and its operands come from the command line only; every
+# other setting from a flag, else the config file, else its default
+_OPERANDS = ("logic", "system", "rule")
+_FILE_SETTINGS = frozenset(f.name for f in fields(RunConfig)) - {"command", *_OPERANDS}
 _INT_SETTINGS = frozenset(f.name for f in fields(RunConfig) if type(f.default) is int)
 
 
 def _load_config_file(path: str) -> dict:
     """key=value lines; '#' starts a comment; flags override these.
 
-    Integer settings are converted here, and a value that is not an
-    integer is a ValueError naming the key."""
+    Integer settings are converted here.  A key that names no setting, a
+    value that is not an integer, and an output format that is not one of
+    OUTPUT_FORMATS are ValueErrors naming the key."""
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -89,6 +95,10 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line {line!r}")
             key, value = line.split("=", 1)
             key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in _FILE_SETTINGS:
+                raise ValueError(f"config {key}: unknown setting")
+            if key == "output" and value not in OUTPUT_FORMATS:
+                raise ValueError(f"config output: {value!r} is not one of {', '.join(OUTPUT_FORMATS)}")
             if key in _INT_SETTINGS:
                 try:
                     value = int(value)
@@ -306,7 +316,7 @@ def _global_flags(default) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", default=default,
                        help="key=value config file merged under explicit flags")
-    flags.add_argument("--output", choices=("text", "json"), default=default)
+    flags.add_argument("--output", choices=OUTPUT_FORMATS, default=default)
     flags.add_argument("--seed", type=int, default=default)
     flags.add_argument("--jobs", type=int, default=default)
     return flags
@@ -388,14 +398,10 @@ def main(argv: list[str] | None = None) -> int:
             return flag
         return merged.get(name, default)
 
-    # the command and its operands come from the command line only; every
-    # other setting from a flag, else the config file, else its default
-    operands = ("logic", "system", "rule")
     cfg = RunConfig(
         command=args.command,
-        **{name: getattr(args, name, None) for name in operands},
-        **{f.name: pick(f.name, f.default) for f in fields(RunConfig)
-           if f.name != "command" and f.name not in operands},
+        **{name: getattr(args, name, None) for name in _OPERANDS},
+        **{f.name: pick(f.name, f.default) for f in fields(RunConfig) if f.name in _FILE_SETTINGS},
     )
     if cfg.jobs < 1:
         print(f"error: --jobs must be at least 1, got {cfg.jobs}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import prod
+from math import comb, prod
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -27,7 +27,8 @@ from .algebra import (
     is_filter,
 )
 from .leibniz import leibniz_structure, quotient_structure
-from .structures import CompiledRules, Structure, Verdict, holds, preset_structure, structure
+from .structures import (CompiledRules, Structure, Verdict, holds, identity_relation,
+                         preset_structure, structure)
 from .syntax import (
     Const,
     Formula,
@@ -119,120 +120,93 @@ def derivation_to_json(d: Derivation) -> dict:
     return {"nodes": nodes, "root": d.root}
 
 
-# -- the interned term universe and the scheme grounder ----------------------
+# -- the term universe and the scheme grounder -------------------------------
 
 class Universe:
-    """A subterm-closed term universe interned as ids (hash-consing:
-    Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006).
+    """A subterm-closed term universe over the hash-consed nodes of
+    ``syntax``: a term is its own key, so lookups hash by address.
 
-    Id i is ``terms[i]``, so ids keep the given order.  ``shape[i]`` is the
-    term's constructor with its child ids: ``(Neg, a)``, ``(Meet, a, b)``,
-    ``(Join, a, b)``, or ``(Var,)`` / ``(Const,)``.  ``neg[a]`` and
-    ``table[op][a][b]`` (op is Meet or Join) build composites: -1 when the
-    composite is outside.  ``rows[op][a]`` and ``cols[op][b]`` list, in id
-    order, the partners b and a for which op of a and b is inside.  A fact
-    is ``(pred, arg ids)``.
+    ``terms`` keeps the given order, the order free variables range over.
+    ``neg[a]`` is ~a when that is inside; ``rows[op][a]`` and
+    ``cols[op][b]`` (op is Meet or Join) map, in universe order, each
+    partner b or a for which op of a and b is inside to that composite.
+    ``constants`` holds the constants inside.
     """
 
     def __init__(self, terms: Sequence[Term]):
         self.terms = list(terms)
-        self.index = {t: i for i, t in enumerate(self.terms)}
-        n = len(self.terms)
-        self.neg = [-1] * n
-        self.table = {op: [[-1] * n for _ in range(n)] for op in (Meet, Join)}
-        self.rows = {op: [[] for _ in range(n)] for op in (Meet, Join)}
-        self.cols = {op: [[] for _ in range(n)] for op in (Meet, Join)}
-        self.shape: list[tuple] = []
-        for i, t in enumerate(self.terms):
-            if isinstance(t, Neg):
-                a = self.index[t.arg]
-                self.neg[a] = i
-                self.shape.append((Neg, a))
-            elif isinstance(t, (Meet, Join)):
-                op = type(t)
-                a, b = self.index[t.left], self.index[t.right]
-                self.table[op][a][b] = i
-                self.rows[op][a].append(b)
-                self.cols[op][b].append(a)
-                self.shape.append((op, a, b))
-            else:
-                self.shape.append((type(t),))
-        for lists in (*self.rows.values(), *self.cols.values()):
-            for ids in lists:
-                ids.sort()
-
-    def fact(self, f: Formula) -> tuple[str, tuple[int, ...]]:
-        return f.pred, tuple(self.index[t] for t in f.args)
-
-    def formula(self, fact: tuple[str, tuple[int, ...]]) -> Formula:
-        return Formula(fact[0], tuple(self.terms[i] for i in fact[1]))
+        self.constants = frozenset(t for t in self.terms if isinstance(t, Const))
+        self.neg = {t.arg: t for t in self.terms if isinstance(t, Neg)}
+        self.rows = {op: {t: {} for t in self.terms} for op in (Meet, Join)}
+        self.cols = {op: {t: {} for t in self.terms} for op in (Meet, Join)}
+        position = {t: i for i, t in enumerate(self.terms)}
+        composites = [t for t in self.terms if isinstance(t, (Meet, Join))]
+        for t in sorted(composites, key=lambda t: position[t.right]):
+            self.rows[type(t)][t.left][t.right] = t
+        for t in sorted(composites, key=lambda t: position[t.left]):
+            self.cols[type(t)][t.right][t.left] = t
 
 
 def _matcher(pat: Term):
-    """(id, binding, universe) -> the binding extended so that pat matches
-    the term, or None.  A binding maps variable names to ids and is never
+    """(term, binding) -> the binding extended so that pat matches the
+    term, or None.  A binding maps variable names to terms and is never
     mutated."""
     if isinstance(pat, Var):
         name = pat.name
 
-        def match_var(i, b, uni):
+        def match_var(t, b):
             bound = b.get(name)
             if bound is None:
                 out = dict(b)
-                out[name] = i
+                out[name] = t
                 return out
-            return b if bound == i else None
+            return b if bound is t else None
         return match_var
     if isinstance(pat, Const):
-        return lambda i, b, uni: b if uni.index.get(pat) == i else None
+        return lambda t, b: b if t is pat else None
     if isinstance(pat, Neg):
         arg = _matcher(pat.arg)
-
-        def match_neg(i, b, uni):
-            s = uni.shape[i]
-            return arg(s[1], b, uni) if s[0] is Neg else None
-        return match_neg
+        return lambda t, b: arg(t.arg, b) if type(t) is Neg else None
     op, left, right = type(pat), _matcher(pat.left), _matcher(pat.right)
 
-    def match_binary(i, b, uni):
-        s = uni.shape[i]
-        if s[0] is not op:
+    def match_binary(t, b):
+        if type(t) is not op:
             return None
-        b = left(s[1], b, uni)
-        return None if b is None else right(s[2], b, uni)
+        b = left(t.left, b)
+        return None if b is None else right(t.right, b)
     return match_binary
 
 
 def _builder(pat: Term):
-    """(binding, universe) -> id of the instantiated term, -1 when it is
+    """(binding, universe) -> the instantiated term, None when it is
     outside."""
     if isinstance(pat, Var):
         name = pat.name
         return lambda b, uni: b[name]
     if isinstance(pat, Const):
-        return lambda b, uni: uni.index.get(pat, -1)
+        return lambda b, uni: pat if pat in uni.constants else None
     if isinstance(pat, Neg):
         arg = _builder(pat.arg)
 
         def build_neg(b, uni):
             a = arg(b, uni)
-            return -1 if a < 0 else uni.neg[a]
+            return None if a is None else uni.neg.get(a)
         return build_neg
     op, left, right = type(pat), _builder(pat.left), _builder(pat.right)
 
     def build_binary(b, uni):
         a = left(b, uni)
-        if a < 0:
-            return -1
+        if a is None:
+            return None
         c = right(b, uni)
-        return -1 if c < 0 else uni.table[op][a][c]
+        return None if c is None else uni.rows[op][a].get(c)
     return build_binary
 
 
 def _match_premises(patterns: Sequence[tuple[str, list]],
-                    facts_by_pred: Mapping[str, list[tuple[int, ...]]],
-                    fresh: Mapping[str, int] | None, uni: Universe, binding: dict[str, int],
-                    matched: tuple = ()) -> Iterator[tuple[dict[str, int], tuple]]:
+                    facts_by_pred: Mapping[str, list[Formula]],
+                    fresh: Mapping[str, int] | None, binding: dict[str, Term],
+                    matched: tuple = ()) -> Iterator[tuple[dict[str, Term], tuple]]:
     """Bindings of the premise patterns against the facts, in fact order,
     each with the facts it matched.  With ``fresh`` (predicate -> index of
     its first fresh fact, 0 when absent), only bindings matching at least
@@ -248,27 +222,28 @@ def _match_premises(patterns: Sequence[tuple[str, list]],
     start = 0 if fresh is None else fresh.get(pred, 0)
     for i in range(0 if rest else start, len(facts)):
         b = binding
-        for m, a in zip(matchers, facts[i]):
-            b = m(a, b, uni)
+        for m, t in zip(matchers, facts[i].args):
+            b = m(t, b)
             if b is None:
                 break
         else:
             if rest:
                 yield from _match_premises(rest, facts_by_pred, None if i >= start else fresh,
-                                           uni, b, matched + ((pred, facts[i]),))
+                                           b, matched + (facts[i],))
             else:
-                yield b, matched + ((pred, facts[i]),)
+                yield b, matched + (facts[i],)
 
 
 class _GroundScheme:
     """One scheme compiled for every universe.
 
     Premises are matched in sorted premise order.  The conclusion's free
-    variables are then assigned in name order, each over the universe in id
-    order.  After each assignment the conclusion subterms it completes are
-    built, and the partial assignment is dropped if one is outside.  A free
-    variable that is a direct child of a meet or join whose sibling is
-    already determined ranges only over that sibling's row or column.
+    variables are then assigned in name order, each over the universe in
+    its order.  After each assignment the conclusion subterms it completes
+    are looked up, and the partial assignment is dropped if one is
+    outside.  A free variable that is a direct child of a meet or join
+    whose sibling is already determined ranges only over that sibling's
+    row or column.
     """
 
     def __init__(self, scheme: Scheme):
@@ -314,32 +289,32 @@ class _GroundScheme:
         self.checks0 = checks[0]
         self.levels = [(v, domains[k], checks[k + 1]) for k, v in enumerate(free)]
 
-    def _assign(self, k: int, b: dict[str, int], uni: Universe) -> Iterator[dict[str, int]]:
+    def _assign(self, k: int, b: dict[str, Term], uni: Universe) -> Iterator[dict[str, Term]]:
         if k == len(self.levels):
             yield b
             return
         name, domain, checks = self.levels[k]
         if domain is None:
-            values = range(len(uni.terms))
+            values = uni.terms
         else:
             sibling, by_row, op = domain
             s = sibling(b, uni)
-            values = () if s < 0 else (uni.rows if by_row else uni.cols)[op][s]
+            values = () if s is None else (uni.rows if by_row else uni.cols)[op][s]
         for v in values:
             out = dict(b)
             out[name] = v
-            if all(check(out, uni) >= 0 for check in checks):
+            if all(check(out, uni) is not None for check in checks):
                 yield from self._assign(k + 1, out, uni)
 
     def instances(self, facts_by_pred, fresh, uni: Universe):
         pred, args, checks0 = self.pred, self.args, self.checks0
-        for binding, matched in _match_premises(self.premises, facts_by_pred, fresh, uni, {}):
-            if checks0 and any(check(binding, uni) < 0 for check in checks0):
+        for binding, matched in _match_premises(self.premises, facts_by_pred, fresh, {}):
+            if checks0 and any(check(binding, uni) is None for check in checks0):
                 continue
             for b in (self._assign(0, binding, uni) if self.levels else (binding,)):
-                ids = tuple([build(b, uni) for build in args])
-                if min(ids) >= 0:
-                    yield self.name, b, matched, (pred, ids)
+                terms = tuple([build(b, uni) for build in args])
+                if None not in terms:
+                    yield self.name, b, matched, Formula(pred, terms)
 
 
 # a compiled scheme takes the universe as an argument, so it is compiled
@@ -348,28 +323,29 @@ _ground_scheme = lru_cache(maxsize=None)(_GroundScheme)
 
 
 class Grounder:
-    """Ground scheme instances of one system over one interned universe:
-    the grounder derive and engine-soundness share.
+    """Ground scheme instances of one system over one term universe: the
+    grounder derive and engine-soundness share.
 
     ``instances(facts_by_pred, fresh)`` yields (scheme name, substitution
-    as variable -> id, matched premise facts in sorted premise order,
-    conclusion fact) for every instance whose premises are all facts and
-    whose conclusion lies inside the universe: schemes in order, premise
-    matches in fact order, then the conclusion's free variables in
-    lexicographic universe order.  ``facts_by_pred`` maps a predicate to
-    its facts' arg-id tuples.  With ``fresh`` (see _match_premises) only
-    instances matching a fresh fact are yielded, so zero-premise schemes
-    yield nothing.  An instance with a term outside the universe is
-    rejected by a failed table lookup before any Formula is built.
+    as variable -> term, matched premise facts in sorted premise order,
+    conclusion) for every instance whose premises are all facts and whose
+    conclusion lies inside the universe: schemes in order, premise matches
+    in fact order, then the conclusion's free variables in lexicographic
+    universe order.  ``facts_by_pred`` maps a predicate to its facts, the
+    hash-consed Formulas themselves.  With ``fresh`` (see _match_premises)
+    only instances matching a fresh fact are yielded, so zero-premise
+    schemes yield nothing.  An instance with a term outside the universe
+    fails a node-keyed lookup, and the conclusion Formula is built only
+    once every argument has been found inside.
     """
 
     def __init__(self, sys: AxiomSystem, universe: Universe):
         self.universe = universe
         self.schemes = [_ground_scheme(s) for s in sys.schemes]
 
-    def instances(self, facts_by_pred: Mapping[str, list[tuple[int, ...]]],
+    def instances(self, facts_by_pred: Mapping[str, list[Formula]],
                   fresh: Mapping[str, int] | None = None
-                  ) -> Iterator[tuple[str, dict[str, int], tuple, tuple[str, tuple[int, ...]]]]:
+                  ) -> Iterator[tuple[str, dict[str, Term], tuple[Formula, ...], Formula]]:
         for scheme in self.schemes:
             yield from scheme.instances(facts_by_pred, fresh, self.universe)
 
@@ -412,11 +388,10 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     Rounds are semi-naive (Bancilhon & Ramakrishnan 1986): after round 1
     only scheme instances matching a fact new in the previous round are
     tried.  The others cannot yield a new fact, so the certificate is the
-    naive rounds' one.  Instances come from a Grounder over the universe
-    interned as ids, the grounder engine-soundness uses too: facts are
-    (predicate, arg ids), an instance with a term outside the universe
-    fails a table lookup, and only the new facts a round keeps become
-    Formulas.
+    naive rounds' one.  Instances come from a Grounder over the universe,
+    the grounder engine-soundness uses too: facts are the hash-consed
+    Formulas, and an instance with a term outside the universe fails a
+    node-keyed lookup before its conclusion is built.
     """
     if sys.kind != "single-conclusion":
         raise ValueError("derive only searches single-conclusion systems")
@@ -429,32 +404,26 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     if goal in facts:
         return _extract(facts, goal)
 
-    uni = Universe(_term_universe(r, sys.signature, term_layers, max_terms))
-    grounder = Grounder(sys, uni)
-    known = {uni.fact(f): f for f in facts}
-    goal_fact = uni.fact(goal)
-    facts_by_pred: dict[str, list[tuple[int, ...]]] = {}
-    for pred, args in known:
-        facts_by_pred.setdefault(pred, []).append(args)
+    grounder = Grounder(sys, Universe(_term_universe(r, sys.signature, term_layers, max_terms)))
+    facts_by_pred: dict[str, list[Formula]] = {}
+    for f in facts:
+        facts_by_pred.setdefault(f.pred, []).append(f)
     fresh = None
     for rnd in range(1, depth + 1):
-        new: dict[tuple, tuple] = {}
-        for name, b, matched, fact in grounder.instances(facts_by_pred, fresh):
-            if fact not in known and fact not in new:
-                new[fact] = (name, b, matched)
+        new: dict[Formula, _FactInfo] = {}
+        for name, b, matched, f in grounder.instances(facts_by_pred, fresh):
+            if f not in facts and f not in new:
+                new[f] = _FactInfo(name, tuple(sorted(b.items())),
+                                   tuple(sorted(set(matched), key=formula_text)), rnd)
         if not new:
             return None
         fresh = {pred: len(fs) for pred, fs in facts_by_pred.items()}
-        for fact, (name, b, matched) in new.items():
-            f = uni.formula(fact)
-            facts[f] = _FactInfo(name, tuple(sorted((v, uni.terms[i]) for v, i in b.items())),
-                                 tuple(sorted({known[m] for m in matched}, key=formula_text)),
-                                 rnd)
-            known[fact] = f
-            facts_by_pred.setdefault(fact[0], []).append(fact[1])
+        for f in new:
+            facts_by_pred.setdefault(f.pred, []).append(f)
+        facts.update(new)
         if len(facts) > max_facts:
             raise DeriveBudgetError(f"fact budget exceeded ({len(facts)} > {max_facts})")
-        if goal_fact in new:
+        if goal in new:
             return _extract(facts, goal)
     return None
 
@@ -606,8 +575,6 @@ def canonical_rule(r: Rule) -> Rule:
 
 def count_rule_space(bounds: RuleSpaceBounds) -> int:
     """Upper bound on the raw (pre-dedup) stream length."""
-    from math import comb
-
     f = len(formulas_within(bounds))
     prem = sum(comb(f, k) for k in range(bounds.max_premises + 1))
     conc = sum(comb(f, k) for k in range(bounds.max_conclusions + 1))
@@ -790,10 +757,8 @@ def _embeds_into(s: Structure, target: Structure) -> bool:
     n, m = s.algebra.size, target.algebra.size
     if n > m:
         return False
-    from itertools import permutations as perms
-
     tu, tb = target.unary, target.binary
-    for image in perms(range(m), n):
+    for image in permutations(range(m), n):
         if (Homomorphism(s.algebra, target.algebra, image).check()[0]
                 and all(((mask >> x) & 1) == ((tu[name] >> image[x]) & 1)
                         for name, mask in s.unary.items() for x in range(n))
@@ -828,8 +793,6 @@ def shape_violations(family: str, reduct: Structure) -> list[str]:
         if not _unary_ok_exact(alg, reduct.unary["E"]):
             out.append("E is neither empty nor the top singleton")
     if family in ("BD-EQ", "ETL-EQ", "BDE-EQ", "BDNF-EQ"):
-        from .structures import identity_relation
-
         if reduct.binary["eq"] != identity_relation(alg):
             out.append("eq is not the identity relation on the reduct")
     if family == "MC-ETL":

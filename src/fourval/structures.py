@@ -53,8 +53,9 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-from .algebra import FiniteAlgebra, builtin, mask_iter, mask_of
+from .algebra import FiniteAlgebra, algebra_from_json, algebra_to_json, builtin, mask_iter, mask_of
 from .syntax import (
+    RELATION_ARITIES,
     Const,
     Formula,
     Meet,
@@ -499,8 +500,6 @@ def preset_names() -> list[str]:
 # Interchange format: extends the algebra JSON with a "rels" block.
 
 def structure_to_json(s: Structure) -> dict:
-    from .algebra import algebra_to_json
-
     rels: dict = {}
     for name, mask in sorted(s.unary.items()):
         rels[name] = [i for i in range(s.algebra.size) if (mask >> i) & 1]
@@ -515,9 +514,6 @@ def structure_to_json(s: Structure) -> dict:
 def structure_from_json(data: dict) -> Structure:
     """Read the interchange format; reject unknown relation names and
     elements outside the universe with a ValueError."""
-    from .algebra import algebra_from_json
-    from .syntax import RELATION_ARITIES
-
     alg = algebra_from_json(data)
 
     def element(name: str, e) -> int:

@@ -26,7 +26,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .structures import format_name, holds, parse_name, preset_structure
-from .syntax import CONSTANT_SYMBOLS, FULL_SIG, Rule, SigSpec, UsageError, parse_rule, sig
+from .syntax import (CONSTANT_SYMBOLS, FULL_SIG, Rule, SigSpec, UsageError, parse_rule, print_rule,
+                     sig)
 
 SCHEME_ROLES = ("base", "interaction", "constant")
 
@@ -376,8 +377,6 @@ def soundness_check(sys: AxiomSystem) -> dict:
 
 def export_rule_text(sys: AxiomSystem) -> str:
     """One rule per line, in the concrete grammar, with name comments."""
-    from .syntax import print_rule
-
     lines = [f"# {sys.name}: {sys.notes}"]
     for scheme in sys.schemes:
         lines.append(f"{print_rule(scheme.rule)}  # {scheme.role}: {scheme.name}")

@@ -28,6 +28,7 @@ from .algebra import (
     is_prime_filter,
     mask_iter,
     subalgebra,
+    subdirect_embedding,
 )
 from .engine import (
     Grounder,
@@ -35,12 +36,14 @@ from .engine import (
     Universe,
     _congruence_rows,
     _embeds_into,
+    candidate_structures,
     census_pool,
     classify_models,
     check_derivation,
     decide,
     derive,
     edge_mutations,
+    enumerate_rules,
     formulas_within,
     terms_within,
     translate_exact_to_eq,
@@ -399,8 +402,6 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
         sysd = system(sys_name)
         rules = sysd.named_rules()
         for alg in census_pool(3):
-            from .engine import candidate_structures
-
             for cand in candidate_structures(sysd, alg):
                 checks += 1
                 was_model = is_model(cand, rules)[0]
@@ -442,8 +443,6 @@ def suite_subdirect(max_size: int = 6) -> dict:
     started = time.time()
     violations = []
     checks = 0
-    from .algebra import subdirect_embedding
-
     targets = {name: builtin(name) for name in ("B2", "K3", "DM4")}
     for n in range(1, max_size + 1):
         for i, alg in enumerate(enumerate_dm_lattices(n)):
@@ -658,20 +657,19 @@ def _rule_sample(bounds: RuleSpaceBounds, rng: random.Random, count: int) -> lis
 # ground scheme instances over the formulas and terms of the bounded rule
 # space (term depth 1, or 0 for the constant variants); every fact reached
 # within the depth must be semantically valid.  The instances come from
-# derive's Grounder over the space's terms interned as ids, mapped to
-# formula indices, so this checks the shared grounder and the closure on
+# derive's Grounder over the space's terms as hash-consed nodes, mapped
+# to formula indices, so this checks the shared grounder and the closure on
 # that space.  It does not cover every derive() call: derive's universe
 # for a goal can leave the space (for E(x /\ (~x \/ y)) |- E(y) in BDE,
 # 81 of its 89 terms lie outside the space's 12).
 
 def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> list[tuple[tuple[int, ...], int]]:
-    uni = Universe(universe)
-    findex = {uni.fact(f): i for i, f in enumerate(formulas)}
-    by_pred: dict[str, list[tuple[int, ...]]] = {}
-    for pred, args in findex:
-        by_pred.setdefault(pred, []).append(args)
+    findex = {f: i for i, f in enumerate(formulas)}
+    by_pred: dict[str, list[Formula]] = {}
+    for f in findex:
+        by_pred.setdefault(f.pred, []).append(f)
     ground: set[tuple[tuple[int, ...], int]] = set()
-    for _, _, matched, concl in Grounder(sysd, uni).instances(by_pred):
+    for _, _, matched, concl in Grounder(sysd, Universe(universe)).instances(by_pred):
         ci = findex.get(concl)
         if ci is not None:
             prems = tuple(sorted({findex[p] for p in matched}))
@@ -781,8 +779,6 @@ def suite_completeness_evidence(system_name: str = "BDE", max_depth_terms: int =
     sysd = system(system_name)
     bounds = RuleSpaceBounds(2, max_depth_terms, max_premises, 1,
                              sysd.signature.relations, sysd.signature.constants)
-    from .engine import enumerate_rules
-
     gaps = []
     checks = 0
     confirmed = 0

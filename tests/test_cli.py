@@ -253,10 +253,16 @@ def test_jobs_before_the_subcommand_is_checked(capsys):
     assert code == 2 and out == "" and "--jobs" in err
 
 
-@pytest.mark.parametrize("key", ["depth", "size", "max_size", "var_limit", "seed", "jobs"])
-def test_non_integer_config_value_exits_two(capsys, tmp_path, key):
+# also an output format outside the choices, and keys that name no setting
+# (a misspelling, and an operand, which only the command line gives)
+_BAD_CONFIG = [(key, "abc") for key in ("depth", "size", "max_size", "var_limit", "seed", "jobs")]
+_BAD_CONFIG += [("output", "xml"), ("sise", "5"), ("logic", "BD")]
+
+
+@pytest.mark.parametrize("key,value", _BAD_CONFIG, ids=[key for key, _ in _BAD_CONFIG])
+def test_non_integer_config_value_exits_two(capsys, tmp_path, key, value):
     cfg = tmp_path / "fourval.cfg"
-    cfg.write_text(f"{key}=abc\n")
+    cfg.write_text(f"{key}={value}\n")
     code, out, err = run(capsys, "systems", "list", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith(f"error: config {key}: ")

@@ -1,7 +1,8 @@
 """The shared scheme grounder and derive's semi-naive rounds, against naive
-oracles: the id-level grounder against the Formula-level grounder it
-replaced, derive against the naive round loop it replaced, and the
-engine-soundness ground program against brute-force substitution."""
+oracles: the grounder's lookups over hash-consed nodes against a grounder
+that builds every conclusion by substitution, derive against the naive
+round loop it replaced, and the engine-soundness ground program against
+brute-force substitution."""
 
 import random
 from functools import lru_cache
@@ -186,25 +187,21 @@ def test_grounder_yields_the_in_universe_formula_instances_in_order(name, text, 
     sysd = system(name)
     r = parse_rule(text, sysd.signature)
     universe = engine._term_universe(r, sysd.signature, layers, 120)
-    uni = Universe(universe)
     rng = random.Random(f"{name} {text}")
     pool = [Formula(pred, (t,)) for pred in sorted(sysd.signature.relations - {"eq"})
             for t in universe]
     if "eq" in sysd.signature.relations:
         pool += [Formula("eq", (s, t)) for s in universe for t in universe]
     facts = sorted(r.premises, key=formula_text) + rng.sample(pool, min(40, len(pool)))
-    by_pred, id_facts = {}, {}
+    by_pred = {}
     for f in dict.fromkeys(facts):
         by_pred.setdefault(f.pred, []).append(f)
-        id_facts.setdefault(f.pred, []).append(uni.fact(f)[1])
     fresh = {pred: len(fs) // 2 for pred, fs in by_pred.items()} if with_fresh else None
 
     every = list(formula_scheme_instances(sysd, by_pred, universe, fresh))
     uset = set(universe)
     want = [inst for inst in every if all(t in uset for t in inst[3].args)]
-    got = [(scheme, {v: uni.terms[i] for v, i in b.items()},
-            tuple(map(uni.formula, matched)), uni.formula(concl))
-           for scheme, b, matched, concl in Grounder(sysd, uni).instances(id_facts, fresh)]
+    got = list(Grounder(sysd, Universe(universe)).instances(by_pred, fresh))
     assert got == want
     # what each case is chosen for
     schemes = {inst[0] for inst in want}
@@ -213,6 +210,23 @@ def test_grounder_yields_the_in_universe_formula_instances_in_order(name, text, 
     elif name == "BD-EQ" and not with_fresh:
         assert "eq.dm-dist" in schemes
     assert want and (name == "TNE-bridge" or len(want) < len(every))
+
+
+@pytest.mark.parametrize("with_fresh", [False, True])
+def test_grounder_rejects_constants_outside_the_universe(with_fresh):
+    """derive's universes hold every constant of the signature, so only a
+    smaller universe shows that an instance needing a constant outside it
+    (as c-neither-exact-l, T(x) |- E(#n \\/ x), does) is dropped."""
+    sysd = system("BDE+tnb")
+    x, y = Var("x"), Var("y")
+    universe = [x, y, Neg(x), Join(x, y), Join(y, x), Meet(x, y)]
+    facts = {"T": [Formula("T", (x,)), Formula("T", (Join(x, y),))]}
+    fresh = {"T": 1} if with_fresh else None
+    every = list(formula_scheme_instances(sysd, facts, universe, fresh))
+    want = [inst for inst in every if all(t in universe for t in inst[3].args)]
+    assert any(inst[0] == "c-neither-exact-l" for inst in every)
+    assert want and not any(inst[0].startswith("c-") for inst in want)
+    assert list(Grounder(sysd, Universe(universe)).instances(facts, fresh)) == want
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +266,7 @@ class _OrderedPremises(frozenset):
 def test_derive_certificate_does_not_depend_on_premise_iteration_order():
     bde = system("BDE")
     goals = [parse_rule(r"E(x /\ x), E(x /\ y) |- T(x)", bde.signature)]
-    goals += [r for r in _bde_space_goals()[::5] if len(r.premises) == 2]
+    goals += [r for r in _bde_space_goals()[::15] if len(r.premises) == 2]
     for r in goals:
         want = _outcome(derive, bde, r, 3)
         for reverse in (False, True):
