@@ -652,10 +652,11 @@ def subdirect_embedding(alg: FiniteAlgebra) -> SubdirectEmbedding:
 # ---------------------------------------------------------------------------
 # Isomorphism and canonical forms.
 
-def _conjugate_key(alg: FiniteAlgebra, perm: Sequence[int]) -> tuple:
-    inv = [0] * alg.size
-    for i, p in enumerate(perm):
-        inv[p] = i
+def _conjugate_key(alg: FiniteAlgebra, inv: Sequence[int]) -> tuple:
+    """The tables of alg relabelled so that element inv[i] gets label i."""
+    perm = [0] * alg.size
+    for i, a in enumerate(inv):
+        perm[a] = i
     meet = tuple(tuple(perm[alg.meet[inv[a]][inv[b]]] for b in range(alg.size))
                  for a in range(alg.size))
     join = tuple(tuple(perm[alg.join[inv[a]][inv[b]]] for b in range(alg.size))
@@ -666,7 +667,18 @@ def _conjugate_key(alg: FiniteAlgebra, perm: Sequence[int]) -> tuple:
 
 
 def canonical_key(alg: FiniteAlgebra) -> tuple:
-    return min(_conjugate_key(alg, perm) for perm in permutations(range(alg.size)))
+    """The least relabelled table encoding; equal keys iff isomorphic.
+
+    When some element a has a /\\ b = a for every b, only relabellings that
+    give such an element label 0 are tried: the least key's meet row 0 is
+    then all zeros, and only such an element gives that row.
+    """
+    elems = range(alg.size)
+    bottoms = [a for a in elems if all(alg.meet[a][b] == a for b in elems)]
+    if not bottoms:
+        return min(_conjugate_key(alg, inv) for inv in permutations(elems))
+    return min(_conjugate_key(alg, (a, *rest)) for a in bottoms
+               for rest in permutations([b for b in elems if b != a]))
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
@@ -682,166 +694,86 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
 
 
 # ---------------------------------------------------------------------------
-# Census of De Morgan lattices up to isomorphism.
+# Census of De Morgan lattices up to isomorphism, by Birkhoff duality.
 #
-# Labelled posets are generated with labels forming a linear extension
-# (each new element is maximal, its strict down-set is a down-set of the
-# part built so far).  For a lattice we can additionally force element 0
-# to be the bottom and element n-1 the top.  Two prunes keep the recursion
-# small: meets of existing pairs must already exist (new elements never
-# create lower bounds), and no pair may have two minimal upper bounds
-# among the existing elements (new elements cannot get below them).
+# A finite distributive lattice is the lattice of downsets of its poset J of
+# join-irreducibles, with meet = intersection and join = union (Birkhoff
+# 1937).  Its De Morgan negations are exactly D -> J \ s[D] for the
+# order-reversing involutions s of J (Cornish & Fowler 1977).  So the census
+# enumerates the posets J with exactly n downsets and the order-reversing
+# involutions of each; distributivity and the De Morgan laws then hold by
+# construction, and `canonical_key` removes the labelled duplicates.
+#
+# Posets are naturally labelled: each new point is maximal, so its strict
+# downset is one of the downsets built so far.  Adding a point keeps every
+# downset and adds at least one, so a branch stops once it reaches n.
 
-CENSUS_BOUND = 6  # sizes above this need allow_slow
-
-
-def _downsets(below: list[int], size: int) -> list[int]:
-    out = []
-    for m in range(1 << size):
-        ok = True
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            if (below[j] & ~(1 << j)) & ~m:
-                ok = False
-                break
-            mm &= mm - 1
-        if ok:
-            out.append(m)
-    return out
+CENSUS_BOUND = 8
 
 
-def _lattice_tables(below: list[int], n: int):
-    """Meet/join tables from the order, or None if some pair lacks one."""
-    leq = [[bool((below[b] >> a) & 1) or a == b for b in range(n)] for a in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            glb = [c for c in lower if all(leq[d][c] for d in lower)]
-            if len(glb) != 1:
-                return None
-            meet[a][b] = glb[0]
-            upper = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            lub = [c for c in upper if all(leq[c][d] for d in upper)]
-            if len(lub) != 1:
-                return None
-            join[a][b] = lub[0]
-    return meet, join
+def _posets_with_downsets(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(below, downsets) per naturally labelled poset with exactly n downsets.
 
+    below[j] is the mask of the points strictly below j; downsets are masks.
+    """
 
-def _poset_prune_ok(below: list[int], size: int) -> bool:
-    for a in range(size):
-        for b in range(a + 1, size):
-            lower = [c for c in range(size)
-                     if ((below[a] >> c) & 1 or c == a) and ((below[b] >> c) & 1 or c == b)]
-            glb = [c for c in lower
-                   if all((below[c] >> d) & 1 or d == c for d in lower)]
-            if len(glb) != 1:
-                return False
-            upper = [c for c in range(size)
-                     if ((below[c] >> a) & 1 or c == a) and ((below[c] >> b) & 1 or c == b)]
-            minimal_ubs = [c for c in upper
-                           if not any((below[c] >> d) & 1 and d in upper and d != c for d in upper)]
-            if upper and len(minimal_ubs) > 1:
-                return False
-    return True
-
-
-def _gen_posets(n: int) -> Iterator[list[int]]:
-    """Strict down-set masks (self bit excluded) of bottomed, topped posets."""
-
-    def rec(below: list[int]):
-        size = len(below)
-        if size == n:
-            if below[n - 1] == (1 << (n - 1)) - 1:
-                yield below
+    def rec(below: list[int], downs: list[int]):
+        if len(downs) == n:
+            yield below, downs
             return
-        for ds in _downsets(below, size):
-            if size >= 1 and not (ds & 1):
-                continue  # element 0 must be the bottom
-            closure = ds
-            for j in mask_iter(ds):
-                closure |= below[j]
-            new = below + [closure]
-            if _poset_prune_ok(new, size + 1):
-                yield from rec(new)
+        p = 1 << len(below)
+        for strict in downs:
+            grown = downs + [d | p for d in downs if d & strict == strict]
+            if len(grown) <= n:
+                yield from rec(below + [strict], grown)
 
-    if n == 1:
-        yield [0]
-        return
-    yield from rec([0])
+    yield from rec([], [0])
 
 
-def enumerate_dm_lattices(n: int, kleene_only: bool = False,
-                          allow_slow: bool = False) -> list[FiniteAlgebra]:
+def _order_reversing_involutions(below: list[int]) -> Iterator[list[int]]:
+    """Involutions s of the poset with x < y iff s(y) < s(x)."""
+    m = len(below)
+
+    def rec(s: list[int | None]):
+        if None not in s:
+            if all((below[y] >> x & 1) == (below[s[x]] >> s[y] & 1)
+                   for x in range(m) for y in range(m)):
+                yield s
+            return
+        a = s.index(None)
+        for b in range(a, m):
+            if s[b] is None:
+                t = s.copy()
+                t[a], t[b] = b, a
+                yield from rec(t)
+
+    yield from rec([None] * m)
+
+
+def enumerate_dm_lattices(n: int, kleene_only: bool = False) -> list[FiniteAlgebra]:
     """All De Morgan (or Kleene) lattices of exactly size n, up to isomorphism.
 
-    Deterministic order (sorted by canonical table encoding).  Sizes 7-8
-    work but are slow; they sit behind allow_slow.
+    Each is the downset lattice of a poset J of join-irreducibles, negated
+    through an order-reversing involution of J (see the comment above).
+    Each member is the canonical form of its class, with the tables of its
+    `canonical_key`, and members are sorted by that key.  Sizes 1..8.
     """
     if n < 1:
         raise BoundExceededError("size must be at least 1")
-    if n > CENSUS_BOUND and not allow_slow:
-        raise BoundExceededError(f"size {n} above census bound {CENSUS_BOUND}; pass allow_slow to force")
-    if n > 8:
-        raise BoundExceededError("census above size 8 is not supported")
-    seen: dict[tuple, FiniteAlgebra] = {}
-    for below in _gen_posets(n):
-        tables = _lattice_tables(below, n)
-        if tables is None:
-            continue
-        meet, join = tables
-        if not _is_distributive(meet, join, n):
-            continue
-        leq = [[meet[a][b] == a for b in range(n)] for a in range(n)]
-        for perm in _involutions(n):
-            if not _order_reversing(leq, perm, n):
-                continue
-            alg = FiniteAlgebra(n, meet, join, perm)
-            ok, _ = check_demorgan(alg)
-            if not ok:
-                continue
-            if kleene_only:
-                ok, _ = check_kleene(alg)
-                if not ok:
-                    continue
-            key = canonical_key(alg)
-            if key not in seen:
-                seen[key] = alg
-    return [seen[k] for k in sorted(seen)]
-
-
-def _is_distributive(meet, join, n: int) -> bool:
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            for z in range(n):
-                if mx[join[y][z]] != join[mx[y]][mx[z]]:
-                    return False
-    return True
-
-
-def _involutions(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(remaining: list[int], perm: dict[int, int]):
-        if not remaining:
-            yield tuple(perm[i] for i in range(n))
-            return
-        a = remaining[0]
-        yield from rec(remaining[1:], {**perm, a: a})
-        for j, b in enumerate(remaining[1:], start=1):
-            yield from rec(remaining[1:j] + remaining[j + 1:], {**perm, a: b, b: a})
-
-    yield from rec(list(range(n)), {})
-
-
-def _order_reversing(leq, perm, n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            if leq[a][b] != leq[perm[b]][perm[a]]:
-                return False
-    return True
+    if n > CENSUS_BOUND:
+        raise BoundExceededError(f"size {n} above census bound {CENSUS_BOUND}")
+    keys = set()
+    for below, downs in _posets_with_downsets(n):
+        index = {d: i for i, d in enumerate(downs)}
+        full = (1 << len(below)) - 1
+        meet = [[index[a & b] for b in downs] for a in downs]
+        join = [[index[a | b] for b in downs] for a in downs]
+        for s in _order_reversing_involutions(below):
+            neg = [index[full & ~mask_of(s[j] for j in mask_iter(d))] for d in downs]
+            alg = FiniteAlgebra(n, meet, join, neg)
+            if not kleene_only or check_kleene(alg)[0]:
+                keys.add(canonical_key(alg))
+    return [FiniteAlgebra(n, meet, join, neg) for meet, join, neg, _ in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------

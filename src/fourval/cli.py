@@ -6,13 +6,15 @@ identical configuration (including the seed) the JSON output is
 byte-identical apart from the "timings" block.
 
 Exit codes: 0 success/valid, 1 invalid or violations found, 2 usage or
-parse/signature error, 3 inconclusive derivation search.
+parse/signature error, 3 inconclusive derivation search, 141 standard output
+closed before the report was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 @dataclass
@@ -281,10 +284,9 @@ def cmd_algebra(cfg: RunConfig, action: str, name: str | None, constants: str,
         report = _envelope(cfg, {"algebra": data})
         _emit(report, cfg)
         return EXIT_OK
-    census = []
-    for n in range(1, cfg.max_size + 1):
-        for alg in enumerate_dm_lattices(n, kleene_only=kleene):
-            census.append(algebra_to_json(alg))
+    # largest size first, so that a size above the census bound fails at once
+    per_size = [enumerate_dm_lattices(n, kleene_only=kleene) for n in range(cfg.max_size, 0, -1)]
+    census = [algebra_to_json(alg) for algs in reversed(per_size) for alg in algs]
     report = _envelope(cfg, {"count": len(census), "census": census,
                              "kleene_only": kleene, "max_size": cfg.max_size})
     _emit(report, cfg)
@@ -411,6 +413,18 @@ def main(argv: list[str] | None = None) -> int:
         if value < 0:
             print(f"error: --{name.replace('_', '-')} must be at least 0, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    try:
+        code = _run(args, cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone (`fourval ... | head`): send what is
+        # still buffered to devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         if args.command == "decide":
             if not cfg.rule and not cfg.rules_file:

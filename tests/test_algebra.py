@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from fourval.algebra import (
@@ -358,29 +362,94 @@ def test_census_four_contains_the_three_known_algebras():
 
 
 def test_census_members_are_de_morgan_and_pairwise_nonisomorphic():
-    for n in range(1, 7):
+    for n in range(1, 8):
         census = enumerate_dm_lattices(n)
         for alg in census:
             assert check_demorgan(alg)[0]
         keys = [canonical_key(a) for a in census]
         assert len(keys) == len(set(keys))
         assert keys == sorted(keys)  # deterministic order
+        # each member is the canonical form of its class
+        assert [(a.meet, a.join, a.neg) for a in census] == [k[:3] for k in keys]
 
 
 def test_census_kleene_subset():
-    for n in range(1, 7):
+    for n in range(1, 8):
         all_k = {canonical_key(a) for a in enumerate_dm_lattices(n, kleene_only=True)}
         via_filter = {canonical_key(a) for a in enumerate_dm_lattices(n)
                       if check_kleene(a)[0]}
         assert all_k == via_filter
 
 
+# sha256 of repr([canonical_key(a) for a in enumerate_dm_lattices(n)]), and of
+# the same list for kleene_only=True, as computed by the enumerator this census
+# replaced (all posets on n points, filtered for distributive lattices with an
+# order-reversing involution).  Size 8 was compared once; it is not pinned here.
+CENSUS_KEY_DIGESTS = {
+    1: "02c2246a6d9f395f60b5e7d96fff284104220434ae4b9a3c38633dec1d00362c",
+    2: "addd59e6c53b787efd3435b0570587762535d8b0f673be87f9284e69e511a62f",
+    3: "086cbe6a6eb0fb2fe905593d8b67a6f5126472f6279acb4c0e1a8379edcadacc",
+    4: "305525f45034e3b4555ab72bb926debfc9f7121c1f1d3781461e25534d911f5a",
+    5: "bf707e43a0bab6e47c2308aa943033ac8bcfd841aaf0e9ea1bcda53346cb9a8e",
+    6: "cf82248183d1100a8f85b4d716660701d051a35cad5b1dd3174d24b2c47371b6",
+    7: "cb0a5022d7418d02b7a7663d424578fee115da52f7c13084496539a18c9b019d",
+}
+KLEENE_KEY_DIGESTS = {
+    **CENSUS_KEY_DIGESTS,
+    4: "7117cd880b508a785f1d55bdc27d81bc2b654e06bd9d2e18ff758fb35f51d374",
+    6: "d1e05b064d32a7b3b4aafcde748171c7537a9e5e6c7bea4a0548341ca384f4de",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_KEY_DIGESTS))
+def test_census_keys_match_the_poset_sweep_census(n):
+    for kleene_only, digests in ((False, CENSUS_KEY_DIGESTS), (True, KLEENE_KEY_DIGESTS)):
+        keys = [canonical_key(a) for a in enumerate_dm_lattices(n, kleene_only=kleene_only)]
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digests[n]
+
+
 def test_census_bound_behaviour():
-    with pytest.raises(BoundExceededError):
-        enumerate_dm_lattices(7)
-    assert len(enumerate_dm_lattices(7, allow_slow=True)) == 2
-    with pytest.raises(BoundExceededError):
-        enumerate_dm_lattices(9, allow_slow=True)
+    assert len(enumerate_dm_lattices(7)) == 2
+    for n in (0, 9):
+        with pytest.raises(BoundExceededError):
+            enumerate_dm_lattices(n)
+
+
+def relabel(alg, perm):
+    """The copy of alg in which element a is called perm[a]."""
+    n = alg.size
+    inv = sorted(range(n), key=perm.__getitem__)
+    return FiniteAlgebra(
+        n,
+        [[perm[alg.meet[inv[x]][inv[y]]] for y in range(n)] for x in range(n)],
+        [[perm[alg.join[inv[x]][inv[y]]] for y in range(n)] for x in range(n)],
+        [perm[alg.neg[inv[x]]] for x in range(n)],
+        {c: perm[v] for c, v in alg.constants.items()},
+    )
+
+
+def full_permutation_key(alg):
+    """Oracle: the least table encoding over every relabelling."""
+    return min((a.meet, a.join, a.neg, tuple(sorted(a.constants.items())))
+               for a in (relabel(alg, p) for p in itertools.permutations(range(alg.size))))
+
+
+BOTTOMLESS = FiniteAlgebra(3, [[(a + b + 1) % 3 for b in range(3)] for a in range(3)],
+                           [[a] * 3 for a in range(3)], [1, 2, 0], {"#t": 2})
+ALL_BOTTOMS = FiniteAlgebra(3, [[a] * 3 for a in range(3)],
+                            [[b for b in range(3)] for _ in range(3)], [0, 2, 1])
+
+
+def test_canonical_key_agrees_with_the_full_permutation_key():
+    rng = random.Random(13)
+    algs = [a for n in range(1, 7) for a in enumerate_dm_lattices(n)]
+    algs += [builtin("DM4", {"#b", "#n"}), BOTTOMLESS, ALL_BOTTOMS]
+    for alg in algs:
+        key = full_permutation_key(alg)
+        for _ in range(3):
+            perm = list(range(alg.size))
+            rng.shuffle(perm)
+            assert canonical_key(relabel(alg, perm)) == key
 
 
 def test_json_roundtrip():

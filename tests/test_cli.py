@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fourval
 from fourval import cli
 from fourval.cli import main
 
@@ -274,6 +279,29 @@ def test_algebra_dump_and_census(capsys):
     assert report["algebra"]["ops"]["const"] == {"#n": 3, "#t": 0}
     code, report, _ = run_json(capsys, "algebra", "census", "--max-size", "4")
     assert code == 0 and report["count"] == 6
+
+
+def test_census_above_its_bound_exits_two(capsys):
+    code, out, err = run(capsys, "algebra", "census", "--max-size", "9")
+    assert code == 2 and out == ""
+    assert err == "error: size 9 above census bound 8\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--output", "json", "verify", "roundtrip"),
+    ("systems", "list"),
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    src = str(Path(fourval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from fourval.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_algebra_dump_preset_includes_relations(capsys):
