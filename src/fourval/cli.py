@@ -28,6 +28,7 @@ from .engine import (
 )
 from .leibniz import leibniz_binary, leibniz_structure, leibniz_unary, reduct
 from .structures import (
+    DEFAULT_VARIABLE_LIMIT,
     SignatureMismatchError,
     VariableLimitError,
     format_name,
@@ -65,7 +66,7 @@ class RunConfig:
     depth: int = 8
     size: int = 4
     max_size: int = 6
-    var_limit: int = 8
+    var_limit: int = DEFAULT_VARIABLE_LIMIT
     seed: int = 0
     jobs: int = 1
     output: str = "text"

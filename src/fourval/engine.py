@@ -27,8 +27,8 @@ from .algebra import (
     is_filter,
 )
 from .leibniz import leibniz_structure, quotient_structure
-from .structures import (CompiledRules, Structure, Verdict, holds, identity_relation,
-                         preset_structure, structure)
+from .structures import (DEFAULT_VARIABLE_LIMIT, CompiledRules, Structure, Verdict, holds,
+                         identity_relation, preset_structure, structure)
 from .syntax import (
     Const,
     Formula,
@@ -61,7 +61,7 @@ class RuleSpaceBudgetError(RuntimeError):
     pass
 
 
-def decide(preset: str | Structure, r: Rule, var_limit: int = 8) -> Verdict:
+def decide(preset: str | Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
     """Validity of a rule in a preset structure (the derivability oracle)."""
     st = preset_structure(preset) if isinstance(preset, str) else preset
     return holds(st, r, var_limit)
@@ -704,38 +704,35 @@ def candidate_structures(sys: AxiomSystem, alg: FiniteAlgebra) -> Iterator[Struc
 class ModelSweep:
     """A system's axioms compiled once for the factorised sweep.
 
-    The axioms are split by the relations they mention: per relation,
-    those that mention it alone; those that mention two or more; and
-    those that mention none.  ``models`` filters each relation's values by
-    its own axioms, then checks only the product of the survivors against
-    the joint axioms.  A combination outside that product fails a
-    one-relation axiom, so the models and their order are those of
-    filtering the full product by every axiom.
+    The axioms are compiled into one ``CompiledRules`` and split, by the
+    relations they mention, into index groups of it: per relation, those
+    that mention it alone; and the rest, which mention two or more
+    relations or none.  ``models`` filters each relation's values by its
+    own axioms, then checks only the product of the survivors against the
+    rest.  A combination outside that product fails a one-relation axiom,
+    so the models and their order are those of filtering the full product
+    by every axiom.  Relation values are checked as they are; a
+    ``Structure`` is built only for a model.
     """
 
     def __init__(self, sys: AxiomSystem):
         named = sorted(sys.named_rules(),
                        key=lambda nr: (len(nr[1].variables()), len(nr[1].premises)))
         self.names = _relation_names(sys)
-        self._own = [CompiledRules([nr for nr in named if nr[1].predicates() == {name}])
-                     for name in self.names]
-        self._joint = CompiledRules([nr for nr in named if len(nr[1].predicates()) > 1])
-        self._unrelated = CompiledRules([nr for nr in named if not nr[1].predicates()])
+        self._program = CompiledRules(named)
+        predicates = [r.predicates() for _, r in named]
+        self._own = [[i for i, p in enumerate(predicates) if p == {name}] for name in self.names]
+        self._rest = [i for i, p in enumerate(predicates) if len(p) != 1]
 
     def models(self, alg: FiniteAlgebra, ranges: Sequence[Sequence]) -> Iterator[Structure]:
         """The models among the product of ``ranges`` (one per relation, in
         ``names`` order), in product order."""
-        if self._unrelated.for_algebra(alg)(Structure(alg, {}, {})) is not None:
-            return
-        survivors = []
-        for name, values, program in zip(self.names, ranges, self._own):
-            check = program.for_algebra(alg)
-            survivors.append([v for v in values if check(_structure(alg, (name,), (v,))) is None])
-        first_failure = self._joint.for_algebra(alg)
+        first_failure = self._program.for_algebra(alg)
+        survivors = [[v for v in values if first_failure({name: v}, own) is None]
+                     for name, values, own in zip(self.names, ranges, self._own)]
         for values in iproduct(*survivors):
-            cand = _structure(alg, self.names, values)
-            if first_failure(cand) is None:
-                yield cand
+            if first_failure(dict(zip(self.names, values)), self._rest) is None:
+                yield _structure(alg, self.names, values)
 
 
 def _top_element(alg: FiniteAlgebra) -> int:

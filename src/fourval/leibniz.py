@@ -19,7 +19,6 @@ purely as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, methodcaller
 from typing import Callable, Sequence
 
@@ -32,25 +31,6 @@ from .algebra import (
     quotient,
 )
 from .structures import Structure
-
-
-@dataclass(frozen=True)
-class LeibnizResult:
-    congruence: Congruence
-    method: str  # "by-congruence-search" | "by-polynomials"
-
-
-def crosschecked_unary(alg: "FiniteAlgebra", mask: int,
-                       bound: int = 10) -> tuple[LeibnizResult, LeibnizResult]:
-    """Both methods side by side, for cross-check reporting."""
-    return (LeibnizResult(leibniz_unary(alg, mask, bound), "by-congruence-search"),
-            LeibnizResult(leibniz_unary_poly(alg, mask), "by-polynomials"))
-
-
-def crosschecked_binary(alg: "FiniteAlgebra", rows: Sequence[int],
-                        bound: int = 10) -> tuple[LeibnizResult, LeibnizResult]:
-    return (LeibnizResult(leibniz_binary(alg, rows, bound), "by-congruence-search"),
-            LeibnizResult(leibniz_binary_poly(alg, rows), "by-polynomials"))
 
 
 # ---------------------------------------------------------------------------

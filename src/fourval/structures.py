@@ -12,10 +12,11 @@ Validity is decided by one kernel over valuation bitsets.
   i, most significant first, so v0 varies slowest and elements go in
   index order.
 * Terms.  A term's bitset is a tuple of n ints; bit i of entry a is set
-  iff the term evaluates to a at point i.  It is computed by recursion
-  over the term: a variable's entries are fixed runs of the grid, a
-  constant's is all-ones at its value, and an operation ORs the AND of
-  each pair of argument entries into the entry of their result.
+  iff the term evaluates to a at point i.  A `_Grid` computes it by
+  recursion over the term and memoises it by node: a variable's entries
+  are fixed runs of the grid, a constant's is all-ones at its value, and
+  an operation ORs the AND of each pair of argument entries into the
+  entry of their result.
 * Formulas.  P(t) is the OR of t's entries for the elements of P.
   s = t is the OR, over a, of s's entry a ANDed with the OR of t's
   entries for the elements b related to a.
@@ -28,21 +29,22 @@ variables, predicates and constants, and rejects a symbol the structure
 does not interpret before it evaluates anything.  Premises are ANDed in
 set order, since AND commutes, and evaluation stops at the first zero;
 conclusions are sorted by text only to report a failure.  A grid of at
-most BLOCK_VALUATIONS points is swept whole, and each formula's bitset
-over it is memoised on the structure, per grid: formulas are hash-consed
-(see `syntax`), so a formula met again in another rule is one dict
-lookup.  The memo's keys are weak, so it is bounded by the formulas the
-program still references, and it is not part of the structure's
-equality, hash, repr or JSON.  Larger grids are swept in blocks that fix
-the leading variables, block by block in lexicographic order, so memory
-stays bounded however many variables a rule has; the first block with a
-failing point holds the least counter-valuation.  Their bitsets are not
-memoised.  `CompiledRules` serves sweeps that check many
-structures over one algebra: it interns a rule list's formulas once,
-computes their argument bitsets once per algebra, and memoises formula
-bitsets per relation value.  `eval_term` evaluates one term at one
-valuation; it is the independent oracle the tests compare the kernel
-against.
+most BLOCK_VALUATIONS points is swept whole, and its `_Grid` is memoised
+on the structure, one per variable tuple: its memo keeps each term's and
+each formula's bitsets over the grid.  Terms and formulas are
+hash-consed (see `syntax`), so a formula or subterm met again in another
+rule is one dict lookup.  The memo's keys are weak, so it is bounded by
+the nodes the program still references, and it is not part of the
+structure's equality, hash, repr or JSON; `formula_bitmap` reads the same
+memo.  Larger grids are swept in blocks that fix the leading variables,
+block by block in lexicographic order, each with a fresh `_Grid`, so
+memory stays bounded however many variables a rule has; the first block
+with a failing point holds the least counter-valuation.
+`CompiledRules` serves sweeps that check many relation values over one
+algebra: per algebra it builds one grid per variable tuple of its rules,
+and memoises each formula's bitset per value of its relation.
+`eval_term` evaluates one term at one valuation; it is the independent
+oracle the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ class Structure:
     algebra: FiniteAlgebra
     unary: dict[str, int]
     binary: dict[str, tuple[int, ...]]
-    # holds' memo: grid (sorted variable names) -> formula -> bitset over the
-    # whole grid; weak keys, so an entry goes when its formula does.  Set on
-    # the first holds, so a structure never decided carries none.
-    _bitsets: dict[tuple[str, ...], WeakKeyDictionary] | None = field(
+    # holds' memo: grid (sorted variable names) -> its _Grid, whose memo
+    # maps terms and formulas to their bitsets with weak keys, so an entry
+    # goes when its node does.  Set on the first holds, so a structure never
+    # decided carries none.
+    _bitsets: dict[tuple[str, ...], _Grid] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def signature(self) -> SigSpec:
@@ -202,20 +205,6 @@ def _combine(table, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int,
     return tuple(out)
 
 
-def _term_bits(alg: FiniteAlgebra, t: Term, env: Mapping[str, tuple[int, ...]],
-              full: int) -> tuple[int, ...]:
-    """Bitsets of t; env maps each variable to its bitsets, full is the grid's all-ones."""
-    kind = type(t)
-    if kind is Var:
-        return env[t.name]
-    if kind is Const:
-        return _constant_bits(alg, t.symbol, full)
-    if kind is Neg:
-        return _negate(alg.neg, _term_bits(alg, t.arg, env, full))
-    return _combine(alg.meet if kind is Meet else alg.join,
-                    _term_bits(alg, t.left, env, full), _term_bits(alg, t.right, env, full))
-
-
 def _unary_bits(mask: int, arg: tuple[int, ...]) -> int:
     out = 0
     for a in mask_iter(mask):
@@ -242,11 +231,57 @@ def _relation_bits(value, args: Sequence[tuple[int, ...]]) -> int:
     return _binary_bits(value, args[0], args[1])
 
 
-def _formula_bits(s: Structure, f: Formula, env: Mapping[str, tuple[int, ...]], full: int) -> int:
-    value = (s.unary if len(f.args) == 1 else s.binary).get(f.pred)
-    if value is None:
-        raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
-    return _relation_bits(value, [_term_bits(s.algebra, t, env, full) for t in f.args])
+class _Grid:
+    """The points of one grid, or of one block of it, over an algebra: the
+    variables' bitsets, the all-ones, and a memo keyed by term or formula
+    node, so each node's bitsets are computed once per grid."""
+
+    __slots__ = ("alg", "env", "full", "memo")
+
+    def __init__(self, alg: FiniteAlgebra, names: Sequence[str], memo):
+        n, k = alg.size, len(names)
+        self.alg, self.memo = alg, memo
+        self.env = {v: _variable_bits(n, k, i) for i, v in enumerate(names)}
+        self.full = (1 << n ** k) - 1
+
+    def term(self, t: Term) -> tuple[int, ...]:
+        kind = type(t)
+        if kind is Var:
+            return self.env[t.name]
+        bits = self.memo.get(t)
+        if bits is None:
+            alg = self.alg
+            if kind is Const:
+                bits = _constant_bits(alg, t.symbol, self.full)
+            elif kind is Neg:
+                bits = _negate(alg.neg, self.term(t.arg))
+            else:
+                bits = _combine(alg.meet if kind is Meet else alg.join,
+                                self.term(t.left), self.term(t.right))
+            self.memo[t] = bits
+        return bits
+
+    def formula(self, s: Structure, f: Formula) -> int:
+        """Bitset of f in s, for a grid over s's algebra that serves s alone."""
+        bits = self.memo.get(f)
+        if bits is None:
+            value = (s.unary if len(f.args) == 1 else s.binary).get(f.pred)
+            if value is None:
+                raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
+            bits = self.memo[f] = _relation_bits(value, [self.term(t) for t in f.args])
+        return bits
+
+
+def _memo_grid(s: Structure, names: tuple[str, ...]) -> _Grid:
+    """The grid of `names` over s's algebra, memoised on s."""
+    grids = s._bitsets
+    if grids is None:
+        grids = {}
+        object.__setattr__(s, "_bitsets", grids)  # a cache, not a field of the value
+    grid = grids.get(names)
+    if grid is None:
+        grid = grids[names] = _Grid(s.algebra, names, WeakKeyDictionary())
+    return grid
 
 
 def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
@@ -255,50 +290,21 @@ def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
     The whole grid comes back as one int, so this is for the small grids
     the verification suites sweep rule spaces over.
     """
-    n, k = s.algebra.size, len(names)
-    env = {v: _variable_bits(n, k, i) for i, v in enumerate(names)}
-    return _formula_bits(s, f, env, (1 << n ** k) - 1)
+    return _memo_grid(s, tuple(names)).formula(s, f)
 
 
-def _whole_grid(s: Structure, names: tuple[str, ...]) -> tuple[int, int, Callable[[Formula], int]]:
-    """(first grid point, all-ones, formula bitsets) for the grid of
-    `names` swept in one block; the bitsets are memoised on s."""
-    n, k = s.algebra.size, len(names)
-    full = (1 << n ** k) - 1
-    memos = s._bitsets
-    if memos is None:
-        memos = {}
-        object.__setattr__(s, "_bitsets", memos)  # a cache, not a field of the value
-    memo = memos.get(names)
-    if memo is None:
-        memo = memos[names] = WeakKeyDictionary()
-    env = {}
-
-    def bits(f: Formula) -> int:
-        b = memo.get(f)
-        if b is None:
-            if not env:
-                env.update((v, _variable_bits(n, k, i)) for i, v in enumerate(names))
-            b = memo[f] = _formula_bits(s, f, env, full)
-        return b
-
-    return 0, full, bits
-
-
-def _blocks(s: Structure, names: Sequence[str]) -> Iterator[tuple[int, int, Callable[[Formula], int]]]:
-    """(first grid point, all-ones, formula bitsets) per block, in grid order;
-    the bitsets of one block are computed afresh, not memoised."""
-    n, k = s.algebra.size, len(names)
+def _blocks(alg: FiniteAlgebra, names: Sequence[str]) -> Iterator[tuple[int, _Grid]]:
+    """(first grid point, a fresh grid of the block) per block, in grid order."""
+    n, k = alg.size, len(names)
     lead = 0
     while n ** (k - lead) > BLOCK_VALUATIONS:
         lead += 1
     size = n ** (k - lead)
-    full = (1 << size) - 1
-    env = {names[i]: _variable_bits(n, k - lead, i - lead) for i in range(lead, k)}
     for block, prefix in enumerate(iproduct(range(n), repeat=lead)):
+        grid = _Grid(alg, names[lead:], {})
         for name, value in zip(names, prefix):
-            env[name] = tuple(full if a == value else 0 for a in range(n))
-        yield block * size, full, lambda f: _formula_bits(s, f, env, full)
+            grid.env[name] = tuple(grid.full if a == value else 0 for a in range(n))
+        yield block * size, grid
 
 
 def _grid_point(names: Sequence[str], n: int, index: int) -> dict[str, int]:
@@ -322,17 +328,17 @@ def holds(s: Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Ver
         raise SignatureMismatchError(f"constant {min(missing)} not interpreted in the structure")
     names = tuple(sorted(variables))
     n, k = s.algebra.size, len(names)
-    blocks = [_whole_grid(s, names)] if n ** k <= BLOCK_VALUATIONS else _blocks(s, names)
-    for first, full, bits in blocks:
-        fail = full
+    blocks = [(0, _memo_grid(s, names))] if n ** k <= BLOCK_VALUATIONS else _blocks(s.algebra, names)
+    for first, grid in blocks:
+        fail = grid.full
         for f in r.premises:
             if not fail:
                 break
-            fail &= bits(f)
+            fail &= grid.formula(s, f)
         for f in r.conclusions:
             if not fail:
                 break
-            fail &= ~bits(f)
+            fail &= ~grid.formula(s, f)
         if fail:
             point = first + (fail & -fail).bit_length() - 1
             return Verdict(False, _grid_point(names, n, point),
@@ -351,79 +357,64 @@ def is_model(s: Structure, named_rules: Iterable[tuple[str, Rule]],
 
 
 class CompiledRules:
-    """Named rules compiled once, for model checks on many structures.
+    """Named rules compiled once, for model checks of many relation values.
 
-    Every formula is interned once per grid (the rule's sorted variables),
-    so rules that share a formula share its memo.  `for_algebra` computes
-    each formula's argument bitsets once per algebra and returns a check
-    for structures over that algebra.  The check memoises each formula's
-    bitset per value of its relation; the memo belongs to the check and
-    goes with it.  Each grid is swept whole, in one block, so rules are
-    held to the default variable limit.
+    `for_algebra` builds one grid per variable tuple on an algebra, so
+    rules over the same variables share their terms' bitsets, and returns
+    a check of relation values over that algebra.  The check memoises each
+    formula's bitset per value of its relation, keyed by the formula node
+    in its grid's memo; the memo belongs to the check and goes with it.
+    Each grid is swept whole, in one block, so rules are held to the
+    default variable limit.
     """
 
     def __init__(self, named_rules: Iterable[tuple[str, Rule]]):
-        self.grids: list[tuple[str, ...]] = []  # sorted variables per grid
-        self.formulas: list[tuple[int, Formula]] = []  # (grid, formula) per slot
-        self.rules: list[tuple[str, int, tuple[int, ...], tuple[int, ...]]] = []
-        grid_ids: dict[tuple[str, ...], int] = {}
-        slot_ids: dict[tuple[int, Formula], int] = {}
-
-        def slot(g: int, f: Formula) -> int:
-            key = (g, f)
-            k = slot_ids.get(key)
-            if k is None:
-                k = slot_ids[key] = len(self.formulas)
-                self.formulas.append(key)
-            return k
-
+        # (name, sorted variables, literals); a literal's bitset is XORed
+        # with its flip: 0 keeps a premise, -1 complements a conclusion
+        self.rules: list[tuple[str, tuple[str, ...], list[tuple[Formula, int]]]] = []
         for name, r in named_rules:
             names = tuple(sorted(r.variables()))
             if len(names) > DEFAULT_VARIABLE_LIMIT:
                 raise VariableLimitError(
                     f"rule has {len(names)} variables, limit is {DEFAULT_VARIABLE_LIMIT}")
-            g = grid_ids.get(names)
-            if g is None:
-                g = grid_ids[names] = len(self.grids)
-                self.grids.append(names)
-            prems = sorted(r.premises, key=formula_text)
-            concs = sorted(r.conclusions, key=formula_text)
-            self.rules.append((name, g, tuple(slot(g, f) for f in prems),
-                               tuple(slot(g, f) for f in concs)))
+            self.rules.append((name, names, [(f, 0) for f in sorted(r.premises, key=formula_text)]
+                               + [(f, -1) for f in sorted(r.conclusions, key=formula_text)]))
 
-    def for_algebra(self, alg: FiniteAlgebra) -> Callable[[Structure], str | None]:
-        """A check returning the name of the first rule a structure over
-        alg fails, or None for a model."""
-        n = alg.size
-        fulls = [(1 << n ** len(names)) - 1 for names in self.grids]
-        envs = [{v: _variable_bits(n, len(names), i) for i, v in enumerate(names)}
-                for names in self.grids]
-        slots = []  # per formula: (relation, memo by relation value, its arguments' bitsets)
-        for g, f in self.formulas:
-            slots.append((f.pred, {}, [_term_bits(alg, t, envs[g], fulls[g]) for t in f.args]))
-        # a literal's bitset is XORed with its flip: 0 keeps a premise,
-        # -1 complements a conclusion
-        rules = [(name, fulls[g], [(*slots[k], 0) for k in prems] + [(*slots[k], -1) for k in concs])
-                 for name, g, prems, concs in self.rules]
-        predicates = {f.pred for _, f in self.formulas}
+    def for_algebra(self, alg: FiniteAlgebra) -> Callable[..., str | None]:
+        """A check `first_failure(rels, group)`: the name of the first rule,
+        of those indexed by `group` (all of them by default), that fails
+        when each relation takes its value in `rels`, or None."""
+        grids: dict[tuple[str, ...], _Grid] = {}
+        rules = []
+        for name, names, literals in self.rules:
+            grid = grids.get(names)
+            if grid is None:
+                grid = grids[names] = _Grid(alg, names, {})
+            slots = []  # per literal: (relation, memo by relation value, arguments' bitsets, flip)
+            for f, flip in literals:
+                slot = grid.memo.get(f)
+                if slot is None:
+                    slot = grid.memo[f] = (f.pred, {}, [grid.term(t) for t in f.args])
+                slots.append((*slot, flip))
+            rules.append((name, grid.full, slots))
 
-        def first_failure(s: Structure) -> str | None:
-            rels = {**s.unary, **s.binary}
-            if not predicates <= rels.keys():
-                raise SignatureMismatchError(
-                    f"predicates not in structure: {sorted(predicates - rels.keys())}")
-            for name, full, literals in rules:
-                fail = full
-                for pred, memo, args, flip in literals:
-                    value = rels[pred]
-                    f_bits = memo.get(value)
-                    if f_bits is None:
-                        f_bits = memo[value] = _relation_bits(value, args)
-                    fail &= f_bits ^ flip
-                    if not fail:
-                        break
-                else:
-                    return name
+        def first_failure(rels: Mapping[str, object], group: Iterable[int] = range(len(rules))) -> str | None:
+            try:
+                for i in group:
+                    name, full, slots = rules[i]
+                    fail = full
+                    for pred, memo, args, flip in slots:
+                        value = rels[pred]
+                        f_bits = memo.get(value)
+                        if f_bits is None:
+                            f_bits = memo[value] = _relation_bits(value, args)
+                        fail &= f_bits ^ flip
+                        if not fail:
+                            break
+                    else:
+                        return name
+            except KeyError as missing:
+                raise SignatureMismatchError(f"predicate {missing} not in structure") from None
             return None
 
         return first_failure

@@ -220,12 +220,6 @@ def term_variables(t: Term) -> set[str]:
     return out
 
 
-def term_constants(t: Term) -> set[str]:
-    out: set[str] = set()
-    term_symbols(t, set(), out)
-    return out
-
-
 def subterms(t: Term) -> set[Term]:
     """All subterms of t, including t itself."""
     out = {t}
@@ -282,14 +276,6 @@ def formula_variables(f: Formula) -> set[str]:
     constants: set[str] = set()
     for t in f.args:
         term_symbols(t, out, constants)
-    return out
-
-
-def formula_constants(f: Formula) -> set[str]:
-    variables: set[str] = set()
-    out: set[str] = set()
-    for t in f.args:
-        term_symbols(t, variables, out)
     return out
 
 

@@ -50,10 +50,11 @@ from .engine import (
     translate_exact_to_eq_formula,
 )
 from .leibniz import (
-    crosschecked_binary,
-    crosschecked_unary,
+    leibniz_binary,
+    leibniz_binary_poly,
     leibniz_structure,
     leibniz_unary,
+    leibniz_unary_poly,
     quotient_structure,
     reduct,
 )
@@ -304,17 +305,17 @@ def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dic
     for name, alg in algebras:
         for f in enumerate_filters(alg):
             checks += 1
-            a, b = crosschecked_unary(alg, f)
-            if a.congruence.rep != b.congruence.rep:
-                violations.append(f"unary {name} F={f:#x}: {a.method} {a.congruence.rep}"
-                                  f" vs {b.method} {b.congruence.rep}")
+            a, b = leibniz_unary(alg, f), leibniz_unary_poly(alg, f)
+            if a.rep != b.rep:
+                violations.append(f"unary {name} F={f:#x}: by-congruence-search {a.rep}"
+                                  f" vs by-polynomials {b.rep}")
         if alg.size <= binary_max_size:
             for relname, rows in _binary_relation_family(alg):
                 checks += 1
-                a, b = crosschecked_binary(alg, rows)
-                if a.congruence.rep != b.congruence.rep:
-                    violations.append(f"binary {name} {relname}: {a.method} {a.congruence.rep}"
-                                      f" vs {b.method} {b.congruence.rep}")
+                a, b = leibniz_binary(alg, rows), leibniz_binary_poly(alg, rows)
+                if a.rep != b.rep:
+                    violations.append(f"binary {name} {relname}: by-congruence-search {a.rep}"
+                                      f" vs by-polynomials {b.rep}")
     return _report("leibniz-crosscheck",
                    {"max_size": max_size, "binary_max_size": binary_max_size},
                    checks, violations, started)

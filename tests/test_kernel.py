@@ -3,6 +3,7 @@
 import gc
 import pickle
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -20,15 +21,14 @@ from fourval.engine import (
 )
 from fourval.structures import (
     CompiledRules,
-    Structure,
     eval_term,
     holds,
     preset_names,
     preset_structure,
     structure_to_json,
 )
-from fourval.syntax import Formula, Rule, Var, formula_text, parse_rule, print_rule
-from fourval.systems import all_system_names, system
+from fourval.syntax import Formula, Rule, Var, formula_text, parse_rule, print_rule, subterms
+from fourval.systems import Scheme, all_system_names, system
 from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS, random_rule
 
 
@@ -49,6 +49,11 @@ def oracle(st, r):
                 and not any(_true_at(st, f, v) for f in r.conclusions)):
             return False, v, tuple(sorted(r.conclusions, key=formula_text))
     return True, None, None
+
+
+def _rels(st):
+    """A structure's relation values, as a compiled check reads them."""
+    return {**st.unary, **st.binary}
 
 
 def _presets():
@@ -134,14 +139,16 @@ def test_holds_memo_is_weak_and_outside_the_structure():
     st, twin = preset_structure("BDE"), preset_structure("BDE")
     r = parse_rule(r"T(x /\ ~mv), E(mv) |- E(x) | T(mv)")
     v = holds(st, r)
-    memo = st._bitsets[("mv", "x")]
-    assert 0 < len(memo) <= 4 and set(memo) <= r.premises | r.conclusions
+    memo = st._bitsets[("mv", "x")].memo
+    formulas = r.premises | r.conclusions  # and their subterms: 6 nodes that are not variables
+    assert 0 < len(memo) <= 6 and set(memo) <= formulas | {t for f in formulas for a in f.args
+                                                           for t in subterms(a)}
     assert holds(st, r) == v == holds(twin, r)
     assert st == twin and hash(st) == hash(twin) and repr(st) == repr(twin)
     assert "_bitsets" not in repr(st) and structure_to_json(st) == structure_to_json(twin)
     copied = pickle.loads(pickle.dumps(st))
     assert copied == st and not copied._bitsets
-    del r, v
+    del r, v, formulas
     gc.collect()
     assert len(memo) == 0
 
@@ -159,7 +166,7 @@ def test_model_sets_agree_with_eval_term(name):
         for alg in _constant_assignments(base, sysd.signature.constants):
             first_failure = program.for_algebra(alg)
             cands = list(candidate_structures(sysd, alg))
-            kernel = {c for c in cands if first_failure(c) is None}
+            kernel = {c for c in cands if first_failure(_rels(c)) is None}
             expected = {c for c in cands
                         if all(oracle(c, r)[0] for _, r in sysd.named_rules())}
             assert kernel == expected, f"{name} on |A|={alg.size} {alg.constants}"
@@ -168,13 +175,17 @@ def test_model_sets_agree_with_eval_term(name):
     assert total > 0 or name == "MC-ETL+tnb"  # its two models have size 4
 
 
-@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
-def test_factorised_sweep_agrees_with_full_product(name):
+_SWEEP_CASES = ([pytest.param(name, 3, id=name) for name in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS]
+                + [pytest.param(name, size, id=f"{name}-size{size}")
+                   for size in (4, 5) for name in CLASSIFIED_FAMILIES])
+
+
+@pytest.mark.parametrize("name, size", _SWEEP_CASES)
+def test_factorised_sweep_agrees_with_full_product(name, size):
     """The factorised sweep keeps exactly the candidates of the full
     product that pass every axiom, in candidate_structures order, and
     classify_models counts the whole product."""
     sysd = system(name)
-    size = 3
     program = CompiledRules(sysd.named_rules())
     sweep = ModelSweep(sysd)
     full = kept = 0
@@ -182,7 +193,7 @@ def test_factorised_sweep_agrees_with_full_product(name):
         for alg in _constant_assignments(base, sysd.signature.constants):
             first_failure = program.for_algebra(alg)
             cands = list(candidate_structures(sysd, alg))
-            expected = [c for c in cands if first_failure(c) is None]
+            expected = [c for c in cands if first_failure(_rels(c)) is None]
             lattice = congruences(alg) if "eq" in sweep.names else None
             models = list(sweep.models(alg, _relation_ranges(sweep.names, alg, lattice)))
             assert models == expected, f"{name} on |A|={alg.size} {alg.constants}"
@@ -191,6 +202,27 @@ def test_factorised_sweep_agrees_with_full_product(name):
     report = classify_models(sysd, size)
     assert (report.structures, report.models) == (full, kept)
     assert kept > 0 or name == "MC-ETL+tnb"  # its two models have size 4
+
+
+def test_relation_free_rule_rejects_every_candidate():
+    """No catalogue system has a rule that mentions no relation; BDE with
+    the empty rule |- added, which fails everywhere, has no models, and the
+    product it sweeps is BDE's."""
+    bde = system("BDE")
+    absurd = replace(bde, schemes=bde.schemes + (Scheme("absurd", parse_rule("|-"), "base"),))
+    report = classify_models(absurd, 3)
+    assert report.models == 0 and report.structures == classify_models(bde, 3).structures > 0
+
+
+def test_compiled_check_rejects_a_missing_relation():
+    """A relation that a checked rule mentions and the values leave out
+    raises SignatureMismatchError, not KeyError."""
+    program = CompiledRules([("e-to-t", parse_rule("E(x) |- T(x)"))])
+    first_failure = program.for_algebra(preset_structure("BD").algebra)
+    with pytest.raises(structures.SignatureMismatchError, match="E"):
+        first_failure({"T": 0b0011})
+    assert first_failure({"T": 0b0011, "E": 0b0001}) is None
+    assert first_failure({"T": 0b0011, "E": 0b0100}) == "e-to-t"
 
 
 def test_eq_ranges_only_over_congruences():
@@ -213,6 +245,6 @@ def test_eq_ranges_only_over_congruences():
             for rows in product(range(1 << n), repeat=n):
                 if rows not in congs:
                     checked += 1
-                    assert first_failure(Structure(alg, {}, {"eq": rows})) is not None, \
+                    assert first_failure({"eq": rows}) is not None, \
                         f"{name}: eq = {rows} on |A|={n} is not rejected"
     assert checked == 33 * (1 + 14 + 510)

@@ -104,7 +104,7 @@ def test_holds_names_the_least_missing_constant_before_evaluating(monkeypatch):
     def evaluated(*args):
         raise AssertionError("a formula was evaluated")
 
-    monkeypatch.setattr(structures, "_formula_bits", evaluated)
+    monkeypatch.setattr(structures._Grid, "formula", evaluated)
     # by formula text T(#n) comes first, but #b is the least missing constant
     r = parse_rule(r"T(#n), T(x /\ #b) |- T(x)", FULL_SIG)
     with pytest.raises(SignatureMismatchError) as err:
