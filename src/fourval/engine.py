@@ -704,35 +704,62 @@ def candidate_structures(sys: AxiomSystem, alg: FiniteAlgebra) -> Iterator[Struc
 class ModelSweep:
     """A system's axioms compiled once for the factorised sweep.
 
-    The axioms are compiled into one ``CompiledRules`` and split, by the
-    relations they mention, into index groups of it: per relation, those
-    that mention it alone; and the rest, which mention two or more
-    relations or none.  ``models`` filters each relation's values by its
-    own axioms, then checks only the product of the survivors against the
-    rest.  A combination outside that product fails a one-relation axiom,
-    so the models and their order are those of filtering the full product
-    by every axiom.  Relation values are checked as they are; a
-    ``Structure`` is built only for a model.
+    The axioms are split by whether they mention a constant, and each part
+    is compiled into one ``CompiledRules``.  The constant-free axioms are
+    split further, by the relations they mention, into index groups: per
+    relation, those that mention it alone; and the rest, which mention two
+    or more relations or none.  ``free_models`` filters each relation's
+    values by its own axioms, then checks only the product of the
+    survivors against the rest.  A combination outside that product fails
+    a one-relation axiom.  ``expand`` checks those tuples against the
+    axioms that mention a constant, on one constant assignment.  So the
+    models and their order are those of filtering the full product by
+    every axiom.  Relation values are checked as they are; a ``Structure``
+    is built only for a model.
+
+    A constant-free axiom never reads a constant, so ``classify_models``
+    runs ``free_models`` once per base algebra and ``expand`` once per
+    constant assignment.  Constants are nullary operations and impose no
+    compatibility condition, so every expansion of an algebra has the
+    congruence lattice of the base algebra, in the same order: the eq
+    values and the Leibniz congruences come from one lattice per base
+    algebra (checked at n <= 5 in ``tests/test_algebra.py``).
     """
 
     def __init__(self, sys: AxiomSystem):
         named = sorted(sys.named_rules(),
                        key=lambda nr: (len(nr[1].variables()), len(nr[1].premises)))
         self.names = _relation_names(sys)
-        self._program = CompiledRules(named)
-        predicates = [r.predicates() for _, r in named]
+        free = [nr for nr in named if not nr[1].constants()]
+        self._free = CompiledRules(free)
+        self._bound = CompiledRules(nr for nr in named if nr[1].constants())
+        predicates = [r.predicates() for _, r in free]
         self._own = [[i for i, p in enumerate(predicates) if p == {name}] for name in self.names]
         self._rest = [i for i, p in enumerate(predicates) if len(p) != 1]
+
+    def free_models(self, alg: FiniteAlgebra, ranges: Sequence[Sequence]) -> list[tuple]:
+        """The value tuples among the product of ``ranges`` (one per
+        relation, in ``names`` order) that pass every constant-free axiom
+        on alg, in product order."""
+        first_failure = self._free.for_algebra(alg)
+        survivors = [[v for v in values if first_failure({name: v}, own) is None]
+                     for name, values, own in zip(self.names, ranges, self._own)]
+        return [values for values in iproduct(*survivors)
+                if first_failure(dict(zip(self.names, values)), self._rest) is None]
+
+    def expand(self, alg: FiniteAlgebra, free: Sequence[tuple]) -> Iterator[Structure]:
+        """The models on alg among ``free`` (from ``free_models`` on alg or
+        on alg without its constants): those that pass every axiom that
+        mentions a constant, in order."""
+        first_failure = self._bound.for_algebra(alg)
+        for values in free:
+            if first_failure(dict(zip(self.names, values))) is None:
+                yield _structure(alg, self.names, values)
 
     def models(self, alg: FiniteAlgebra, ranges: Sequence[Sequence]) -> Iterator[Structure]:
         """The models among the product of ``ranges`` (one per relation, in
         ``names`` order), in product order."""
-        first_failure = self._program.for_algebra(alg)
-        survivors = [[v for v in values if first_failure({name: v}, own) is None]
-                     for name, values, own in zip(self.names, ranges, self._own)]
-        for values in iproduct(*survivors):
-            if first_failure(dict(zip(self.names, values)), self._rest) is None:
-                yield _structure(alg, self.names, values)
+        return self.expand(alg, self.free_models(alg, ranges))
 
 
 def _top_element(alg: FiniteAlgebra) -> int:
@@ -805,26 +832,32 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     """Sweep all candidate structures over the census, reduce the models,
     and check each reduct against the family's documented shape.
 
-    The sweep is factorised (``ModelSweep``): it checks only the
-    combinations whose every relation passes its own axioms, and
-    ``structures`` still counts the full product, whose other members
-    each fail a one-relation axiom.  Each algebra's congruence lattice is
+    The sweep is factorised (``ModelSweep``): per base algebra it checks
+    the constant-free axioms once, on only the combinations whose every
+    relation passes its own axioms; per constant assignment it checks the
+    axioms that mention a constant on the survivors alone.  ``structures``
+    still counts the full product of every assignment, whose other
+    members each fail an axiom.  Each base algebra's congruence lattice is
     enumerated at most once, for the eq values and the Leibniz congruences
-    of its models.
+    of the models of all its expansions.
     """
     family = sys.name.partition("+")[0]
     report = ClassificationReport(sys.name, size)
     sweep = ModelSweep(sys)
     for base_alg in census_pool(size):
+        base_lattice = congruences(base_alg) if "eq" in sweep.names else None
+        ranges = _relation_ranges(sweep.names, base_alg, base_lattice)
+        free = sweep.free_models(base_alg, ranges)
         for alg in _constant_assignments(base_alg, sys.signature.constants):
             report.algebras += 1
-            lattice = congruences(alg) if "eq" in sweep.names else None
-            ranges = _relation_ranges(sweep.names, alg, lattice)
             report.structures += prod(map(len, ranges))
-            for cand in sweep.models(alg, ranges):
+            lattice = None
+            for cand in sweep.expand(alg, free):
                 report.models += 1
                 if lattice is None:
-                    lattice = congruences(alg)
+                    if base_lattice is None:
+                        base_lattice = congruences(base_alg)
+                    lattice = [Congruence(alg, c.rep) for c in base_lattice]
                 theta = leibniz_structure(cand, lattice=lattice)
                 red, _ = quotient_structure(cand, theta)
                 if not leibniz_structure(red).is_identity:

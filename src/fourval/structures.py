@@ -24,10 +24,10 @@ Validity is decided by one kernel over valuation bitsets.
   Bit order is grid order, so the lowest set bit of that int is the
   lexicographically least counter-valuation, which is the one reported.
 
-`holds` decides one rule.  It walks the rule once to collect its
-variables, predicates and constants, and rejects a symbol the structure
-does not interpret before it evaluates anything.  Premises are ANDed in
-set order, since AND commutes, and evaluation stops at the first zero;
+`holds` decides one rule.  It reads the rule's variables, predicates and
+constants once (each term caches its own sets), and rejects a symbol the
+structure does not interpret before it evaluates anything.  Premises are
+ANDed in set order, since AND commutes, and evaluation stops at the first zero;
 conclusions are sorted by text only to report a failure.  A grid of at
 most BLOCK_VALUATIONS points is swept whole, and its `_Grid` is memoised
 on the structure, one per variable tuple: its memo keeps each term's and

@@ -144,7 +144,7 @@ class _Node:
 
 
 class _Term(_Node):
-    __slots__ = ("_text",)  # term_text, filled on first use
+    __slots__ = ("_text", "_symbols")  # term_text, term_symbols: filled on first use
 
 
 class Var(_Term):
@@ -200,24 +200,34 @@ class Join(_Term):
 Term = Union[Var, Const, Neg, Meet, Join]
 
 
-def term_symbols(t: Term, variables: set[str], constants: set[str]) -> None:
-    """Add t's variable names into `variables` and its constants into `constants`."""
-    kind = type(t)
-    if kind is Var:
-        variables.add(t.name)
-    elif kind is Const:
-        constants.add(t.symbol)
-    elif kind is Neg:
-        term_symbols(t.arg, variables, constants)
-    else:
-        term_symbols(t.left, variables, constants)
-        term_symbols(t.right, variables, constants)
+# Each distinct (variables, constants) pair once, shared by every node that
+# caches it: a program meets few distinct name sets, so this stays small.
+# It holds strings only, so it keeps no node alive.
+_symbol_pairs: dict[tuple[frozenset[str], frozenset[str]], tuple[frozenset[str], frozenset[str]]] = {}
+
+
+def term_symbols(t: Term) -> tuple[frozenset[str], frozenset[str]]:
+    """(variable names, constants) of t, cached in each node on first use."""
+    try:
+        return t._symbols
+    except AttributeError:  # not collected yet
+        kind = type(t)
+        if kind is Var:
+            pair = frozenset((t.name,)), frozenset()
+        elif kind is Const:
+            pair = frozenset(), frozenset((t.symbol,))
+        elif kind is Neg:
+            pair = term_symbols(t.arg)
+        else:
+            (lv, lc), (rv, rc) = term_symbols(t.left), term_symbols(t.right)
+            pair = lv | rv, lc | rc
+        pair = _symbol_pairs.setdefault(pair, pair)
+        object.__setattr__(t, "_symbols", pair)  # a cache in the node, not a field
+        return pair
 
 
 def term_variables(t: Term) -> set[str]:
-    out: set[str] = set()
-    term_symbols(t, out, set())
-    return out
+    return set(term_symbols(t)[0])
 
 
 def subterms(t: Term) -> set[Term]:
@@ -273,9 +283,8 @@ def atom(pred: str, *args: Term) -> Formula:
 
 def formula_variables(f: Formula) -> set[str]:
     out: set[str] = set()
-    constants: set[str] = set()
     for t in f.args:
-        term_symbols(t, out, constants)
+        out |= term_symbols(t)[0]
     return out
 
 
@@ -296,14 +305,17 @@ class Rule:
     conclusions: frozenset[Formula]
 
     def symbols(self) -> tuple[set[str], set[str], set[str]]:
-        """(variables, constants, predicates), from one walk over the rule."""
+        """(variables, constants, predicates): the union of the sets each
+        term caches (see ``term_symbols``)."""
         variables: set[str] = set()
         constants: set[str] = set()
         predicates: set[str] = set()
         for f in chain(self.premises, self.conclusions):
             predicates.add(f.pred)
             for t in f.args:
-                term_symbols(t, variables, constants)
+                v, c = term_symbols(t)
+                variables |= v
+                constants |= c
         return variables, constants, predicates
 
     def variables(self) -> set[str]:

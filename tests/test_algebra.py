@@ -190,6 +190,22 @@ def test_principal_closure_agrees_with_brute_force_on_size_8():
     assert fast == slow
 
 
+def test_constants_do_not_change_the_congruence_lattice():
+    """Constants are nullary operations and impose no compatibility
+    condition, so every constant expansion of a census algebra has the
+    base algebra's congruences, in the same order; the classification
+    sweep enumerates the lattice once per base algebra on this argument."""
+    expansions = 0
+    for n in range(1, 6):
+        for alg in enumerate_dm_lattices(n):
+            base = [c.rep for c in congruences(alg)]
+            for values in itertools.product(range(n), repeat=3):
+                expanded = alg.with_constants(dict(zip(("#t", "#n", "#b"), values)))
+                assert [c.rep for c in congruences(expanded)] == base, (alg, values)
+                expansions += 1
+    assert expansions == 1 + 8 + 27 + 3 * 64 + 125  # census sizes 1..5: 1, 1, 1, 3, 1 algebras
+
+
 def test_congruence_bound_exceeded():
     with pytest.raises(BoundExceededError):
         congruences(product([DM4, K3]))  # 12 elements

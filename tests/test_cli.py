@@ -304,6 +304,15 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     assert err == b""
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(fourval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "fourval", "systems", "list"],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"command: systems\n") and proc.stderr == b""
+
+
 def test_algebra_dump_preset_includes_relations(capsys):
     code, report, _ = run_json(capsys, "algebra", "dump", "BDE-eq")
     assert code == 0 and set(report["algebra"]["rels"]) == {"T", "E", "eq"}

@@ -177,19 +177,24 @@ def test_model_sets_agree_with_eval_term(name):
 
 _SWEEP_CASES = ([pytest.param(name, 3, id=name) for name in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS]
                 + [pytest.param(name, size, id=f"{name}-size{size}")
-                   for size in (4, 5) for name in CLASSIFIED_FAMILIES])
+                   for size in (4, 5) for name in CLASSIFIED_FAMILIES]
+                + [pytest.param(name, 4, id=f"{name}-size4") for name in CLASSIFIED_VARIANTS])
 
 
 @pytest.mark.parametrize("name, size", _SWEEP_CASES)
 def test_factorised_sweep_agrees_with_full_product(name, size):
     """The factorised sweep keeps exactly the candidates of the full
-    product that pass every axiom, in candidate_structures order, and
-    classify_models counts the whole product."""
+    product that pass every axiom, in candidate_structures order, both on
+    each constant expansion and when the constant-free axioms are swept
+    once on the base algebra, and classify_models counts the whole
+    product."""
     sysd = system(name)
     program = CompiledRules(sysd.named_rules())
     sweep = ModelSweep(sysd)
     full = kept = 0
     for base in census_pool(size):
+        base_lattice = congruences(base) if "eq" in sweep.names else None
+        free = sweep.free_models(base, _relation_ranges(sweep.names, base, base_lattice))
         for alg in _constant_assignments(base, sysd.signature.constants):
             first_failure = program.for_algebra(alg)
             cands = list(candidate_structures(sysd, alg))
@@ -197,6 +202,7 @@ def test_factorised_sweep_agrees_with_full_product(name, size):
             lattice = congruences(alg) if "eq" in sweep.names else None
             models = list(sweep.models(alg, _relation_ranges(sweep.names, alg, lattice)))
             assert models == expected, f"{name} on |A|={alg.size} {alg.constants}"
+            assert list(sweep.expand(alg, free)) == expected, f"{name} on |A|={alg.size} {alg.constants}"
             full += len(cands)
             kept += len(models)
     report = classify_models(sysd, size)

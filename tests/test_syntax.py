@@ -30,6 +30,7 @@ from fourval.syntax import (
     parse_term,
     print_rule,
     sig,
+    term_symbols,
     term_text,
 )
 from fourval.verify import random_rule
@@ -254,6 +255,44 @@ def test_printing_a_term_does_not_keep_it_alive():
     gc.collect()
     assert ref() is None
     assert not _stored(Var, "printed_once")
+
+
+def _walked_symbols(t: Term, variables: set, constants: set) -> None:
+    """A term's variables and constants by a fresh walk: the oracle for
+    the sets term_symbols caches in the node."""
+    if isinstance(t, Var):
+        variables.add(t.name)
+    elif isinstance(t, Const):
+        constants.add(t.symbol)
+    else:
+        for child in (t.arg,) if isinstance(t, Neg) else (t.left, t.right):
+            _walked_symbols(child, variables, constants)
+
+
+def test_cached_symbol_sets_agree_with_a_walk():
+    rng = random.Random(7)
+    for _ in range(500):
+        r = random_rule(rng)
+        variables, constants, predicates = r.symbols()
+        walked_v, walked_c = set(), set()
+        for f in r.premises | r.conclusions:
+            for t in f.args:
+                _walked_symbols(t, walked_v, walked_c)
+        assert (variables, constants) == (walked_v, walked_c)
+        assert predicates == {f.pred for f in r.premises | r.conclusions}
+        assert r.symbols() == (variables, constants, predicates)  # from the cached sets now
+
+
+def test_cached_symbol_sets_change_no_repr_or_pickle_and_keep_nothing_alive():
+    t = Join(Meet(Var("cached_x"), Const("#n")), Neg(Var("cached_y")))
+    before = repr(t)
+    assert term_symbols(t) == ({"cached_x", "cached_y"}, {"#n"})
+    assert repr(t) == before and pickle.loads(pickle.dumps(t)) is t
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert not _stored(Var, "cached_x")
 
 # ---------------------------------------------------------------------------
 # The parser checked differentially against the lexer and parser it
