@@ -346,34 +346,34 @@ def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
     return Congruence(c1.algebra, tuple(rep))
 
 
-def congruences(alg: FiniteAlgebra, bound: int = 10) -> list[Congruence]:
-    """The full congruence lattice, in a deterministic order.
+CONGRUENCE_BOUND = 10
 
-    Brute force over all partitions up to size 7; principal-congruence
-    join closure above that (the two agree on small sizes, which the test
-    suite checks).
+
+def congruences(alg: FiniteAlgebra) -> list[Congruence]:
+    """The full congruence lattice, sorted by least-representative map.
+
+    Every congruence is the join of the principal congruences it
+    contains, so the lattice is the closure of the identity and the
+    principal congruences under joins with a principal one.  The tests
+    check it against a filter over all partitions, the oracle, on every
+    census algebra up to size 7.
     """
     n = alg.size
-    if n > bound:
-        raise BoundExceededError(f"|A| = {n} exceeds congruence bound {bound}")
-    if n <= 7:
-        found = [Congruence(alg, rep) for rep in iter_partitions(n)
-                 if is_congruence_partition(alg, rep)]
-    else:
-        principals = {principal_congruence(alg, a, b).rep
-                      for a in range(n) for b in range(a + 1, n)}
-        known = {tuple(range(n))} | set(principals)
-        frontier = list(known)
-        while frontier:
-            rep = frontier.pop()
-            for p in principals:
-                joined = _merge_pairs(alg, [(i, rep[i]) for i in range(n)] +
-                                      [(i, p[i]) for i in range(n)])
-                if joined not in known:
-                    known.add(joined)
-                    frontier.append(joined)
-        found = [Congruence(alg, rep) for rep in known]
-    return sorted(found, key=lambda c: c.rep)
+    if n > CONGRUENCE_BOUND:
+        raise BoundExceededError(f"|A| = {n} exceeds congruence bound {CONGRUENCE_BOUND}")
+    principals = {principal_congruence(alg, a, b).rep
+                  for a in range(n) for b in range(a + 1, n)}
+    known = {tuple(range(n))} | principals
+    frontier = list(known)
+    while frontier:
+        rep = frontier.pop()
+        for p in principals:
+            joined = _merge_pairs(alg, [(i, rep[i]) for i in range(n)] +
+                                  [(i, p[i]) for i in range(n)])
+            if joined not in known:
+                known.add(joined)
+                frontier.append(joined)
+    return [Congruence(alg, rep) for rep in sorted(known)]
 
 
 # ---------------------------------------------------------------------------

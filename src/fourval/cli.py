@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="run named verification suites")
     p.add_argument("suites", nargs="+",
-                   help="suite names or 'all'; see fourval verify --list")
+                   help="'all' or suite names: " + ", ".join(_SUITE_ARGS))
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)

@@ -722,8 +722,8 @@ class ModelSweep:
     constant assignment.  Constants are nullary operations and impose no
     compatibility condition, so every expansion of an algebra has the
     congruence lattice of the base algebra, in the same order: the eq
-    values and the Leibniz congruences come from one lattice per base
-    algebra (checked at n <= 5 in ``tests/test_algebra.py``).
+    values come from one lattice per base algebra (checked at n <= 5 in
+    ``tests/test_algebra.py``).
     """
 
     def __init__(self, sys: AxiomSystem):
@@ -838,27 +838,23 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     axioms that mention a constant on the survivors alone.  ``structures``
     still counts the full product of every assignment, whose other
     members each fail an axiom.  Each base algebra's congruence lattice is
-    enumerated at most once, for the eq values and the Leibniz congruences
-    of the models of all its expansions.
+    enumerated once, for the eq values of all its expansions, and only
+    for a system with eq; each model's Leibniz congruence, and its
+    reduct's, is found by partition refinement without a lattice.
     """
     family = sys.name.partition("+")[0]
     report = ClassificationReport(sys.name, size)
     sweep = ModelSweep(sys)
     for base_alg in census_pool(size):
-        base_lattice = congruences(base_alg) if "eq" in sweep.names else None
-        ranges = _relation_ranges(sweep.names, base_alg, base_lattice)
+        lattice = congruences(base_alg) if "eq" in sweep.names else None
+        ranges = _relation_ranges(sweep.names, base_alg, lattice)
         free = sweep.free_models(base_alg, ranges)
         for alg in _constant_assignments(base_alg, sys.signature.constants):
             report.algebras += 1
             report.structures += prod(map(len, ranges))
-            lattice = None
             for cand in sweep.expand(alg, free):
                 report.models += 1
-                if lattice is None:
-                    if base_lattice is None:
-                        base_lattice = congruences(base_alg)
-                    lattice = [Congruence(alg, c.rep) for c in base_lattice]
-                theta = leibniz_structure(cand, lattice=lattice)
+                theta = leibniz_structure(cand)
                 red, _ = quotient_structure(cand, theta)
                 if not leibniz_structure(red).is_identity:
                     report.violations.append(

@@ -2,73 +2,66 @@
 
 Two independent algorithms are implemented and cross-checked:
 
-* congruence search: the largest congruence compatible with the relation.
-  The compatible congruences are closed under join: the join of two
-  congruences is the transitive closure of their union, and a relation
-  closed under each of them is closed under that closure.  So the join of
-  all compatible congruences is itself compatible and every compatible
-  congruence refines it: it is the compatible congruence with the fewest
-  classes, picked by one scan of the lattice with no join computed;
+* partition refinement: the largest congruence compatible with the
+  relations.  A congruence is compatible with a unary relation iff it
+  relates only elements with the same membership, and with a binary
+  relation iff it relates only elements with the same row and the same
+  column: so the compatible congruences are exactly those inside the
+  agreement partition.  Splitting its classes until the partition is
+  stable under neg, meet and join gives a congruence inside it, and every
+  congruence inside it stays inside each split, so the fixed point is the
+  largest: the Leibniz congruence.  No congruence lattice is enumerated;
 * polynomial test: a ~ b iff every unary polynomial (pointwise closure of
   the identity and all constant functions under meet/join/neg) agrees on
   membership at a and b.
 
-The search method is the primary one; the polynomial method is retained
+The refinement is the primary method; the polynomial method is retained
 purely as an oracle.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, methodcaller
-from typing import Callable, Sequence
+from typing import Collection, Sequence
 
-from .algebra import (
-    Congruence,
-    FiniteAlgebra,
-    _canon,
-    congruences,
-    identity_congruence,
-    quotient,
-)
+from .algebra import Congruence, FiniteAlgebra, _canon, quotient
 from .structures import Structure
 
 
 # ---------------------------------------------------------------------------
-# Congruence-search method.
+# Partition refinement.
 
-def leibniz_unary(alg: FiniteAlgebra, mask: int, bound: int = 10) -> Congruence:
+def leibniz_unary(alg: FiniteAlgebra, mask: int) -> Congruence:
     """Largest congruence theta with a in F and (a,b) in theta => b in F."""
-    return _largest_compatible(alg, congruences(alg, bound),
-                               methodcaller("compatible_with_unary", mask))
+    return _leibniz(alg, [mask], [])
 
 
-def leibniz_binary(alg: FiniteAlgebra, rows: Sequence[int], bound: int = 10) -> Congruence:
+def leibniz_binary(alg: FiniteAlgebra, rows: Sequence[int]) -> Congruence:
     """Largest congruence compatible with a binary relation (two-sided)."""
-    return _largest_compatible(alg, congruences(alg, bound),
-                               methodcaller("compatible_with_binary", rows))
+    return _leibniz(alg, [], [rows])
 
 
-def _largest_compatible(alg: FiniteAlgebra, congs: Sequence[Congruence],
-                        compatible: Callable[[Congruence], bool]) -> Congruence:
-    """Join of the congruences in ``congs`` that pass ``compatible``.
+def _leibniz(alg: FiniteAlgebra, masks: Collection[int],
+             relations: Collection[Sequence[int]]) -> Congruence:
+    """Largest congruence inside the agreement partition of the relations.
 
-    Compatibility is closed under join, so the join is the compatible
-    congruence with the fewest classes, and that one is returned without
-    computing any join.  Every compatible congruence must refine it; the
-    check raises if one does not, which would mean ``congs`` is not the
-    whole lattice or ``compatible`` is not a compatibility test.  The
-    identity, compatible with every relation, is the answer when no
-    congruence passes.
+    Elements agree when they have the same membership in each unary
+    relation and the same row and column in each binary one.  Each round
+    splits the classes by the classes of ``~a``, ``a /\\ c`` and
+    ``a \\/ c`` for every c, the condition ``is_congruence_partition``
+    checks; a round that splits nothing ends the refinement.
     """
-    passing = [cong for cong in congs if compatible(cong)]
-    if not passing:
-        return identity_congruence(alg)
-    best = min(passing, key=attrgetter("num_classes"))
-    for cong in passing:
-        if not cong.refines(best):
-            raise AssertionError(
-                f"compatible congruence {cong.rep} does not refine the largest {best.rep}")
-    return best
+    n = alg.size
+    columns = [[sum(((rows[x] >> a) & 1) << x for x in range(n)) for a in range(n)]
+               for rows in relations]
+    rep = _canon([(tuple((m >> a) & 1 for m in masks), tuple(rows[a] for rows in relations),
+                   tuple(col[a] for col in columns)) for a in range(n)])
+    meet, join, neg = alg.meet, alg.join, alg.neg
+    while True:
+        split = _canon([(rep[a], rep[neg[a]], tuple(rep[v] for v in meet[a]),
+                         tuple(rep[v] for v in join[a])) for a in range(n)])
+        if split == rep:
+            return Congruence(alg, rep)
+        rep = split
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +137,24 @@ def _partition_from_signature(alg: FiniteAlgebra, signature: list) -> Congruence
 # ---------------------------------------------------------------------------
 # Whole structures.
 
-def leibniz_structure(s: Structure, bound: int = 10,
-                      lattice: Sequence[Congruence] | None = None) -> Congruence:
-    """Intersection of the Leibniz congruences of all relations.
+def leibniz_structure(s: Structure) -> Congruence:
+    """Largest congruence compatible with every relation of ``s``.
 
-    A congruence that refines a compatible one is compatible too, so the
-    intersection is the largest congruence compatible with every relation,
-    found in one scan of the lattice.  ``lattice`` is the congruence
-    lattice of ``s.algebra`` when the caller already has it; otherwise it
-    is enumerated here.
+    It is the intersection of the relations' Leibniz congruences, found by
+    one refinement from the partition on which all the relations agree.
     """
-    tests = [methodcaller("compatible_with_unary", mask) for _, mask in sorted(s.unary.items())]
-    tests += [methodcaller("compatible_with_binary", rows) for _, rows in sorted(s.binary.items())]
-    if not tests:
+    if not s.unary and not s.binary:
         raise ValueError("structure has no relations")
-    if lattice is None:
-        lattice = congruences(s.algebra, bound)
-    return _largest_compatible(s.algebra, lattice, lambda cong: all(t(cong) for t in tests))
+    return _leibniz(s.algebra, s.unary.values(), s.binary.values())
 
 
-def is_reduced(s: Structure, bound: int = 10) -> bool:
-    return leibniz_structure(s, bound).is_identity
+def is_reduced(s: Structure) -> bool:
+    return leibniz_structure(s).is_identity
 
 
-def reduct(s: Structure, bound: int = 10) -> tuple[Structure, tuple[int, ...]]:
+def reduct(s: Structure) -> tuple[Structure, tuple[int, ...]]:
     """Quotient the algebra and all relations by the Leibniz congruence."""
-    theta = leibniz_structure(s, bound)
+    theta = leibniz_structure(s)
     return quotient_structure(s, theta)
 
 

@@ -307,14 +307,14 @@ def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dic
             checks += 1
             a, b = leibniz_unary(alg, f), leibniz_unary_poly(alg, f)
             if a.rep != b.rep:
-                violations.append(f"unary {name} F={f:#x}: by-congruence-search {a.rep}"
+                violations.append(f"unary {name} F={f:#x}: by-refinement {a.rep}"
                                   f" vs by-polynomials {b.rep}")
         if alg.size <= binary_max_size:
             for relname, rows in _binary_relation_family(alg):
                 checks += 1
                 a, b = leibniz_binary(alg, rows), leibniz_binary_poly(alg, rows)
                 if a.rep != b.rep:
-                    violations.append(f"binary {name} {relname}: by-congruence-search {a.rep}"
+                    violations.append(f"binary {name} {relname}: by-refinement {a.rep}"
                                       f" vs by-polynomials {b.rep}")
     return _report("leibniz-crosscheck",
                    {"max_size": max_size, "binary_max_size": binary_max_size},

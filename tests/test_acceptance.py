@@ -41,7 +41,7 @@ def test_criterion_2_rule_ledger():
 
 def test_criterion_3_leibniz_crosscheck():
     report = verify.suite_leibniz_crosscheck(max_size=5)
-    _criterion(3, "congruence-search and polynomial methods agree", report,
+    _criterion(3, "refinement and polynomial methods agree", report,
                budget_s=60.0)
 
 

@@ -180,8 +180,19 @@ def test_congruence_lattice_closure_properties():
                 assert congruence_join(c1, c2).rep in reps
 
 
+def test_congruences_match_brute_force_on_the_census():
+    """The join closure is the only path; the partition filter is its
+    oracle, in the same order, on every census member up to size 7."""
+    members = 0
+    for n in range(1, 8):
+        for alg in enumerate_dm_lattices(n):
+            assert [c.rep for c in congruences(alg)] == brute_force_congruences(alg), alg
+            members += 1
+    assert members == 1 + 1 + 1 + 3 + 1 + 4 + 2
+
+
 def test_principal_closure_agrees_with_brute_force_on_size_8():
-    big = product([B2, B2, K3])  # 12 elements is over the default bound
+    big = product([B2, B2, K3])  # 12 elements is over CONGRUENCE_BOUND
     with pytest.raises(BoundExceededError):
         congruences(big)
     mid = product([B2, product([B2, B2])])  # 8 elements: principal-closure path

@@ -147,6 +147,18 @@ def test_unknown_preset_exits_two(capsys):
     assert code == 2 and "unknown preset 'NOPE'" in err
 
 
+def test_verify_help_names_every_suite(capsys, monkeypatch):
+    from fourval import verify
+
+    assert set(cli._SUITE_ARGS) == set(verify.SUITES)
+    monkeypatch.setenv("COLUMNS", "500")  # no line break inside a hyphenated name
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    for name in verify.SUITES:
+        assert name in out, name
+    assert "--list" not in out
+
+
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(cfg):
         raise KeyError("internal")

@@ -17,9 +17,8 @@ from fourval.algebra import (
     mask_of,
     product,
 )
-from fourval.engine import ModelSweep, _relation_ranges, census_pool
+from fourval.engine import ModelSweep, _constant_assignments, _relation_ranges, census_pool
 from fourval.leibniz import (
-    _largest_compatible,
     is_reduced,
     leibniz_binary,
     leibniz_binary_poly,
@@ -32,6 +31,7 @@ from fourval.leibniz import (
 )
 from fourval.structures import identity_relation, preset_structure, structure
 from fourval.systems import system
+from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS
 
 DM4 = builtin("DM4")
 B2 = builtin("B2")
@@ -108,7 +108,7 @@ def test_leibniz_structure_and_reducts():
                      if a in (T, B))
     kernel = tuple(sum(1 << j for j in range(16) if j // 4 == i // 4) for i in range(16))
     s2 = structure(p, {"T": t_mask}, {"eq": kernel})
-    theta = leibniz_structure(s2, bound=16)
+    theta = leibniz_structure(s2)
     assert theta.num_classes == 4
     assert all(theta.relates(i, j) == (i // 4 == j // 4) for i in range(16) for j in range(16))
     # with T = {t,b} x {t,b} instead, both relation congruences are the
@@ -116,7 +116,7 @@ def test_leibniz_structure_and_reducts():
     # reduced and nothing collapses
     s3 = structure(p, {"T": mask_of(i for i, (a, b) in enumerate(iproduct(range(4), repeat=2))
                                     if a in (T, B) and b in (T, B))}, {"eq": kernel})
-    assert leibniz_structure(s3, bound=16).is_identity
+    assert leibniz_structure(s3).is_identity
 
 
 def test_reduct_idempotent():
@@ -167,9 +167,9 @@ def test_quotient_structure_requires_compatibility():
 
 
 # ---------------------------------------------------------------------------
-# The largest compatible congruence, picked as the compatible one with the
-# fewest classes, checked exhaustively against the join-based search it
-# replaced, kept here as the oracle.
+# The Leibniz congruence by refinement, checked exhaustively against the
+# join of every compatible congruence in the lattice, kept here as the
+# oracle.
 
 def joined_largest_compatible(alg, congs, compatible):
     """Join every compatible congruence into the identity, one by one."""
@@ -215,23 +215,58 @@ def test_leibniz_binary_is_the_join_on_every_relation():
     assert checked == 2 + 16 + 512  # census sizes 1, 2, 3
 
 
-def test_leibniz_structure_is_the_join_on_bdnf_eq_models():
-    sweep = ModelSweep(system("BDNF-EQ"))
+# Models per classified system at size 4, as the classification suite
+# counts them: 1,810 in all.
+CLASSIFIED_MODELS_AT_4 = {
+    "BDE": 43, "BDNF": 64, "KE": 27, "BD-EQ": 35, "ETL-EQ": 30, "BDNF-EQ": 90,
+    "BDE-EQ": 55, "MC-ETL": 19, "BDE+tnb": 230, "BDNF+tnb": 230, "KE+tb": 65,
+    "BD-EQ+tnb": 230, "ETL-EQ+tnb": 230, "BDNF-EQ+tnb": 230, "BDE-EQ+tnb": 230,
+    "MC-ETL+tnb": 2,
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
+def test_leibniz_structure_is_the_join_on_classified_models(name):
+    sysd = system(name)
+    sweep = ModelSweep(sysd)
     models = 0
+    for base in census_pool(4):
+        ranges = _relation_ranges(sweep.names, base, congruences(base))
+        for alg in _constant_assignments(base, sysd.signature.constants):
+            for s in sweep.models(alg, ranges):
+                assert leibniz_structure(s) == joined_leibniz_structure(s), (name, s)
+                models += 1
+    assert models == CLASSIFIED_MODELS_AT_4[name]
+
+
+# ---------------------------------------------------------------------------
+# The argument the refinement rests on: a congruence is compatible with a
+# relation iff it lies inside the relation's agreement partition (same
+# membership for a unary relation, same row and column for a binary one).
+
+def inside(theta, signature):
+    return all(signature[a] == signature[theta.rep[a]] for a in range(len(signature)))
+
+
+def test_unary_compatibility_is_inside_the_agreement_partition():
+    checked = 0
     for alg in census_pool(4):
-        lattice = congruences(alg)
-        for s in sweep.models(alg, _relation_ranges(sweep.names, alg, lattice)):
-            assert leibniz_structure(s) == joined_leibniz_structure(s)
-            assert leibniz_structure(s, lattice=lattice) == leibniz_structure(s)
-            models += 1
-    assert models == 90
+        for theta in congruences(alg):
+            for mask in range(1 << alg.size):
+                signature = [(mask >> a) & 1 for a in range(alg.size)]
+                assert theta.compatible_with_unary(mask) == inside(theta, signature)
+                checked += 1
+    assert checked == 2 * 1 + 4 * 2 + 8 * 2 + 16 * (2 + 4 + 4)  # masks x congruences, per member
 
 
-def test_largest_compatible_raises_when_the_pick_is_not_largest():
-    # the two projection kernels of B2 x B2 both have two classes, and
-    # neither refines the other: a test passing exactly those is not
-    # closed under join
-    p = product([B2, B2])
-    with pytest.raises(AssertionError, match="does not refine"):
-        _largest_compatible(p, congruences(p), lambda c: c.num_classes == 2)
-    assert _largest_compatible(p, [], lambda c: True).is_identity
+def test_binary_compatibility_is_inside_the_agreement_partition():
+    checked = 0
+    for alg in census_pool(3):
+        n = alg.size
+        for theta in congruences(alg):
+            for rows in iproduct(range(1 << n), repeat=n):
+                signature = [(rows[a], tuple((rows[x] >> a) & 1 for x in range(n)))
+                             for a in range(n)]
+                assert theta.compatible_with_binary(rows) == inside(theta, signature)
+                checked += 1
+    assert checked == 2 * 1 + 16 * 2 + 512 * 2  # relations x congruences, per member
