@@ -30,7 +30,8 @@ DERIVE_GOALS = 122
 DERIVE_DIGEST = "52eb292370db3f5140fe6f6c9650e7be269dab3cc280ab066f1329ffaba5f107"
 
 # the suites that take about a second or less at their defaults; the
-# engine-soundness and completeness-evidence reports are not pinned here
+# engine-soundness report is not pinned here, and completeness-evidence is
+# pinned below at three configurations that take a second or less
 SUITE_DIGESTS = {
     "soundness": "971182a5cd726a77715ea539f5eb693a7b3637c8d21aa09ca26617d174b462c9",
     "rule-ledger": "b93a7d69568974b2f08bbc7d1229a262fd4b4a1cf375604a86f6bbb3eb7bcc2e",
@@ -44,6 +45,16 @@ SUITE_DIGESTS = {
     "extension": "a871f9b43857c3d777b9994270622354a8c01dcc5605d4dab9b79810193a7f58",
     "roundtrip": "95e134d1bedcd0cdfdc56fba79bca97552c04d9313d9cfb0dcc6b2499fb94397",
 }
+
+# (system, arguments, checks, known gaps, digest); the ETL-base gaps pin
+# the gap texts and their order
+COMPLETENESS_RUNS = [
+    ("BDE", {"max_depth_terms": 1, "max_premises": 1, "derive_depth": 4, "max_terms": 30}, 84, 0,
+     "7a2f5d4a62d7acd06bf25de902bc51a7926ae2fedbbfd9f78f957f2221f806c9"),
+    ("ETL-base", {}, 295, 26, "4a5b6acbeef2208590541db0c24f5483654ddc066f532e86303a0f914838227f"),
+    ("BDE+tnb", {"max_depth_terms": 0}, 257, 39,
+     "b07d4dda68fb1eebf87239ca7c5ad25e9c4e3cf2bb2654e52012027af843912e"),
+]
 
 
 def _digest(data) -> str:
@@ -128,3 +139,12 @@ def test_derivation_certificates_are_pinned():
 @pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
 def test_suite_reports_are_pinned(name):
     assert _digest(suite_record(name)) == SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,kwargs,checks,gaps,digest", COMPLETENESS_RUNS,
+                         ids=[run[0] for run in COMPLETENESS_RUNS])
+def test_completeness_evidence_reports_are_pinned(name, kwargs, checks, gaps, digest):
+    report = verify.suite_completeness_evidence(name, **kwargs)
+    report.pop("timings")
+    assert (report["checks"], len(report["known_gaps"])) == (checks, gaps)
+    assert _digest(report) == digest
