@@ -42,7 +42,6 @@ from .engine import (
     classify_models,
     decide,
     derive,
-    enumerate_rules,
     translate_exact_to_eq,
 )
 

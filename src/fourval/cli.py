@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 from dataclasses import asdict, dataclass, fields
 
 from .algebra import AlgebraError, algebra_to_json, builtin, enumerate_dm_lattices
@@ -351,9 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("rule")
 
-    p = add_parser("verify", help="run named verification suites")
-    p.add_argument("suites", nargs="+",
-                   help="'all' or suite names: " + ", ".join(_SUITE_ARGS))
+    # the suite list is wrapped here, not by argparse, which would break
+    # hyphenated names across lines
+    suite_list = textwrap.fill(", ".join(_SUITE_ARGS), 76, initial_indent="  ",
+                               subsequent_indent="  ", break_on_hyphens=False)
+    p = add_parser("verify", help="run named verification suites",
+                   formatter_class=argparse.RawDescriptionHelpFormatter,
+                   epilog="suites:\n" + suite_list)
+    p.add_argument("suites", nargs="+", help="'all' or suite names (listed below)")
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)

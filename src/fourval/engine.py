@@ -1,4 +1,4 @@
-"""Decision procedures, proof search, rule enumeration, model sweeps.
+"""Decision procedures, proof search, rule-space bounds, model sweeps.
 
 decide() is the semantic oracle: exhaustive valuation checking against a
 preset structure.  derive() is a one-sided syntactic search: it forward
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product as iproduct
+from itertools import permutations, product as iproduct
 from math import comb, prod
 from typing import Iterator, Mapping, Sequence
 
@@ -26,9 +26,9 @@ from .algebra import (
     enumerate_dm_lattices,
     is_filter,
 )
-from .leibniz import leibniz_structure, quotient_structure
+from .leibniz import is_reduced, reduct
 from .structures import (DEFAULT_VARIABLE_LIMIT, CompiledRules, Structure, Verdict, holds,
-                         identity_relation, preset_structure, structure)
+                         identity_relation, parse_name, preset_structure, structure)
 from .syntax import (
     Const,
     Formula,
@@ -512,7 +512,7 @@ def translate_exact_to_eq(r: Rule) -> Rule:
 
 
 # ---------------------------------------------------------------------------
-# Rule-space enumeration.
+# Rule-space bounds, formulas and canonical renaming.
 
 _VAR_POOL = ("x", "y", "z", "u", "v", "w", "x1", "x2")
 
@@ -574,28 +574,11 @@ def canonical_rule(r: Rule) -> Rule:
 
 
 def count_rule_space(bounds: RuleSpaceBounds) -> int:
-    """Upper bound on the raw (pre-dedup) stream length."""
+    """The number of rules in the raw space, before renaming deduplication."""
     f = len(formulas_within(bounds))
     prem = sum(comb(f, k) for k in range(bounds.max_premises + 1))
     conc = sum(comb(f, k) for k in range(bounds.max_conclusions + 1))
     return prem * conc
-
-
-def enumerate_rules(bounds: RuleSpaceBounds, budget: int = 2_000_000) -> Iterator[Rule]:
-    """Deterministic, duplicate-free (up to renaming) stream of rules."""
-    if count_rule_space(bounds) > budget:
-        raise RuleSpaceBudgetError("rule space exceeds the configured budget")
-    formulas = formulas_within(bounds)
-    seen: set[Rule] = set()
-    for psize in range(bounds.max_premises + 1):
-        for prems in combinations(formulas, psize):
-            for csize in range(bounds.max_conclusions + 1):
-                for concs in combinations(formulas, csize):
-                    r = Rule(frozenset(prems), frozenset(concs))
-                    canon = canonical_rule(r)
-                    if canon not in seen:
-                        seen.add(canon)
-                        yield canon
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +825,7 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     for a system with eq; each model's Leibniz congruence, and its
     reduct's, is found by partition refinement without a lattice.
     """
-    family = sys.name.partition("+")[0]
+    family, _ = parse_name(sys.name)
     report = ClassificationReport(sys.name, size)
     sweep = ModelSweep(sys)
     for base_alg in census_pool(size):
@@ -854,9 +837,8 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
             report.structures += prod(map(len, ranges))
             for cand in sweep.expand(alg, free):
                 report.models += 1
-                theta = leibniz_structure(cand)
-                red, _ = quotient_structure(cand, theta)
-                if not leibniz_structure(red).is_identity:
+                red, _ = reduct(cand)
+                if not is_reduced(red):
                     report.violations.append(
                         f"{_describe(cand)}: reduct is not reduced")
                     continue

@@ -32,18 +32,21 @@ from .algebra import (
 )
 from .engine import (
     Grounder,
+    ModelSweep,
     RuleSpaceBounds,
+    RuleSpaceBudgetError,
     Universe,
     _congruence_rows,
     _embeds_into,
     candidate_structures,
+    canonical_rule,
     census_pool,
     classify_models,
     check_derivation,
+    count_rule_space,
     decide,
     derive,
     edge_mutations,
-    enumerate_rules,
     formulas_within,
     terms_within,
     translate_exact_to_eq,
@@ -332,31 +335,26 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
 
     # model intersection: filters are exactly the truth-base models, and
     # intersections of models stay models
+    bd_sweep = ModelSweep(system("BD-base"))
     for alg in census_pool(max_size):
         filters = enumerate_filters(alg)
-        subsets_that_model = [m for m in range(1 << alg.size)
-                              if is_model(structure(alg, {"T": m}), bd_rules)[0]]
-        if sorted(subsets_that_model) != sorted(filters):
+        models = {t for (t,) in bd_sweep.free_models(alg, [range(1 << alg.size)])}
+        if sorted(models) != sorted(filters):
             violations.append(f"|A|={alg.size}: truth-base models differ from lattice filters")
         for f1, f2 in iproduct(filters, repeat=2):
             checks += 1
-            ok, _ = is_model(structure(alg, {"T": f1 & f2}), bd_rules)
-            if not ok:
+            if f1 & f2 not in models:
                 violations.append(f"|A|={alg.size}: intersection {f1:#x}&{f2:#x} not a model")
 
-    # intersection for two-relation models (truth / exact truth)
-    bde = system("BDE")
+    # intersection for two-relation models (truth / exact truth); the sweep
+    # orders the relations E, T, the pairs here are (T, E)
+    bde_sweep = ModelSweep(system("BDE"))
     for alg in census_pool(pair_size):
-        models = []
-        for t in range(1 << alg.size):
-            for e in range(1 << alg.size):
-                s = structure(alg, {"T": t, "E": e})
-                if is_model(s, bde.named_rules())[0]:
-                    models.append((t, e))
+        models = sorted((t, e) for e, t in bde_sweep.free_models(alg, [range(1 << alg.size)] * 2))
+        model_set = set(models)
         for (t1, e1), (t2, e2) in combinations(models, 2):
             checks += 1
-            s = structure(alg, {"T": t1 & t2, "E": e1 & e2})
-            if not is_model(s, bde.named_rules())[0]:
+            if (t1 & t2, e1 & e2) not in model_set:
                 violations.append(f"|A|={alg.size}: BDE model intersection fails")
 
     # reduct invariance: S is a model iff S/theta is, for theta below the
@@ -494,9 +492,8 @@ def _classification(names: Sequence[str], size: int, suite: str, jobs: int = 1) 
 
 
 def suite_classification(size: int = 4, include_variants: bool = True, jobs: int = 1) -> dict:
-    names = [f for f in CLASSIFIED_FAMILIES if f != "MC-ETL"]
-    if include_variants:
-        names += [v for v in CLASSIFIED_VARIANTS if not v.startswith("MC-ETL")]
+    names = CLASSIFIED_FAMILIES + (CLASSIFIED_VARIANTS if include_variants else ())
+    names = [n for n in names if system(n).kind == "single-conclusion"]
     return _classification(names, size, "classification", jobs)
 
 
@@ -505,9 +502,10 @@ def suite_mc_classification(size: int = 4, jobs: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Premise-set tables.  Translation, extension and engine-soundness decide
-# "premise set j entails conclusion c" over a bounded rule space for every
-# pair at once: each formula holds an int bitset over the premise sets.
+# Premise-set tables.  Translation, extension, engine-soundness and
+# completeness-evidence decide "premise set j entails conclusion c" over a
+# bounded rule space for every pair at once: each formula holds an int
+# bitset over the premise sets.
 
 def _premise_sets(n_formulas: int, max_premises: int) -> tuple[list[tuple[int, ...]], list[int], int]:
     """Premise set j is the j-th ``combinations(range(n_formulas), k)`` item
@@ -548,6 +546,32 @@ def _pairs(table) -> list[tuple[int, int]]:
 
 def _rule_at(formulas: Sequence[Formula], sets, j: int, c: int) -> Rule:
     return Rule(frozenset(formulas[p] for p in sets[j]), frozenset({formulas[c]}))
+
+
+RULE_SPACE_BUDGET = 2_000_000  # raw rules (count_rule_space) a goal sweep may cover
+
+
+def _valid_goals(sysd: AxiomSystem, bounds: RuleSpaceBounds) -> list[Rule]:
+    """The single-conclusion rules of the bounded space valid in the
+    system's preset, one per renaming class (its ``canonical_rule``), in the
+    order in which each class first appears in the premise-set table.
+
+    Validity does not change under renaming, so a class is valid or not as
+    a whole and its first valid pair is its first pair.  The table's grid
+    is over x and y, as for every premise-set table, so the bounds allow
+    at most two variables.  A space larger than ``RULE_SPACE_BUDGET``
+    raises ``RuleSpaceBudgetError``.
+    """
+    if count_rule_space(bounds) > RULE_SPACE_BUDGET:
+        raise RuleSpaceBudgetError("rule space exceeds the configured budget")
+    formulas = formulas_within(bounds)
+    sets, seeds, full = _premise_sets(len(formulas), bounds.max_premises)
+    st = preset_structure(sysd.preset)
+    refuted = _refuted(seeds, full, _bitmaps(st, formulas), st.algebra.size ** 2)
+    goals: dict[Rule, None] = {}
+    for j, c in _pairs(full & ~r for r in refuted):
+        goals.setdefault(canonical_rule(_rule_at(formulas, sets, j, c)))
+    return list(goals)
 
 
 # ---------------------------------------------------------------------------
@@ -774,32 +798,23 @@ def suite_completeness_evidence(system_name: str = "BDE", max_depth_terms: int =
     One-sided by construction: a miss lands in known_gaps, never in the
     violation list.  The default space (two variables, term depth 1, up
     to two premises) sweeps in seconds; term depth 2 is feasible with
-    max_premises=1 and is exposed through the parameters.
+    max_premises=1 and is exposed through the parameters.  The goals are
+    the space's valid rules as read from the premise-set table
+    (``_valid_goals``); ``derive`` is tried on each.
     """
     started = time.time()
     sysd = system(system_name)
     bounds = RuleSpaceBounds(2, max_depth_terms, max_premises, 1,
                              sysd.signature.relations, sysd.signature.constants)
-    gaps = []
-    checks = 0
-    confirmed = 0
-    for r in enumerate_rules(bounds):
-        if not r.is_single_conclusion:
-            continue
-        if not decide(sysd.preset, r).valid:
-            continue
-        checks += 1
-        d = derive(sysd, r, derive_depth, max_terms=max_terms)
-        if d is None:
-            gaps.append(print_rule(r))
-        else:
-            confirmed += 1
+    goals = _valid_goals(sysd, bounds)
+    gaps = [print_rule(r) for r in goals
+            if derive(sysd, r, derive_depth, max_terms=max_terms) is None]
     return _report("completeness-evidence",
                    {"system": system_name, "term_depth": max_depth_terms,
                     "max_premises": max_premises, "derive_depth": derive_depth,
                     "max_terms": max_terms},
-                   checks, [], started,
-                   {"confirmed": confirmed, "known_gaps": gaps})
+                   len(goals), [], started,
+                   {"confirmed": len(goals) - len(gaps), "known_gaps": gaps})
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,13 @@ def test_verify_help_names_every_suite(capsys, monkeypatch):
     from fourval import verify
 
     assert set(cli._SUITE_ARGS) == set(verify.SUITES)
-    monkeypatch.setenv("COLUMNS", "500")  # no line break inside a hyphenated name
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = run(capsys, "verify", "--help")
     assert code == 0
-    for name in verify.SUITES:
-        assert name in out, name
+    assert max(map(len, out.splitlines())) <= 80
+    words = set(out.replace(",", " ").split())
+    for name in verify.SUITES:  # whole, not broken at a hyphen
+        assert name in words, name
     assert "--list" not in out
 
 

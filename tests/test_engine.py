@@ -8,23 +8,21 @@ from fourval.engine import (
     DerivationNode,
     DeriveBudgetError,
     RuleSpaceBounds,
+    RuleSpaceBudgetError,
     canonical_rule,
     census_pool,
     check_derivation,
     classify_models,
-    count_rule_space,
     decide,
     derivation_to_json,
     derive,
     edge_mutations,
-    enumerate_rules,
-    terms_within,
     translate_exact_to_eq,
 )
 from fourval.structures import preset_structure
 from fourval.syntax import Meet, Var, apply_subst, atom, parse_rule, print_rule, sig
 from fourval.systems import system
-from fourval.verify import random_rule
+from fourval.verify import _valid_goals, random_rule, suite_completeness_evidence
 
 
 # -- decide -------------------------------------------------------------------
@@ -170,52 +168,19 @@ def test_translation_transfers_validity_on_samples():
     assert hits > 50
 
 
-# -- rule enumeration ---------------------------------------------------------
+# -- rule space ---------------------------------------------------------------
 
-def test_enumerate_rules_counting_oracle():
-    bounds = RuleSpaceBounds(1, 1, 1, 1, frozenset({"T"}))
-    rules = list(enumerate_rules(bounds))
-    # oracle: 4 terms over one variable at depth <= 1, so 4 formulas,
-    # 5 premise choices x 5 conclusion choices
-    assert len(terms_within(bounds)) == 4
-    assert len(rules) == 5 * 5
-    texts = {print_rule(r) for r in rules}
-    assert "T(x) |- T(~x)" in texts and "T(~x) |- T(x)" in texts
+def test_completeness_evidence_over_budget_raises():
+    with pytest.raises(RuleSpaceBudgetError):
+        suite_completeness_evidence("BDE-EQ")
 
 
-def test_enumerate_rules_trivial_bounds():
-    bounds = RuleSpaceBounds(0, 0, 0, 0, frozenset({"T"}))
-    assert [print_rule(r) for r in enumerate_rules(bounds)] == ["|-"]
-
-
-def test_enumerate_rules_monotone_in_bounds():
-    base = RuleSpaceBounds(1, 1, 1, 1, frozenset({"T"}))
-    out_base = set(enumerate_rules(base))
-    for bigger in (
-        RuleSpaceBounds(2, 1, 1, 1, frozenset({"T"})),
-        RuleSpaceBounds(1, 2, 1, 1, frozenset({"T"})),
-        RuleSpaceBounds(1, 1, 2, 1, frozenset({"T"})),
-        RuleSpaceBounds(1, 1, 1, 2, frozenset({"T"})),
-        RuleSpaceBounds(1, 1, 1, 1, frozenset({"T", "E"})),
-    ):
-        assert out_base <= set(enumerate_rules(bigger))
-
-
-def test_enumerate_rules_deduplicates_renamings():
-    bounds = RuleSpaceBounds(2, 0, 1, 1, frozenset({"T"}))
-    rules = list(enumerate_rules(bounds))
-    texts = [print_rule(r) for r in rules]
-    assert len(texts) == len(set(texts))
-    # T(x) |- T(y) and T(y) |- T(x) are the same rule up to renaming
-    assert sum(1 for r in rules
-               if len(r.variables()) == 2 and len(r.premises) == 1) == 1
-
-
-def test_enumerate_rules_budget():
-    bounds = RuleSpaceBounds(2, 2, 3, 2, frozenset({"T", "E", "NF", "eq"}))
-    assert count_rule_space(bounds) > 10**9
-    with pytest.raises(Exception):
-        list(enumerate_rules(bounds, budget=1000))
+def test_valid_goals_yield_each_renaming_class_once():
+    bde = system("BDE")
+    goals = _valid_goals(bde, RuleSpaceBounds(2, 1, 2, 1, bde.signature.relations))
+    assert len(goals) == 1831
+    assert all(canonical_rule(r) == r for r in goals)
+    assert len(set(goals)) == len(goals)
 
 
 def test_canonical_rule_idempotent_and_invariant():

@@ -16,10 +16,8 @@ from fourval.engine import (
     Grounder,
     RuleSpaceBounds,
     Universe,
-    decide,
     derivation_to_json,
     derive,
-    enumerate_rules,
     formulas_within,
     terms_within,
 )
@@ -231,9 +229,7 @@ def test_grounder_rejects_constants_outside_the_universe(with_fresh):
 
 @lru_cache(maxsize=None)
 def _bde_space_goals():
-    bounds = RuleSpaceBounds(2, 1, 2, 1, frozenset({"T", "E"}))
-    return [r for r in enumerate_rules(bounds)
-            if r.is_single_conclusion and decide("BDE", r).valid]
+    return verify._valid_goals(system("BDE"), RuleSpaceBounds(2, 1, 2, 1, frozenset({"T", "E"})))
 
 
 @pytest.mark.parametrize("layers,max_terms,stride", [(0, 120, 1), (1, 24, 10)])
