@@ -10,6 +10,10 @@ import time
 import pytest
 
 from fourval import verify
+from test_golden import _digest
+
+# sha256 of the criterion 9 report without its "timings" block
+ENGINE_SOUNDNESS_DIGEST = "bae16e3409f5c5b707bcc15ae55fb16495386936ce2ce7d20f4b88c077bd8199"
 
 
 def _criterion(number: int, description: str, report: dict, budget_s: float | None = None):
@@ -99,6 +103,9 @@ def test_criterion_9_engine_soundness():
     report = verify.suite_engine_soundness(depth=4)
     _criterion(9, "every rule derived at depth <= 4 is semantically valid",
                report)
+    assert report["checks"] == 1_438_135
+    pinned = {k: v for k, v in report.items() if k != "timings"}
+    assert _digest(pinned) == ENGINE_SOUNDNESS_DIGEST
 
 
 def test_criterion_10_parser_roundtrip():

@@ -30,8 +30,9 @@ DERIVE_GOALS = 122
 DERIVE_DIGEST = "52eb292370db3f5140fe6f6c9650e7be269dab3cc280ab066f1329ffaba5f107"
 
 # the suites that take about a second or less at their defaults; the
-# engine-soundness report is not pinned here, and completeness-evidence is
-# pinned below at three configurations that take a second or less
+# engine-soundness report is pinned in tests/test_acceptance.py (criterion
+# 9), and completeness-evidence is pinned below at three configurations
+# that take a second or less
 SUITE_DIGESTS = {
     "soundness": "971182a5cd726a77715ea539f5eb693a7b3637c8d21aa09ca26617d174b462c9",
     "rule-ledger": "b93a7d69568974b2f08bbc7d1229a262fd4b4a1cf375604a86f6bbb3eb7bcc2e",
