@@ -219,18 +219,15 @@ def cmd_derive(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
+# the settings each suite reads from the command line; the others run at
+# their defaults
 _SUITE_ARGS = {
-    "soundness": lambda cfg: {},
-    "rule-ledger": lambda cfg: {},
     "leibniz-crosscheck": lambda cfg: {"max_size": min(cfg.max_size, 5)},
-    "facts": lambda cfg: {},
     "subdirect": lambda cfg: {"max_size": cfg.max_size},
     "classification": lambda cfg: {"size": cfg.size, "jobs": cfg.jobs},
     "mc-classification": lambda cfg: {"size": cfg.size, "jobs": cfg.jobs},
     "translation": lambda cfg: {"seed": cfg.seed},
     "derivability": lambda cfg: {"depth": cfg.depth, "seed": cfg.seed},
-    "engine-soundness": lambda cfg: {},
-    "extension": lambda cfg: {},
     "completeness-evidence": lambda cfg: {"derive_depth": cfg.depth},
     "roundtrip": lambda cfg: {"seed": cfg.seed},
 }
@@ -238,15 +235,13 @@ _SUITE_ARGS = {
 
 def cmd_verify(cfg: RunConfig, suites: list[str]) -> int:
     if suites == ["all"]:
-        suites = list(_SUITE_ARGS)
-    reports = []
-    ok = True
-    for name in suites:
-        if name not in _SUITE_ARGS:
+        suites = list(verify_mod.SUITES)
+    for name in suites:  # every name is checked before any suite runs
+        if name not in verify_mod.SUITES:
             raise UsageError(f"unknown verification suite {name!r}")
-        rep = verify_mod.run_suite(name, **_SUITE_ARGS[name](cfg))
-        reports.append(rep)
-        ok = ok and rep["ok"]
+    reports = [verify_mod.run_suite(name, **_SUITE_ARGS.get(name, lambda cfg: {})(cfg))
+               for name in suites]
+    ok = all(rep["ok"] for rep in reports)
     report = _envelope(cfg, {"ok": ok, "suites": reports})
     _emit(report, cfg)
     return EXIT_OK if ok else EXIT_INVALID
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the suite list is wrapped here, not by argparse, which would break
     # hyphenated names across lines
-    suite_list = textwrap.fill(", ".join(_SUITE_ARGS), 76, initial_indent="  ",
+    suite_list = textwrap.fill(", ".join(verify_mod.SUITES), 76, initial_indent="  ",
                                subsequent_indent="  ", break_on_hyphens=False)
     p = add_parser("verify", help="run named verification suites",
                    formatter_class=argparse.RawDescriptionHelpFormatter,

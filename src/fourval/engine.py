@@ -516,26 +516,29 @@ def translate_exact_to_eq(r: Rule) -> Rule:
 
 _VAR_POOL = ("x", "y", "z", "u", "v", "w", "x1", "x2")
 
+# the variables of every bounded rule space; its premise-set tables are
+# decided on the grid of their valuations
+SPACE_VARIABLES = ("x", "y")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class RuleSpaceBounds:
-    max_variables: int
+    """A bounded space of single-conclusion rules over ``SPACE_VARIABLES``:
+    terms of depth at most ``max_depth`` over those variables and
+    ``constants``, atomic formulas over ``predicates``, and at most
+    ``max_premises`` premises."""
     max_depth: int
     max_premises: int
-    max_conclusions: int
     predicates: frozenset[str]
     constants: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if min(self.max_variables, self.max_depth, self.max_premises,
-               self.max_conclusions) < 0:
+        if min(self.max_depth, self.max_premises) < 0:
             raise ValueError("bounds must be non-negative")
-        if self.max_variables > len(_VAR_POOL):
-            raise ValueError(f"at most {len(_VAR_POOL)} variables supported")
 
 
 def terms_within(bounds: RuleSpaceBounds) -> list[Term]:
-    atoms: list[Term] = [Var(v) for v in _VAR_POOL[:bounds.max_variables]]
+    atoms: list[Term] = [Var(v) for v in SPACE_VARIABLES]
     atoms += [Const(c) for c in sorted(bounds.constants)]
     layers: set[Term] = set(atoms)
     for _ in range(bounds.max_depth):
@@ -547,12 +550,16 @@ def terms_within(bounds: RuleSpaceBounds) -> list[Term]:
 
 
 def formulas_within(bounds: RuleSpaceBounds) -> list[Formula]:
-    terms = terms_within(bounds)
+    return formulas_over(bounds.predicates, terms_within(bounds))
+
+
+def formulas_over(predicates: frozenset[str], terms: Sequence[Term]) -> list[Formula]:
+    """The atomic formulas over ``predicates`` whose arguments are ``terms``."""
     out: list[Formula] = []
     for pred in ("T", "E", "NF"):
-        if pred in bounds.predicates:
+        if pred in predicates:
             out.extend(Formula(pred, (t,)) for t in terms)
-    if "eq" in bounds.predicates:
+    if "eq" in predicates:
         out.extend(Formula("eq", (s, t)) for s in terms for t in terms)
     return out
 
@@ -574,11 +581,10 @@ def canonical_rule(r: Rule) -> Rule:
 
 
 def count_rule_space(bounds: RuleSpaceBounds) -> int:
-    """The number of rules in the raw space, before renaming deduplication."""
+    """The number of rules in the raw space, before renaming deduplication:
+    premise sets times conclusions (none or one formula)."""
     f = len(formulas_within(bounds))
-    prem = sum(comb(f, k) for k in range(bounds.max_premises + 1))
-    conc = sum(comb(f, k) for k in range(bounds.max_conclusions + 1))
-    return prem * conc
+    return sum(comb(f, k) for k in range(bounds.max_premises + 1)) * (f + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .algebra import (
     subdirect_embedding,
 )
 from .engine import (
+    SPACE_VARIABLES,
     Grounder,
     ModelSweep,
     RuleSpaceBounds,
@@ -47,6 +48,7 @@ from .engine import (
     decide,
     derive,
     edge_mutations,
+    formulas_over,
     formulas_within,
     terms_within,
     translate_exact_to_eq,
@@ -61,7 +63,7 @@ from .leibniz import (
     quotient_structure,
     reduct,
 )
-from .structures import formula_bitmap, holds, is_model, preset_structure, structure
+from .structures import Structure, formula_bitmap, holds, is_model, preset_structure, structure
 from .syntax import (
     Const,
     Formula,
@@ -298,7 +300,10 @@ def _binary_relation_family(alg: FiniteAlgebra) -> list[tuple[str, tuple[int, ..
     return fams
 
 
-def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dict:
+BINARY_MAX_SIZE = 4  # binary relations are cross-checked on algebras up to this size
+
+
+def suite_leibniz_crosscheck(max_size: int = 5) -> dict:
     started = time.time()
     violations = []
     checks = 0
@@ -312,7 +317,7 @@ def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dic
             if a.rep != b.rep:
                 violations.append(f"unary {name} F={f:#x}: by-refinement {a.rep}"
                                   f" vs by-polynomials {b.rep}")
-        if alg.size <= binary_max_size:
+        if alg.size <= BINARY_MAX_SIZE:
             for relname, rows in _binary_relation_family(alg):
                 checks += 1
                 a, b = leibniz_binary(alg, rows), leibniz_binary_poly(alg, rows)
@@ -320,14 +325,17 @@ def suite_leibniz_crosscheck(max_size: int = 5, binary_max_size: int = 4) -> dic
                     violations.append(f"binary {name} {relname}: by-refinement {a.rep}"
                                       f" vs by-polynomials {b.rep}")
     return _report("leibniz-crosscheck",
-                   {"max_size": max_size, "binary_max_size": binary_max_size},
+                   {"max_size": max_size, "binary_max_size": BINARY_MAX_SIZE},
                    checks, violations, started)
 
 
 # ---------------------------------------------------------------------------
 # Suite: facts.  The finitely checkable content of the structural facts.
 
-def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
+PAIR_SIZE = 4  # two-relation model intersections are checked up to this size
+
+
+def suite_facts(max_size: int = 5) -> dict:
     started = time.time()
     violations = []
     checks = 0
@@ -349,7 +357,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
     # intersection for two-relation models (truth / exact truth); the sweep
     # orders the relations E, T, the pairs here are (T, E)
     bde_sweep = ModelSweep(system("BDE"))
-    for alg in census_pool(pair_size):
+    for alg in census_pool(PAIR_SIZE):
         models = sorted((t, e) for e, t in bde_sweep.free_models(alg, [range(1 << alg.size)] * 2))
         model_set = set(models)
         for (t1, e1), (t2, e2) in combinations(models, 2):
@@ -431,7 +439,7 @@ def suite_facts(max_size: int = 5, pair_size: int = 4) -> dict:
             if not _embeds_into(red2, dm4_tnf):
                 violations.append(f"|A|={alg.size} prime T={t:#x}: two-predicate reduct does not embed")
 
-    return _report("facts", {"max_size": max_size, "pair_size": pair_size},
+    return _report("facts", {"max_size": max_size, "pair_size": PAIR_SIZE},
                    checks, violations, started)
 
 
@@ -505,7 +513,8 @@ def suite_mc_classification(size: int = 4, jobs: int = 1) -> dict:
 # Premise-set tables.  Translation, extension, engine-soundness and
 # completeness-evidence decide "premise set j entails conclusion c" over a
 # bounded rule space for every pair at once: each formula holds an int
-# bitset over the premise sets.
+# bitset over the premise sets, and a structure is evaluated on the grid of
+# the space's variables (``SPACE_VARIABLES``).
 
 def _premise_sets(n_formulas: int, max_premises: int) -> tuple[list[tuple[int, ...]], list[int], int]:
     """Premise set j is the j-th ``combinations(range(n_formulas), k)`` item
@@ -520,32 +529,37 @@ def _premise_sets(n_formulas: int, max_premises: int) -> tuple[list[tuple[int, .
     return sets, [int.from_bytes(b, "little") for b in seeds], (1 << len(sets)) - 1
 
 
-def _bitmaps(st, formulas) -> list[int]:
-    return [formula_bitmap(st, f, ("x", "y")) for f in formulas]
+class _Table:
+    """The premise-set table over a bounded rule space's formulas: its
+    premise sets, seeds and ``full`` as ``_premise_sets`` gives them."""
+
+    def __init__(self, formulas: list[Formula], max_premises: int):
+        self.formulas = formulas
+        self.sets, self.seeds, self.full = _premise_sets(len(formulas), max_premises)
+
+    def refuted(self, st: Structure, formulas: Sequence[Formula] | None = None) -> list[int]:
+        """Per conclusion c, the premise sets j for which ``sets[j] |- c``
+        fails in st, reading formula i as ``formulas[i]`` if given: the OR,
+        over the grid points where c fails, of the sets all of whose
+        members hold there."""
+        bitmaps = [formula_bitmap(st, f, SPACE_VARIABLES) for f in formulas or self.formulas]
+        refuted = [0] * len(bitmaps)
+        for v in range(st.algebra.size ** len(SPACE_VARIABLES)):
+            fails = [f for f, bm in enumerate(bitmaps) if not (bm >> v) & 1]
+            sat = self.full  # the premise sets all of whose members hold at v
+            for f in fails:
+                sat &= ~self.seeds[f]
+            for c in fails:
+                refuted[c] |= sat
+        return refuted
+
+    def rule(self, j: int, c: int) -> Rule:
+        return Rule(frozenset(self.formulas[p] for p in self.sets[j]), frozenset({self.formulas[c]}))
 
 
-def _refuted(seeds: Sequence[int], full: int, bitmaps: Sequence[int], points: int) -> list[int]:
-    """Per conclusion c, the premise sets j for which ``sets[j] |- c`` fails:
-    the OR, over the grid points where c fails, of the sets all of whose
-    members hold there."""
-    refuted = [0] * len(bitmaps)
-    for v in range(points):
-        fails = [f for f, bm in enumerate(bitmaps) if not (bm >> v) & 1]
-        sat = full  # the premise sets all of whose members hold at v
-        for f in fails:
-            sat &= ~seeds[f]
-        for c in fails:
-            refuted[c] |= sat
-    return refuted
-
-
-def _pairs(table) -> list[tuple[int, int]]:
+def _pairs(per_conclusion) -> list[tuple[int, int]]:
     """The (premise set, conclusion) pairs set in a per-conclusion table, in order."""
-    return sorted((j, c) for c, bits in enumerate(table) for j in mask_iter(bits))
-
-
-def _rule_at(formulas: Sequence[Formula], sets, j: int, c: int) -> Rule:
-    return Rule(frozenset(formulas[p] for p in sets[j]), frozenset({formulas[c]}))
+    return sorted((j, c) for c, bits in enumerate(per_conclusion) for j in mask_iter(bits))
 
 
 RULE_SPACE_BUDGET = 2_000_000  # raw rules (count_rule_space) a goal sweep may cover
@@ -557,20 +571,16 @@ def _valid_goals(sysd: AxiomSystem, bounds: RuleSpaceBounds) -> list[Rule]:
     order in which each class first appears in the premise-set table.
 
     Validity does not change under renaming, so a class is valid or not as
-    a whole and its first valid pair is its first pair.  The table's grid
-    is over x and y, as for every premise-set table, so the bounds allow
-    at most two variables.  A space larger than ``RULE_SPACE_BUDGET``
-    raises ``RuleSpaceBudgetError``.
+    a whole and its first valid pair is its first pair.  A space larger
+    than ``RULE_SPACE_BUDGET`` raises ``RuleSpaceBudgetError``.
     """
     if count_rule_space(bounds) > RULE_SPACE_BUDGET:
         raise RuleSpaceBudgetError("rule space exceeds the configured budget")
-    formulas = formulas_within(bounds)
-    sets, seeds, full = _premise_sets(len(formulas), bounds.max_premises)
-    st = preset_structure(sysd.preset)
-    refuted = _refuted(seeds, full, _bitmaps(st, formulas), st.algebra.size ** 2)
+    table = _Table(formulas_within(bounds), bounds.max_premises)
+    refuted = table.refuted(preset_structure(sysd.preset))
     goals: dict[Rule, None] = {}
-    for j, c in _pairs(full & ~r for r in refuted):
-        goals.setdefault(canonical_rule(_rule_at(formulas, sets, j, c)))
+    for j, c in _pairs(table.full & ~r for r in refuted):
+        goals.setdefault(canonical_rule(table.rule(j, c)))
     return list(goals)
 
 
@@ -582,22 +592,21 @@ def _valid_goals(sysd: AxiomSystem, bounds: RuleSpaceBounds) -> list[Rule]:
 
 def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -> dict:
     started = time.time()
-    bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T", "E", "eq"}))
-    formulas = formulas_within(bounds)
-    sets, seeds, full = _premise_sets(len(formulas), max_premises)
+    bounds = RuleSpaceBounds(max_depth=1, max_premises=max_premises,
+                             predicates=frozenset({"T", "E", "eq"}))
+    table = _Table(formulas_within(bounds), max_premises)
     src = preset_structure("BDE-eq")
     tgt = preset_structure("BD-eq+t")
-    src_ref = _refuted(seeds, full, _bitmaps(src, formulas), src.algebra.size ** 2)
-    tgt_ref = _refuted(seeds, full, _bitmaps(tgt, map(translate_exact_to_eq_formula, formulas)),
-                       tgt.algebra.size ** 2)
-    violations = [f"mismatch on {print_rule(_rule_at(formulas, sets, j, c))}"
+    src_ref = table.refuted(src)
+    tgt_ref = table.refuted(tgt, [translate_exact_to_eq_formula(f) for f in table.formulas])
+    violations = [f"mismatch on {print_rule(table.rule(j, c))}"
                   for j, c in _pairs(s ^ t for s, t in zip(src_ref, tgt_ref))]
     # bind the table to decide() on a seeded sample
-    findex = {f: i for i, f in enumerate(formulas)}
+    findex = {f: i for i, f in enumerate(table.formulas)}
     for r in _rule_sample(bounds, random.Random(seed), sample):
-        containing = full  # the premise sets containing r's premises; the least is r's own
+        containing = table.full  # the premise sets containing r's premises; the least is r's own
         for p in r.premises:
-            containing &= seeds[findex[p]]
+            containing &= table.seeds[findex[p]]
         j = (containing & -containing).bit_length() - 1
         v_src = decide(src, r).valid
         v_tgt = decide(tgt, translate_exact_to_eq(r)).valid
@@ -606,14 +615,17 @@ def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -
         if v_src == bool((src_ref[findex[r.conclusion]] >> j) & 1):
             violations.append(f"bitmap/decide disagreement on {print_rule(r)}")
     return _report("translation", {"max_premises": max_premises, "sample": sample, "seed": seed},
-                   len(sets) * len(formulas), violations, started)
+                   len(table.sets) * len(table.formulas), violations, started)
 
 
 # ---------------------------------------------------------------------------
 # Suite: derivability (certificates for the documented derivations, plus
 # certificate-checker mutation coverage).
 
-def suite_derivability(depth: int = 8, mutations_needed: int = 100, seed: int = 0) -> dict:
+MUTATIONS_NEEDED = 100  # single-edge certificate mutations that must be rejected
+
+
+def suite_derivability(depth: int = 8, seed: int = 0) -> dict:
     started = time.time()
     violations = []
     checks = 0
@@ -637,14 +649,14 @@ def suite_derivability(depth: int = 8, mutations_needed: int = 100, seed: int = 
             violations.append(f"{sys_name}: emitted certificate rejected: {msg}")
         certificates.append((sysd, d, r))
 
-    # harvest further certificates until at least `mutations_needed` edges exist
+    # harvest further certificates until at least MUTATIONS_NEEDED edges exist
     rng = random.Random(seed)
     bde = system("BDE")
-    bounds = RuleSpaceBounds(2, 1, 2, 1, frozenset({"T", "E"}))
+    bounds = RuleSpaceBounds(max_depth=1, max_premises=2, predicates=frozenset({"T", "E"}))
     pool = [r for r in _rule_sample(bounds, rng, 400) if decide("BDE", r).valid]
     edges = sum(len(edge_mutations(d)) for _, d, _ in certificates)
     for r in pool:
-        if edges >= mutations_needed:
+        if edges >= MUTATIONS_NEEDED:
             break
         d = derive(bde, r, 4)
         if d is not None and check_derivation(bde, d, r)[0]:
@@ -654,15 +666,15 @@ def suite_derivability(depth: int = 8, mutations_needed: int = 100, seed: int = 
     mutated = 0
     for sysd, d, r in certificates:
         for m in edge_mutations(d):
-            if mutated >= mutations_needed:
+            if mutated >= MUTATIONS_NEEDED:
                 break
             mutated += 1
             checks += 1
             if check_derivation(sysd, m, r)[0]:
                 violations.append(f"{sysd.name}: a single-edge mutation was accepted")
-    if mutated < mutations_needed:
-        violations.append(f"only {mutated} mutations available, needed {mutations_needed}")
-    return _report("derivability", {"depth": depth, "mutations": mutations_needed},
+    if mutated < MUTATIONS_NEEDED:
+        violations.append(f"only {mutated} mutations available, needed {MUTATIONS_NEEDED}")
+    return _report("derivability", {"depth": depth, "mutations": MUTATIONS_NEEDED},
                    checks, violations, started, {"mutations_rejected": mutated})
 
 
@@ -734,28 +746,29 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
     violations = []
     checks = 0
     stats = {}
-    # (system, max premises, term depth); constant variants run at term
-    # depth 0, where the space stays desk-scale but constants are exercised
-    runs: list[tuple[str, int, int]] = [(n, 2, 1) for n in (systems_run or CORE_SINGLE_CONCLUSION)]
+    # (system, term depth), at most two premises; constant variants run at
+    # term depth 0, where the space stays desk-scale but constants are exercised
+    runs: list[tuple[str, int]] = [(n, 1) for n in (systems_run or CORE_SINGLE_CONCLUSION)]
     if systems_run is None:
-        runs += [(n, 2, 0) for n in VARIANT_SMOKE]
-    for sys_name, max_prem, term_depth in runs:
+        runs += [(n, 0) for n in VARIANT_SMOKE]
+    for sys_name, term_depth in runs:
         sysd = system(sys_name)
-        bounds = RuleSpaceBounds(2, term_depth, max_prem, 1, sysd.signature.relations,
-                                 sysd.signature.constants)
-        formulas = formulas_within(bounds)
-        universe = terms_within(bounds)
-        ground = _ground_program(sysd, formulas, universe)
-        st = preset_structure(sysd.preset)
-        sets, seeds, full = _premise_sets(len(formulas), max_prem)
-        level = _horn_closure(ground, seeds, depth, full)
-        reached = [lv & ~s for lv, s in zip(level, seeds)]
-        refuted = _refuted(seeds, full, _bitmaps(st, formulas), st.algebra.size ** 2)
+        bounds = RuleSpaceBounds(max_depth=term_depth, max_premises=2,
+                                 predicates=sysd.signature.relations,
+                                 constants=sysd.signature.constants)
+        terms = terms_within(bounds)
+        formulas = formulas_over(bounds.predicates, terms)
+        ground = _ground_program(sysd, formulas, terms)
+        # built after grounding, so the premise sets are not held while it peaks
+        table = _Table(formulas, bounds.max_premises)
+        level = _horn_closure(ground, table.seeds, depth, table.full)
+        reached = [lv & ~s for lv, s in zip(level, table.seeds)]
+        refuted = table.refuted(preset_structure(sysd.preset))
         for j, c in _pairs(a & b for a, b in zip(reached, refuted)):
-            violations.append(f"{sys_name}: derived but invalid: {print_rule(_rule_at(formulas, sets, j, c))}")
+            violations.append(f"{sys_name}: derived but invalid: {print_rule(table.rule(j, c))}")
         derived = sum(r.bit_count() for r in reached)
         checks += derived
-        stats[sys_name] = {"ground_rules": len(ground), "premise_sets": len(sets),
+        stats[sys_name] = {"ground_rules": len(ground), "premise_sets": len(table.sets),
                            "closure_rounds": level.rounds, "derived_pairs": derived}
     return _report("engine-soundness", {"depth": depth, "runs": [r[0] for r in runs]},
                    checks, violations, started, {"stats": stats})
@@ -767,22 +780,19 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
 
 def suite_extension(max_premises: int = 2) -> dict:
     started = time.time()
-    bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T"}))
-    formulas = formulas_within(bounds)
-    sets, seeds, full = _premise_sets(len(formulas), max_premises)
+    bounds = RuleSpaceBounds(max_depth=1, max_premises=max_premises, predicates=frozenset({"T"}))
+    table = _Table(formulas_within(bounds), max_premises)
 
-    def refuted(preset: str, conv=lambda f: f) -> list[int]:
-        st = preset_structure(preset)
-        return _refuted(seeds, full, _bitmaps(st, map(conv, formulas)), st.algebra.size ** 2)
+    def refuted(preset: str, pred: str = "T") -> list[int]:
+        return table.refuted(preset_structure(preset), [Formula(pred, f.args) for f in table.formulas])
 
     base = refuted("BD")
-    extensions = {"ETL": refuted("ETL", lambda f: Formula("E", f.args)),
-                  "K": refuted("K"), "LP": refuted("LP")}
-    checks = sum((full & ~b).bit_count() for b in base)
+    extensions = {"ETL": refuted("ETL", "E"), "K": refuted("K"), "LP": refuted("LP")}
+    checks = sum((table.full & ~b).bit_count() for b in base)
     # a pair's lines follow the presets' order above, which is also name order
     lost = sorted((j, c, name) for name, ext in extensions.items()
                   for j, c in _pairs(x & ~b for x, b in zip(ext, base)))
-    violations = [f"{name} loses base-valid rule {print_rule(_rule_at(formulas, sets, j, c))}"
+    violations = [f"{name} loses base-valid rule {print_rule(table.rule(j, c))}"
                   for j, c, name in lost]
     return _report("extension", {"max_premises": max_premises}, checks, violations, started)
 
@@ -804,8 +814,9 @@ def suite_completeness_evidence(system_name: str = "BDE", max_depth_terms: int =
     """
     started = time.time()
     sysd = system(system_name)
-    bounds = RuleSpaceBounds(2, max_depth_terms, max_premises, 1,
-                             sysd.signature.relations, sysd.signature.constants)
+    bounds = RuleSpaceBounds(max_depth=max_depth_terms, max_premises=max_premises,
+                             predicates=sysd.signature.relations,
+                             constants=sysd.signature.constants)
     goals = _valid_goals(sysd, bounds)
     gaps = [print_rule(r) for r in goals
             if derive(sysd, r, derive_depth, max_terms=max_terms) is None]
@@ -866,12 +877,15 @@ def golden_corpus() -> list[str]:
     return sorted(set(texts))
 
 
-def suite_roundtrip(count: int = 10000, seed: int = 0) -> dict:
+ROUNDTRIP_COUNT = 10000  # generated rules per round trip run
+
+
+def suite_roundtrip(seed: int = 0) -> dict:
     started = time.time()
     rng = random.Random(seed)
     violations = []
     checks = 0
-    for i in range(count):
+    for i in range(ROUNDTRIP_COUNT):
         r = random_rule(rng)
         checks += 1
         text = print_rule(r)
@@ -883,7 +897,7 @@ def suite_roundtrip(count: int = 10000, seed: int = 0) -> dict:
         again = print_rule(parse_rule(text))
         if again != text:
             violations.append(f"print(parse) not idempotent on {text!r} -> {again!r}")
-    return _report("roundtrip", {"count": count, "seed": seed}, checks, violations, started)
+    return _report("roundtrip", {"count": ROUNDTRIP_COUNT, "seed": seed}, checks, violations, started)
 
 
 # ---------------------------------------------------------------------------

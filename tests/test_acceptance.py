@@ -50,7 +50,7 @@ def test_criterion_3_leibniz_crosscheck():
 
 
 def test_criterion_4_fact_suite():
-    report = verify.suite_facts(max_size=5, pair_size=4)
+    report = verify.suite_facts(max_size=5)
     _criterion(4, "intersection/reduct/description/embedding facts hold at size <= 5",
                report)
 
@@ -87,7 +87,7 @@ def test_classification_sweeps_at_size_5():
 
 
 def test_criterion_7_derivability_ledger():
-    report = verify.suite_derivability(depth=8, mutations_needed=100)
+    report = verify.suite_derivability(depth=8)
     assert report["mutations_rejected"] == 100
     _criterion(7, "documented derivations found; 100/100 mutations rejected",
                report)
@@ -109,6 +109,6 @@ def test_criterion_9_engine_soundness():
 
 
 def test_criterion_10_parser_roundtrip():
-    report = verify.suite_roundtrip(count=10000, seed=0)
+    report = verify.suite_roundtrip(seed=0)
     _criterion(10, "parse/print identity on 10000 rules; idempotent on corpus",
                report)

@@ -150,7 +150,6 @@ def test_unknown_preset_exits_two(capsys):
 def test_verify_help_names_every_suite(capsys, monkeypatch):
     from fourval import verify
 
-    assert set(cli._SUITE_ARGS) == set(verify.SUITES)
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = run(capsys, "verify", "--help")
     assert code == 0
@@ -159,6 +158,35 @@ def test_verify_help_names_every_suite(capsys, monkeypatch):
     for name in verify.SUITES:  # whole, not broken at a hyphen
         assert name in words, name
     assert "--list" not in out
+
+
+def _record_suites(monkeypatch) -> list[str]:
+    """Replace verify.run_suite by a stub that records the names it is given."""
+    from fourval import verify
+
+    ran = []
+
+    def record(name, **kwargs):
+        ran.append(name)
+        return {"suite": name, "checks": 1, "violations": [], "ok": True, "timings": {}}
+
+    monkeypatch.setattr(verify, "run_suite", record)
+    return ran
+
+
+def test_verify_checks_every_suite_name_before_running_any(capsys, monkeypatch):
+    ran = _record_suites(monkeypatch)
+    code, _, err = run(capsys, "verify", "facts", "bogus")
+    assert code == 2 and "unknown verification suite 'bogus'" in err
+    assert ran == []
+
+
+def test_verify_all_runs_the_registry_in_order(capsys, monkeypatch):
+    from fourval import verify
+
+    ran = _record_suites(monkeypatch)
+    code, _, _ = run(capsys, "verify", "all")
+    assert code == 0 and ran == list(verify.SUITES)
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -177,7 +177,8 @@ def test_completeness_evidence_over_budget_raises():
 
 def test_valid_goals_yield_each_renaming_class_once():
     bde = system("BDE")
-    goals = _valid_goals(bde, RuleSpaceBounds(2, 1, 2, 1, bde.signature.relations))
+    goals = _valid_goals(bde, RuleSpaceBounds(max_depth=1, max_premises=2,
+                                             predicates=bde.signature.relations))
     assert len(goals) == 1831
     assert all(canonical_rule(r) == r for r in goals)
     assert len(set(goals)) == len(goals)

@@ -229,7 +229,8 @@ def test_grounder_rejects_constants_outside_the_universe(with_fresh):
 
 @lru_cache(maxsize=None)
 def _bde_space_goals():
-    return verify._valid_goals(system("BDE"), RuleSpaceBounds(2, 1, 2, 1, frozenset({"T", "E"})))
+    return verify._valid_goals(system("BDE"), RuleSpaceBounds(max_depth=1, max_premises=2,
+                                                       predicates=frozenset({"T", "E"})))
 
 
 @pytest.mark.parametrize("layers,max_terms,stride", [(0, 120, 1), (1, 24, 10)])
@@ -321,8 +322,9 @@ def brute_force_ground(sysd, formulas, universe):
                          + [(n, 0) for n in verify.VARIANT_SMOKE])
 def test_ground_program_matches_brute_force_substitution(name, term_depth):
     sysd = system(name)
-    bounds = RuleSpaceBounds(2, term_depth, 2, 1, sysd.signature.relations,
-                             sysd.signature.constants)
+    bounds = RuleSpaceBounds(max_depth=term_depth, max_premises=2,
+                             predicates=sysd.signature.relations,
+                             constants=sysd.signature.constants)
     formulas = formulas_within(bounds)
     universe = terms_within(bounds)
     ground = verify._ground_program(sysd, formulas, universe)

@@ -19,7 +19,8 @@ XY = ("x", "y")
 
 
 def _oracle_translation(max_premises=2, sample=500, seed=0):
-    bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T", "E", "eq"}))
+    bounds = RuleSpaceBounds(max_depth=1, max_premises=max_premises,
+                             predicates=frozenset({"T", "E", "eq"}))
     formulas = formulas_within(bounds)
     src = verify.preset_structure("BDE-eq")
     tgt = verify.preset_structure("BD-eq+t")
@@ -60,7 +61,7 @@ def _oracle_translation(max_premises=2, sample=500, seed=0):
 
 
 def _oracle_extension(max_premises=2):
-    bounds = RuleSpaceBounds(2, 1, max_premises, 1, frozenset({"T"}))
+    bounds = RuleSpaceBounds(max_depth=1, max_premises=max_premises, predicates=frozenset({"T"}))
     formulas = formulas_within(bounds)
     convs = {"BD": lambda f: f, "ETL": lambda f: Formula("E", f.args),
              "K": lambda f: f, "LP": lambda f: f}

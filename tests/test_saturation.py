@@ -20,8 +20,9 @@ def _program(name: str, term_depth: int):
     """The inputs the suite builds for one run: formulas, ground rules and
     premise sets in enumeration order."""
     sysd = system(name)
-    bounds = RuleSpaceBounds(2, term_depth, MAX_PREMISES, 1, sysd.signature.relations,
-                             sysd.signature.constants)
+    bounds = RuleSpaceBounds(max_depth=term_depth, max_premises=MAX_PREMISES,
+                             predicates=sysd.signature.relations,
+                             constants=sysd.signature.constants)
     formulas = formulas_within(bounds)
     ground = verify._ground_program(sysd, formulas, terms_within(bounds))
     sets = [prem for k in range(MAX_PREMISES + 1)
