@@ -14,6 +14,13 @@ from test_golden import _digest
 
 # sha256 of the criterion 9 report without its "timings" block
 ENGINE_SOUNDNESS_DIGEST = "bae16e3409f5c5b707bcc15ae55fb16495386936ce2ce7d20f4b88c077bd8199"
+# the same for the two size-5 classification reports
+CLASSIFICATION_5_DIGEST = "6129b62a1cc7bc77e9c924b2e1f039306e5ec591bb58f92a509422f80e68f9e3"
+MC_CLASSIFICATION_5_DIGEST = "b8dc5ccacd471fdd7c0dfdb56c7b0544ef6adf4b96d9e7395e2f620f4df623ba"
+
+
+def _without_timings(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "timings"}
 
 
 def _criterion(number: int, description: str, report: dict, budget_s: float | None = None):
@@ -84,6 +91,8 @@ def test_classification_sweeps_at_size_5():
     assert (report["checks"], mc["checks"]) == (1_829_040, 7_416)
     assert report["violations"] == [] and mc["violations"] == []
     assert report["ok"] and mc["ok"]
+    assert _digest(_without_timings(report)) == CLASSIFICATION_5_DIGEST
+    assert _digest(_without_timings(mc)) == MC_CLASSIFICATION_5_DIGEST
 
 
 def test_criterion_7_derivability_ledger():
@@ -104,8 +113,7 @@ def test_criterion_9_engine_soundness():
     _criterion(9, "every rule derived at depth <= 4 is semantically valid",
                report)
     assert report["checks"] == 1_438_135
-    pinned = {k: v for k, v in report.items() if k != "timings"}
-    assert _digest(pinned) == ENGINE_SOUNDNESS_DIGEST
+    assert _digest(_without_timings(report)) == ENGINE_SOUNDNESS_DIGEST
 
 
 def test_criterion_10_parser_roundtrip():

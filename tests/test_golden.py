@@ -1,10 +1,11 @@
 """Golden digests: outputs pinned byte for byte.
 
 Each digest is the sha256 of a canonical JSON text of one family of
-outputs: decide verdicts, derivation certificates and suite reports
-without their "timings" block.  The constants were computed before terms
-and formulas were hash-consed, so a change that alters any of these
-outputs, even only their order, fails here.  A change meant to alter them
+outputs: decide verdicts, derivation certificates, the `leibniz` command's
+JSON reports and suite reports without their "timings" block.  Each was
+computed before the change it guards (the first ones before terms and
+formulas were hash-consed), so a change that alters any of these outputs,
+even only their order, fails here.  A change meant to alter them
 recomputes the digest with `_digest` and says why.
 """
 
@@ -15,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from fourval import engine, structures, systems, verify
+from fourval import cli, engine, structures, systems, verify
 from fourval.syntax import (Formula, Join, Meet, Neg, Rule, Var, apply_subst, formula_text,
                             print_rule)
 
@@ -31,8 +32,8 @@ DERIVE_DIGEST = "52eb292370db3f5140fe6f6c9650e7be269dab3cc280ab066f1329ffaba5f10
 
 # the suites that take about a second or less at their defaults; the
 # engine-soundness report is pinned in tests/test_acceptance.py (criterion
-# 9), and completeness-evidence is pinned below at three configurations
-# that take a second or less
+# 9), as are the size-5 classification reports, and completeness-evidence
+# is pinned below at three configurations that take a second or less
 SUITE_DIGESTS = {
     "soundness": "971182a5cd726a77715ea539f5eb693a7b3637c8d21aa09ca26617d174b462c9",
     "rule-ledger": "b93a7d69568974b2f08bbc7d1229a262fd4b4a1cf375604a86f6bbb3eb7bcc2e",
@@ -46,6 +47,10 @@ SUITE_DIGESTS = {
     "extension": "a871f9b43857c3d777b9994270622354a8c01dcc5605d4dab9b79810193a7f58",
     "roundtrip": "95e134d1bedcd0cdfdc56fba79bca97552c04d9313d9cfb0dcc6b2499fb94397",
 }
+
+# [preset, exit code, report] of `fourval --output json leibniz --preset P`
+# for every preset name
+LEIBNIZ_DIGEST = "12e6285b4c288ccf2a4e12c3f4ebb9f4747e054240d81eafd21a80530b73c427"
 
 # (system, arguments, checks, known gaps, digest); the ETL-base gaps pin
 # the gap texts and their order
@@ -135,6 +140,15 @@ def test_derivation_certificates_are_pinned():
     assert len(records) == DERIVE_GOALS
     assert all(cert is not None for _, cert in records)
     assert _digest(records) == DERIVE_DIGEST
+
+
+def test_leibniz_reports_are_pinned(capsys):
+    records = []
+    for preset in structures.preset_names():
+        code = cli.main(["--output", "json", "leibniz", "--preset", preset])
+        records.append([preset, code, json.loads(capsys.readouterr().out)])
+    assert len(records) == 16
+    assert _digest(records) == LEIBNIZ_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
