@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from typing import Iterable, Iterator, Sequence
 
+from .syntax import CONSTANT_SYMBOLS
+
 
 class AlgebraError(ValueError):
     pass
@@ -225,26 +227,6 @@ class Congruence:
         """True when every class of self is contained in a class of other."""
         return all(other.rep[a] == other.rep[self.rep[a]] for a in range(len(self.rep)))
 
-    def compatible_with_unary(self, mask: int) -> bool:
-        # a in F & a ~ b  =>  b in F, i.e. F is a union of classes
-        for a in range(self.algebra.size):
-            if ((mask >> a) & 1) != ((mask >> self.rep[a]) & 1):
-                return False
-        return True
-
-    def compatible_with_binary(self, rows: Sequence[int]) -> bool:
-        # (a,b) in R, a~c, b~d  =>  (c,d) in R, i.e. row c covers the class of b
-        members: dict[int, int] = {}
-        for i, r in enumerate(self.rep):
-            members[r] = members.get(r, 0) | (1 << i)
-        cls = [members[r] for r in self.rep]
-        for a in range(self.algebra.size):
-            for b in mask_iter(rows[a]):
-                for c in mask_iter(cls[a]):
-                    if cls[b] & ~rows[c]:
-                        return False
-        return True
-
 
 def _canon(rep: Sequence[int]) -> tuple[int, ...]:
     least: dict[int, int] = {}
@@ -262,22 +244,18 @@ def total_congruence(alg: FiniteAlgebra) -> Congruence:
     return Congruence(alg, tuple(0 for _ in range(alg.size)))
 
 
-def is_congruence_partition(alg: FiniteAlgebra, rep: Sequence[int]) -> bool:
-    """One argument varied at a time suffices, by transitivity."""
-    n = alg.size
+def split_by_operations(alg: FiniteAlgebra, rep: Sequence[int]) -> tuple[int, ...]:
+    """The partition rep with each class split by the classes of ``~a``,
+    ``a /\\ c`` and ``a \\/ c`` for every c, as a least-representative map."""
     meet, join, neg = alg.meet, alg.join, alg.neg
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rep[a] != rep[b]:
-                continue
-            if rep[neg[a]] != rep[neg[b]]:
-                return False
-            for c in range(n):
-                if rep[meet[a][c]] != rep[meet[b][c]]:
-                    return False
-                if rep[join[a][c]] != rep[join[b][c]]:
-                    return False
-    return True
+    return _canon([(rep[a], rep[neg[a]], tuple(rep[v] for v in meet[a]),
+                    tuple(rep[v] for v in join[a])) for a in range(alg.size)])
+
+
+def is_congruence_partition(alg: FiniteAlgebra, rep: Sequence[int]) -> bool:
+    """A partition is a congruence iff splitting by the operations splits
+    nothing: varying one argument at a time suffices, by transitivity."""
+    return split_by_operations(alg, rep) == _canon(rep)
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -793,8 +771,31 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
     return out
 
 
-def algebra_from_json(data: dict) -> FiniteAlgebra:
-    ops = data["ops"]
-    return FiniteAlgebra(data["size"], ops["meet"], ops["join"], ops["neg"],
-                         ops.get("const", {}), data.get("labels"))
+def _check(ok: bool, field: str, expected: str) -> None:
+    if not ok:
+        raise AlgebraError(f"{field} must be {expected}")
 
+
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def algebra_from_json(data: dict) -> FiniteAlgebra:
+    """Read the interchange format; reject malformed input with an
+    AlgebraError that names the field."""
+    _check(isinstance(data, dict), "algebra JSON", "an object")
+    _check(type(data.get("size")) is int, "size", "an integer")
+    ops = data.get("ops")
+    _check(isinstance(ops, dict), "ops", "an object")
+    for op in ("meet", "join"):
+        _check(isinstance(ops.get(op), list) and all(map(_ints, ops[op])),
+               f"ops.{op}", "a list of integer lists")
+    _check(_ints(ops.get("neg")), "ops.neg", "a list of integers")
+    const = ops.get("const", {})
+    _check(isinstance(const, dict) and all(c in CONSTANT_SYMBOLS and type(v) is int
+                                           for c, v in const.items()),
+           "ops.const", f"a map from {list(CONSTANT_SYMBOLS)} to integers")
+    labels = data.get("labels")
+    _check(labels is None or isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+           "labels", "a list of strings")
+    return FiniteAlgebra(data["size"], ops["meet"], ops["join"], ops["neg"], const, labels)

@@ -27,7 +27,7 @@ from .engine import (
     derivation_to_json,
     derive,
 )
-from .leibniz import leibniz_binary, leibniz_structure, leibniz_unary, reduct
+from .leibniz import leibniz_binary, leibniz_structure, leibniz_unary, quotient_structure
 from .structures import (
     DEFAULT_VARIABLE_LIMIT,
     SignatureMismatchError,
@@ -298,7 +298,7 @@ def cmd_leibniz(cfg: RunConfig) -> int:
         per_relation[rel] = list(leibniz_unary(st.algebra, mask).rep)
     for rel, rows in sorted(st.binary.items()):
         per_relation[rel] = list(leibniz_binary(st.algebra, rows).rep)
-    red, proj = reduct(st)
+    red, proj = quotient_structure(st, theta)
     report = _envelope(cfg, {
         "preset": cfg.logic,
         "per_relation": per_relation,

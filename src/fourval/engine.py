@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
-from math import comb, prod
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -578,13 +578,6 @@ def canonical_rule(r: Rule) -> Rule:
         if best_text is None or text < best_text:
             best, best_text = candidate, text
     return best
-
-
-def count_rule_space(bounds: RuleSpaceBounds) -> int:
-    """The number of rules in the raw space, before renaming deduplication:
-    premise sets times conclusions (none or one formula)."""
-    f = len(formulas_within(bounds))
-    return sum(comb(f, k) for k in range(bounds.max_premises + 1)) * (f + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Leibniz congruences of relations and structures, reducedness, reducts.
 
-Two independent algorithms are implemented and cross-checked:
+Two conditions decide every quotient, and each is stated once:
 
-* partition refinement: the largest congruence compatible with the
-  relations.  A congruence is compatible with a unary relation iff it
-  relates only elements with the same membership, and with a binary
-  relation iff it relates only elements with the same row and the same
-  column: so the compatible congruences are exactly those inside the
-  agreement partition.  Splitting its classes until the partition is
-  stable under neg, meet and join gives a congruence inside it, and every
+* a partition is a congruence iff ``algebra.split_by_operations`` splits
+  none of its classes (``algebra.is_congruence_partition``);
+* a congruence is compatible with a unary relation iff it relates only
+  elements with the same membership, and with a binary relation iff it
+  relates only elements with the same row and the same column: iff no
+  class holds two different ``agreement_signatures`` entries for the
+  relation.  ``quotient_structure`` checks this.
+
+Two independent algorithms for the Leibniz congruence are implemented and
+cross-checked:
+
+* partition refinement: the compatible congruences are exactly those
+  inside the agreement partition.  Splitting its classes by the
+  operations until nothing splits gives a congruence inside it, and every
   congruence inside it stays inside each split, so the fixed point is the
   largest: the Leibniz congruence.  No congruence lattice is enumerated;
 * polynomial test: a ~ b iff every unary polynomial (pointwise closure of
@@ -16,14 +23,17 @@ Two independent algorithms are implemented and cross-checked:
   membership at a and b.
 
 The refinement is the primary method; the polynomial method is retained
-purely as an oracle.
+purely as an oracle.  The pair loops that state both conditions from
+their definitions are oracles too, in the tests, which compare the
+library's checks against them exhaustively.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Sequence
 
-from .algebra import Congruence, FiniteAlgebra, _canon, quotient
+from .algebra import (Congruence, FiniteAlgebra, _canon, mask_iter, mask_of, quotient,
+                      split_by_operations)
 from .structures import Structure
 
 
@@ -40,25 +50,29 @@ def leibniz_binary(alg: FiniteAlgebra, rows: Sequence[int]) -> Congruence:
     return _leibniz(alg, [], [rows])
 
 
+def agreement_signatures(size: int, masks: Collection[int],
+                         relations: Collection[Sequence[int]]) -> list[tuple]:
+    """Per element a, one entry per relation, unary ones first: a's
+    membership in each unary relation, then a's row and column in each
+    binary one.  A congruence is compatible with a relation iff no class
+    holds two different entries for it."""
+    columns = [[sum(((rows[x] >> a) & 1) << x for x in range(size)) for a in range(size)]
+               for rows in relations]
+    return [tuple((m >> a) & 1 for m in masks)
+            + tuple((rows[a], col[a]) for rows, col in zip(relations, columns))
+            for a in range(size)]
+
+
 def _leibniz(alg: FiniteAlgebra, masks: Collection[int],
              relations: Collection[Sequence[int]]) -> Congruence:
     """Largest congruence inside the agreement partition of the relations.
 
-    Elements agree when they have the same membership in each unary
-    relation and the same row and column in each binary one.  Each round
-    splits the classes by the classes of ``~a``, ``a /\\ c`` and
-    ``a \\/ c`` for every c, the condition ``is_congruence_partition``
-    checks; a round that splits nothing ends the refinement.
+    Each round is ``split_by_operations``; a round that splits nothing
+    ends the refinement, at a congruence (``is_congruence_partition``).
     """
-    n = alg.size
-    columns = [[sum(((rows[x] >> a) & 1) << x for x in range(n)) for a in range(n)]
-               for rows in relations]
-    rep = _canon([(tuple((m >> a) & 1 for m in masks), tuple(rows[a] for rows in relations),
-                   tuple(col[a] for col in columns)) for a in range(n)])
-    meet, join, neg = alg.meet, alg.join, alg.neg
+    rep = _canon(agreement_signatures(alg.size, masks, relations))
     while True:
-        split = _canon([(rep[a], rep[neg[a]], tuple(rep[v] for v in meet[a]),
-                         tuple(rep[v] for v in join[a])) for a in range(n)])
+        split = split_by_operations(alg, rep)
         if split == rep:
             return Congruence(alg, rep)
         rep = split
@@ -159,25 +173,20 @@ def reduct(s: Structure) -> tuple[Structure, tuple[int, ...]]:
 
 
 def quotient_structure(s: Structure, theta: Congruence) -> tuple[Structure, tuple[int, ...]]:
-    """Quotient by any congruence compatible with all relations."""
+    """Quotient by any congruence compatible with all relations; raise
+    ValueError naming the first relation it is not compatible with."""
     alg2, proj = quotient(s.algebra, theta)
-    unary = {}
-    for name, mask in s.unary.items():
-        if not theta.compatible_with_unary(mask):
+    signatures = agreement_signatures(s.algebra.size, s.unary.values(), s.binary.values())
+    first: dict[int, int] = {}
+    leaders = [first.setdefault(r, a) for a, r in enumerate(theta.rep)]  # first of a's class
+    for i, name in enumerate([*s.unary, *s.binary]):
+        if any(sig[i] != signatures[b][i] for sig, b in zip(signatures, leaders)):
             raise ValueError(f"congruence not compatible with relation {name}")
-        m2 = 0
-        for a in range(s.algebra.size):
-            if (mask >> a) & 1:
-                m2 |= 1 << proj[a]
-        unary[name] = m2
+    unary = {name: mask_of(proj[a] for a in mask_iter(mask)) for name, mask in s.unary.items()}
     binary = {}
     for name, rows in s.binary.items():
-        if not theta.compatible_with_binary(rows):
-            raise ValueError(f"congruence not compatible with relation {name}")
         rows2 = [0] * alg2.size
-        for a in range(s.algebra.size):
-            for b in range(s.algebra.size):
-                if (rows[a] >> b) & 1:
-                    rows2[proj[a]] |= 1 << proj[b]
+        for a, row in enumerate(rows):
+            rows2[proj[a]] |= mask_of(proj[b] for b in mask_iter(row))
         binary[name] = tuple(rows2)
     return Structure(alg2, unary, binary), proj

@@ -514,10 +514,15 @@ def structure_from_json(data: dict) -> Structure:
 
     unary: dict[str, Iterable[int]] = {}
     binary: dict[str, list[tuple[int, int]]] = {}
-    for name, val in data.get("rels", {}).items():
+    rels = data.get("rels", {})
+    if not isinstance(rels, dict):
+        raise ValueError("rels must be an object mapping relation names to lists")
+    for name, val in rels.items():
         arity = RELATION_ARITIES.get(name)
         if arity is None:
             raise ValueError(f"unknown relation {name!r}; expected one of {sorted(RELATION_ARITIES)}")
+        if not isinstance(val, list):
+            raise ValueError(f"relation {name}: {val!r} is not a list")
         if arity == 2:
             for p in val:
                 if not isinstance(p, (list, tuple)) or len(p) != 2:

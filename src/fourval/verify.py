@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations, product as iproduct
+from math import comb
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -44,7 +45,6 @@ from .engine import (
     census_pool,
     classify_models,
     check_derivation,
-    count_rule_space,
     decide,
     derive,
     edge_mutations,
@@ -562,7 +562,7 @@ def _pairs(per_conclusion) -> list[tuple[int, int]]:
     return sorted((j, c) for c, bits in enumerate(per_conclusion) for j in mask_iter(bits))
 
 
-RULE_SPACE_BUDGET = 2_000_000  # raw rules (count_rule_space) a goal sweep may cover
+RULE_SPACE_BUDGET = 2_000_000  # raw rules a goal sweep may cover: premise sets x (formulas + 1)
 
 
 def _valid_goals(sysd: AxiomSystem, bounds: RuleSpaceBounds) -> list[Rule]:
@@ -574,9 +574,11 @@ def _valid_goals(sysd: AxiomSystem, bounds: RuleSpaceBounds) -> list[Rule]:
     a whole and its first valid pair is its first pair.  A space larger
     than ``RULE_SPACE_BUDGET`` raises ``RuleSpaceBudgetError``.
     """
-    if count_rule_space(bounds) > RULE_SPACE_BUDGET:
+    formulas = formulas_within(bounds)
+    f = len(formulas)
+    if sum(comb(f, k) for k in range(bounds.max_premises + 1)) * (f + 1) > RULE_SPACE_BUDGET:
         raise RuleSpaceBudgetError("rule space exceeds the configured budget")
-    table = _Table(formulas_within(bounds), bounds.max_premises)
+    table = _Table(formulas, bounds.max_premises)
     refuted = table.refuted(preset_structure(sysd.preset))
     goals: dict[Rule, None] = {}
     for j, c in _pairs(table.full & ~r for r in refuted):
@@ -603,7 +605,7 @@ def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -
                   for j, c in _pairs(s ^ t for s, t in zip(src_ref, tgt_ref))]
     # bind the table to decide() on a seeded sample
     findex = {f: i for i, f in enumerate(table.formulas)}
-    for r in _rule_sample(bounds, random.Random(seed), sample):
+    for r in _rule_sample(table.formulas, max_premises, random.Random(seed), sample):
         containing = table.full  # the premise sets containing r's premises; the least is r's own
         for p in r.premises:
             containing &= table.seeds[findex[p]]
@@ -653,7 +655,8 @@ def suite_derivability(depth: int = 8, seed: int = 0) -> dict:
     rng = random.Random(seed)
     bde = system("BDE")
     bounds = RuleSpaceBounds(max_depth=1, max_premises=2, predicates=frozenset({"T", "E"}))
-    pool = [r for r in _rule_sample(bounds, rng, 400) if decide("BDE", r).valid]
+    pool = [r for r in _rule_sample(formulas_within(bounds), bounds.max_premises, rng, 400)
+            if decide("BDE", r).valid]
     edges = sum(len(edge_mutations(d)) for _, d, _ in certificates)
     for r in pool:
         if edges >= MUTATIONS_NEEDED:
@@ -678,11 +681,11 @@ def suite_derivability(depth: int = 8, seed: int = 0) -> dict:
                    checks, violations, started, {"mutations_rejected": mutated})
 
 
-def _rule_sample(bounds: RuleSpaceBounds, rng: random.Random, count: int) -> list[Rule]:
-    formulas = formulas_within(bounds)
+def _rule_sample(formulas: Sequence[Formula], max_premises: int, rng: random.Random,
+                 count: int) -> list[Rule]:
     out = []
     for _ in range(count):
-        k = rng.randint(0, bounds.max_premises)
+        k = rng.randint(0, max_premises)
         prem = rng.sample(formulas, k) if k else []
         conc = rng.choice(formulas)
         out.append(Rule(frozenset(prem), frozenset({conc})))

@@ -7,6 +7,7 @@ import pytest
 from fourval.algebra import (
     AlgebraError,
     BoundExceededError,
+    Congruence,
     FiniteAlgebra,
     algebra_from_json,
     algebra_to_json,
@@ -122,6 +123,11 @@ def test_quotient_by_identity_is_isomorphic():
     assert find_isomorphism(q, DM4) is not None
 
 
+def test_quotient_rejects_a_partition_that_is_not_a_congruence():
+    with pytest.raises(AlgebraError, match="not a congruence"):
+        quotient(DM4, Congruence(DM4, (0, 0, 2, 3)))
+
+
 def test_quotient_counts_classes_and_projection_is_hom():
     p = product([B2, B2])
     for cong in congruences(p):
@@ -138,11 +144,37 @@ def test_quotient_counts_classes_and_projection_is_hom():
 
 
 # -- congruences -------------------------------------------------------------
+# The oracle states the definition with a pair loop: a partition is a
+# congruence iff a ~ b and c ~ d imply ~a ~ ~b, a /\ c ~ b /\ d and
+# a \/ c ~ b \/ d.  The library decides it by splitting the classes once
+# (`is_congruence_partition`); the two are compared on every partition of
+# every census algebra up to size 7, and the partition filter below, the
+# oracle for the congruence lattice, uses the definition.
+
+def is_congruence_by_definition(alg, rep):
+    related = [(a, b) for a in range(alg.size) for b in range(alg.size) if rep[a] == rep[b]]
+    return all(rep[alg.neg[a]] == rep[alg.neg[b]]
+               and all(rep[alg.meet[a][c]] == rep[alg.meet[b][d]]
+                       and rep[alg.join[a][c]] == rep[alg.join[b][d]] for c, d in related)
+               for a, b in related)
+
 
 def brute_force_congruences(alg):
     """Oracle: filter every partition of the universe."""
     return sorted(rep for rep in iter_partitions(alg.size)
-                  if is_congruence_partition(alg, rep))
+                  if is_congruence_by_definition(alg, rep))
+
+
+def test_is_congruence_partition_matches_the_definition_on_the_census():
+    partitions = congruent = 0
+    for n in range(1, 8):
+        for alg in enumerate_dm_lattices(n):
+            for rep in iter_partitions(n):
+                expected = is_congruence_by_definition(alg, rep)
+                assert is_congruence_partition(alg, rep) == expected, (alg, rep)
+                partitions += 1
+                congruent += expected
+    assert (partitions, congruent) == (2_671, 55)
 
 
 def test_congruences_dm4_simple():
@@ -484,3 +516,17 @@ def test_json_roundtrip():
     data = algebra_to_json(alg)
     back = algebra_from_json(data)
     assert back == alg and back.labels == alg.labels
+
+
+B2_OPS = algebra_to_json(B2)["ops"]
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"size": 2}, "ops"),
+    ({"size": 2, "ops": {**B2_OPS, "meet": [[0, "1"], [1, 1]]}}, "ops.meet"),
+    ([2, B2_OPS], "algebra JSON"),
+    ({"size": 2, "ops": {**B2_OPS, "const": {"#q": 0}}}, "ops.const"),
+], ids=["missing-ops", "string-entry", "list", "unknown-constant"])
+def test_algebra_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(AlgebraError, match=message):
+        algebra_from_json(data)

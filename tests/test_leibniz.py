@@ -1,10 +1,10 @@
-from functools import reduce
+from functools import partial, reduce
 from itertools import product as iproduct
-from operator import methodcaller
 
 import pytest
 
 from fourval.algebra import (
+    Congruence,
     builtin,
     congruence_join,
     congruence_meet,
@@ -12,10 +12,10 @@ from fourval.algebra import (
     enumerate_dm_lattices,
     enumerate_filters,
     identity_congruence,
-    is_congruence_partition,
     iter_partitions,
     mask_of,
     product,
+    total_congruence,
 )
 from fourval.engine import ModelSweep, _constant_assignments, _relation_ranges, census_pool
 from fourval.leibniz import (
@@ -32,6 +32,7 @@ from fourval.leibniz import (
 from fourval.structures import identity_relation, preset_structure, structure
 from fourval.systems import system
 from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS
+from test_algebra import is_congruence_by_definition
 
 DM4 = builtin("DM4")
 B2 = builtin("B2")
@@ -44,7 +45,7 @@ def brute_force_largest_compatible(alg, mask):
     best = tuple(range(alg.size))
     best_classes = alg.size
     for rep in iter_partitions(alg.size):
-        if not is_congruence_partition(alg, rep):
+        if not is_congruence_by_definition(alg, rep):
             continue
         if all(((mask >> a) & 1) == ((mask >> rep[a]) & 1) for a in range(alg.size)):
             classes = len(set(rep))
@@ -160,10 +161,34 @@ def test_binary_crosscheck_on_congruence_relations():
 
 def test_quotient_structure_requires_compatibility():
     s = structure(DM4, {"T": mask_of([T])})
-    from fourval.algebra import total_congruence
-
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="relation T"):
         quotient_structure(s, total_congruence(DM4))
+
+
+def test_quotient_structure_names_the_incompatible_binary_relation():
+    s = structure(DM4, {}, {"eq": identity_relation(DM4)})
+    with pytest.raises(ValueError, match="not compatible with relation eq"):
+        quotient_structure(s, total_congruence(DM4))
+
+
+# ---------------------------------------------------------------------------
+# Compatibility of a congruence with a relation, stated from the
+# definitions with pair loops.  These are the oracles: the library decides
+# compatibility by comparing agreement signatures within each class
+# (`quotient_structure`), and the tests below compare the two.
+
+def compatible_with_unary(theta, mask):
+    """a in F and a ~ b imply b in F."""
+    n = theta.algebra.size
+    return all((mask >> b) & 1 for a in range(n) if (mask >> a) & 1
+               for b in range(n) if theta.relates(a, b))
+
+
+def compatible_with_binary(theta, rows):
+    """(a, b) in R, a ~ c and b ~ d imply (c, d) in R."""
+    n = theta.algebra.size
+    return all((rows[c] >> d) & 1 for a in range(n) for b in range(n) if (rows[a] >> b) & 1
+               for c in range(n) if theta.relates(a, c) for d in range(n) if theta.relates(b, d))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +209,8 @@ def joined_largest_compatible(alg, congs, compatible):
 def joined_leibniz_structure(s):
     """Meet of the relations' Leibniz congruences, each found by joins."""
     congs = congruences(s.algebra)
-    tests = [methodcaller("compatible_with_unary", m) for _, m in sorted(s.unary.items())]
-    tests += [methodcaller("compatible_with_binary", r) for _, r in sorted(s.binary.items())]
+    tests = [partial(compatible_with_unary, mask=m) for _, m in sorted(s.unary.items())]
+    tests += [partial(compatible_with_binary, rows=r) for _, r in sorted(s.binary.items())]
     return reduce(congruence_meet,
                   (joined_largest_compatible(s.algebra, congs, t) for t in tests))
 
@@ -196,7 +221,7 @@ def test_leibniz_unary_is_the_join_on_every_census_mask():
         congs = congruences(alg)
         for mask in range(1 << alg.size):
             oracle = joined_largest_compatible(
-                alg, congs, methodcaller("compatible_with_unary", mask))
+                alg, congs, partial(compatible_with_unary, mask=mask))
             assert leibniz_unary(alg, mask) == oracle, (alg, mask)
             checked += 1
     assert checked == 2 + 4 + 8 + 3 * 16 + 32  # census sizes 1, 2, 3, 4 (three), 5
@@ -209,7 +234,7 @@ def test_leibniz_binary_is_the_join_on_every_relation():
         congs = congruences(alg)
         for rows in iproduct(range(1 << n), repeat=n):
             oracle = joined_largest_compatible(
-                alg, congs, methodcaller("compatible_with_binary", rows))
+                alg, congs, partial(compatible_with_binary, rows=rows))
             assert leibniz_binary(alg, rows) == oracle, (alg, rows)
             checked += 1
     assert checked == 2 + 16 + 512  # census sizes 1, 2, 3
@@ -243,9 +268,22 @@ def test_leibniz_structure_is_the_join_on_classified_models(name):
 # The argument the refinement rests on: a congruence is compatible with a
 # relation iff it lies inside the relation's agreement partition (same
 # membership for a unary relation, same row and column for a binary one).
+# `quotient_structure` accepts a congruence by that test; here it is
+# compared with the definitions, under the least-representative map and
+# under the greatest one, since the test must not rely on either.
 
-def inside(theta, signature):
-    return all(signature[a] == signature[theta.rep[a]] for a in range(len(signature)))
+def labellings(theta):
+    greatest = {r: a for a, r in enumerate(theta.rep)}
+    return theta, Congruence(theta.algebra, tuple(greatest[r] for r in theta.rep))
+
+
+def accepted(s, theta):
+    try:
+        quotient_structure(s, theta)
+    except ValueError as e:
+        assert "not compatible" in str(e)
+        return False
+    return True
 
 
 def test_unary_compatibility_is_inside_the_agreement_partition():
@@ -253,8 +291,9 @@ def test_unary_compatibility_is_inside_the_agreement_partition():
     for alg in census_pool(4):
         for theta in congruences(alg):
             for mask in range(1 << alg.size):
-                signature = [(mask >> a) & 1 for a in range(alg.size)]
-                assert theta.compatible_with_unary(mask) == inside(theta, signature)
+                s = structure(alg, {"T": mask})
+                for labelled in labellings(theta):
+                    assert accepted(s, labelled) == compatible_with_unary(labelled, mask)
                 checked += 1
     assert checked == 2 * 1 + 4 * 2 + 8 * 2 + 16 * (2 + 4 + 4)  # masks x congruences, per member
 
@@ -265,8 +304,8 @@ def test_binary_compatibility_is_inside_the_agreement_partition():
         n = alg.size
         for theta in congruences(alg):
             for rows in iproduct(range(1 << n), repeat=n):
-                signature = [(rows[a], tuple((rows[x] >> a) & 1 for x in range(n)))
-                             for a in range(n)]
-                assert theta.compatible_with_binary(rows) == inside(theta, signature)
+                s = structure(alg, {}, {"eq": rows})
+                for labelled in labellings(theta):
+                    assert accepted(s, labelled) == compatible_with_binary(labelled, rows)
                 checked += 1
     assert checked == 2 * 1 + 16 * 2 + 512 * 2  # relations x congruences, per member

@@ -277,6 +277,8 @@ def test_structure_json_roundtrip():
     ({"eq": [[0, 0], [0, 9]]}, "outside the universe"),
     ({"eq": [[0, 1, 2]]}, "not a pair"),
     ({"X": [0]}, "unknown relation 'X'"),
+    ({"T": 5}, "relation T: 5 is not a list"),
+    ([], "rels must be an object"),
 ])
 def test_structure_from_json_rejects_bad_relations(rels, message):
     data = structure_to_json(preset_structure("BD"))
