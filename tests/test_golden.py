@@ -51,6 +51,9 @@ SUITE_DIGESTS = {
 # [preset, exit code, report] of `fourval --output json leibniz --preset P`
 # for every preset name
 LEIBNIZ_DIGEST = "12e6285b4c288ccf2a4e12c3f4ebb9f4747e054240d81eafd21a80530b73c427"
+# the same for every preset with the constants t, n, b added (`P+t`), whose
+# reducts quotient the constants too
+LEIBNIZ_CONSTANTS_DIGEST = "03b43dd389e907db577cdf549416a63da3448e29a86150829f1face258270f03"
 
 # (system, arguments, checks, known gaps, digest); the ETL-base gaps pin
 # the gap texts and their order
@@ -142,13 +145,21 @@ def test_derivation_certificates_are_pinned():
     assert _digest(records) == DERIVE_DIGEST
 
 
-def test_leibniz_reports_are_pinned(capsys):
+def leibniz_records(capsys, suffix: str) -> list:
     records = []
     for preset in structures.preset_names():
-        code = cli.main(["--output", "json", "leibniz", "--preset", preset])
-        records.append([preset, code, json.loads(capsys.readouterr().out)])
+        code = cli.main(["--output", "json", "leibniz", "--preset", preset + suffix])
+        records.append([preset + suffix, code, json.loads(capsys.readouterr().out)])
     assert len(records) == 16
-    assert _digest(records) == LEIBNIZ_DIGEST
+    return records
+
+
+def test_leibniz_reports_are_pinned(capsys):
+    assert _digest(leibniz_records(capsys, "")) == LEIBNIZ_DIGEST
+
+
+def test_leibniz_reports_with_constants_are_pinned(capsys):
+    assert _digest(leibniz_records(capsys, "+t")) == LEIBNIZ_CONSTANTS_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))

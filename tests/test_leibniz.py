@@ -1,4 +1,4 @@
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import product as iproduct
 
 import pytest
@@ -29,10 +29,11 @@ from fourval.leibniz import (
     reduct,
     unary_polynomials,
 )
-from fourval.structures import identity_relation, preset_structure, structure
+from fourval.structures import identity_relation, preset_structure, structure, structure_to_json
 from fourval.systems import system
 from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS
 from test_algebra import is_congruence_by_definition
+from test_golden import _digest
 
 DM4 = builtin("DM4")
 B2 = builtin("B2")
@@ -250,18 +251,40 @@ CLASSIFIED_MODELS_AT_4 = {
 }
 
 
-@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
-def test_leibniz_structure_is_the_join_on_classified_models(name):
+# [system, model, reduct, projection] of every size-4 model of every
+# classified system, in `ModelSweep` order, models and reducts as
+# `structure_to_json`
+CLASSIFIED_REDUCTS_AT_4_DIGEST = "40ffc9a733f39b781f7884c65e9f7a94c01c5dccb7d108a4154e7e72da126024"
+
+
+@cache
+def classified_models_at_4(name):
     sysd = system(name)
     sweep = ModelSweep(sysd)
-    models = 0
+    models = []
     for base in census_pool(4):
         ranges = _relation_ranges(sweep.names, base, congruences(base))
         for alg in _constant_assignments(base, sysd.signature.constants):
-            for s in sweep.models(alg, ranges):
-                assert leibniz_structure(s) == joined_leibniz_structure(s), (name, s)
-                models += 1
-    assert models == CLASSIFIED_MODELS_AT_4[name]
+            models.extend(sweep.models(alg, ranges))
+    return models
+
+
+@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
+def test_leibniz_structure_is_the_join_on_classified_models(name):
+    models = classified_models_at_4(name)
+    for s in models:
+        assert leibniz_structure(s) == joined_leibniz_structure(s), (name, s)
+    assert len(models) == CLASSIFIED_MODELS_AT_4[name]
+
+
+def test_reducts_of_classified_models_are_pinned():
+    records = []
+    for name in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS:
+        for s in classified_models_at_4(name):
+            red, proj = reduct(s)
+            records.append([name, structure_to_json(s), structure_to_json(red), proj])
+    assert len(records) == sum(CLASSIFIED_MODELS_AT_4.values()) == 1810
+    assert _digest(records) == CLASSIFIED_REDUCTS_AT_4_DIGEST
 
 
 # ---------------------------------------------------------------------------
