@@ -197,10 +197,17 @@ def check_kleene(alg: FiniteAlgebra) -> tuple[bool, str | None]:
 
 @dataclass(frozen=True, slots=True)
 class Congruence:
-    """Partition of the universe, stored as least-representative map."""
+    """Partition of the universe, stored as its least-representative map:
+    ``rep[a]`` is the least member of a's class.  Any labelling of the
+    classes (a sequence of hashables, equal labels for one class) is
+    canonicalised to that map on construction, so equal partitions are
+    equal values and every method may index by ``rep``."""
 
     algebra: FiniteAlgebra
     rep: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rep", _canon(self.rep))
 
     def relates(self, a: int, b: int) -> bool:
         return self.rep[a] == self.rep[b]
@@ -316,12 +323,7 @@ def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
-    keys = {}
-    rep = []
-    for i in range(len(c1.rep)):
-        k = (c1.rep[i], c2.rep[i])
-        rep.append(keys.setdefault(k, i))
-    return Congruence(c1.algebra, tuple(rep))
+    return Congruence(c1.algebra, tuple(zip(c1.rep, c2.rep)))
 
 
 CONGRUENCE_BOUND = 10

@@ -635,12 +635,11 @@ def _constant_assignments(alg: FiniteAlgebra, consts: frozenset[str]) -> Iterato
 
 
 def _congruence_rows(cong) -> tuple[int, ...]:
-    rows = [0] * len(cong.rep)
-    for a in range(len(cong.rep)):
-        for b in range(len(cong.rep)):
-            if cong.rep[a] == cong.rep[b]:
-                rows[a] |= 1 << b
-    return tuple(rows)
+    """The congruence as a binary relation: row a is the mask of a's class."""
+    masks = [0] * len(cong.rep)
+    for a, r in enumerate(cong.rep):
+        masks[r] |= 1 << a
+    return tuple(masks[r] for r in cong.rep)
 
 
 def _relation_names(sys: AxiomSystem) -> list[str]:

@@ -8,7 +8,13 @@ Two conditions decide every quotient, and each is stated once:
   elements with the same membership, and with a binary relation iff it
   relates only elements with the same row and the same column: iff no
   class holds two different ``agreement_signatures`` entries for the
-  relation.  ``quotient_structure`` checks this.
+  relation.  ``quotient_structure`` checks this, comparing each element
+  with its class's least member ``theta.rep[a]``.
+
+Every ``Congruence`` canonicalises its own labels on construction, so
+the polynomial method hands it each element's signature as its label.
+Only the refinement canonicalises by itself, since each round compares
+its map with the last.
 
 Two independent algorithms for the Leibniz congruence are implemented and
 cross-checked:
@@ -109,8 +115,7 @@ def unary_polynomials(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 def leibniz_unary_poly(alg: FiniteAlgebra, mask: int) -> Congruence:
     polys = unary_polynomials(alg)
-    signature = [tuple((mask >> p[a]) & 1 for p in polys) for a in range(alg.size)]
-    return _partition_from_signature(alg, signature)
+    return Congruence(alg, [tuple((mask >> p[a]) & 1 for p in polys) for a in range(alg.size)])
 
 
 def leibniz_binary_poly(alg: FiniteAlgebra, rows: Sequence[int]) -> Congruence:
@@ -129,7 +134,7 @@ def leibniz_binary_poly(alg: FiniteAlgebra, rows: Sequence[int]) -> Congruence:
             pairs = {(p[a], p[b]) for p in polys}
             if _binary_agrees(rows, pairs):
                 rep[b] = rep[a]
-    return Congruence(alg, _canon(rep))
+    return Congruence(alg, rep)
 
 
 def _binary_agrees(rows: Sequence[int], pairs: set[tuple[int, int]]) -> bool:
@@ -138,14 +143,6 @@ def _binary_agrees(rows: Sequence[int], pairs: set[tuple[int, int]]) -> bool:
             if ((rows[u] >> v) & 1) != ((rows[u2] >> v2) & 1):
                 return False
     return True
-
-
-def _partition_from_signature(alg: FiniteAlgebra, signature: list) -> Congruence:
-    first: dict = {}
-    rep = []
-    for a in range(alg.size):
-        rep.append(first.setdefault(signature[a], a))
-    return Congruence(alg, _canon(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +171,15 @@ def reduct(s: Structure) -> tuple[Structure, tuple[int, ...]]:
 
 def quotient_structure(s: Structure, theta: Congruence) -> tuple[Structure, tuple[int, ...]]:
     """Quotient by any congruence compatible with all relations; raise
-    ValueError naming the first relation it is not compatible with."""
+    ValueError naming the first relation it is not compatible with.
+
+    θ is compatible iff every element agrees, relation by relation, with
+    its class's least member ``theta.rep[a]``; ``Congruence`` keeps that
+    map canonical whatever labels θ was built from."""
     alg2, proj = quotient(s.algebra, theta)
     signatures = agreement_signatures(s.algebra.size, s.unary.values(), s.binary.values())
-    first: dict[int, int] = {}
-    leaders = [first.setdefault(r, a) for a, r in enumerate(theta.rep)]  # first of a's class
     for i, name in enumerate([*s.unary, *s.binary]):
-        if any(sig[i] != signatures[b][i] for sig, b in zip(signatures, leaders)):
+        if any(sig[i] != signatures[r][i] for sig, r in zip(signatures, theta.rep)):
             raise ValueError(f"congruence not compatible with relation {name}")
     unary = {name: mask_of(proj[a] for a in mask_iter(mask)) for name, mask in s.unary.items()}
     binary = {}

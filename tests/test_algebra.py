@@ -9,6 +9,7 @@ from fourval.algebra import (
     BoundExceededError,
     Congruence,
     FiniteAlgebra,
+    Homomorphism,
     algebra_from_json,
     algebra_to_json,
     builtin,
@@ -141,6 +142,41 @@ def test_quotient_counts_classes_and_projection_is_hom():
                 # kernel of the projection is the congruence itself
                 assert (proj[a] == proj[b]) == cong.relates(a, b)
             assert proj[p.neg[a]] == q.neg[proj[a]]
+
+
+# A congruence may be built from any labelling of its classes; it holds
+# the least-representative map whatever the labels, so its quotient, its
+# predicates and its classes do not depend on them.  Each congruence of
+# the census up to size 6 is relabelled by each class's greatest member
+# and by shifting every label out of the universe (r + n).
+
+def relabelled(theta):
+    n = theta.algebra.size
+    greatest = {r: a for a, r in enumerate(theta.rep)}
+    return [tuple(greatest[r] for r in theta.rep), tuple(r + n for r in theta.rep)]
+
+
+def assert_labels_do_not_matter(alg, theta, labels):
+    cong = Congruence(alg, labels)
+    assert cong == theta, (alg, labels)
+    q, proj = quotient(alg, cong)
+    assert (q, proj) == quotient(alg, theta), (alg, labels)
+    assert Homomorphism(alg, q, proj).check() == (True, None), (alg, labels)
+    assert (cong.is_identity, cong.is_total, cong.classes()) == \
+        (theta.is_identity, theta.is_total, theta.classes()), (alg, labels)
+
+
+def test_congruences_canonicalise_any_labelling():
+    cases = 0
+    for n in range(1, 7):
+        for alg in enumerate_dm_lattices(n):
+            for theta in congruences(alg):
+                for labels in relabelled(theta):
+                    assert_labels_do_not_matter(alg, theta, labels)
+                    cases += 1
+    assert cases == 2 * 43
+    p = product([B2, B2])
+    assert_labels_do_not_matter(p, Congruence(p, (0, 0, 2, 2)), (2, 2, 0, 0))
 
 
 # -- congruences -------------------------------------------------------------
