@@ -147,54 +147,49 @@ class _Term(_Node):
     __slots__ = ("_text", "_symbols")  # term_text, term_symbols: filled on first use
 
 
-class Var(_Term):
+class _OneField(_Term):
+    """The constructor of the terms with one field: look the key up
+    without the lock, and intern it on a miss."""
+
+    __slots__ = ()
+
+    def __new__(cls, field):
+        key = (cls, field)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
+
+
+class _TwoFields(_Term):
+    """The same for the terms with two fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        ref = _store.get(key)
+        node = ref and ref()
+        return _intern(key) if node is None else node
+
+
+class Var(_OneField):
     __slots__ = _fields = ("name",)
 
-    def __new__(cls, name: str):
-        key = (cls, name)
-        ref = _store.get(key)
-        node = ref and ref()
-        return _intern(key) if node is None else node
 
-
-class Const(_Term):
+class Const(_OneField):
     __slots__ = _fields = ("symbol",)
 
-    def __new__(cls, symbol: str):
-        key = (cls, symbol)
-        ref = _store.get(key)
-        node = ref and ref()
-        return _intern(key) if node is None else node
 
-
-class Neg(_Term):
+class Neg(_OneField):
     __slots__ = _fields = ("arg",)
 
-    def __new__(cls, arg: Term):
-        key = (cls, arg)
-        ref = _store.get(key)
-        node = ref and ref()
-        return _intern(key) if node is None else node
 
-
-class Meet(_Term):
+class Meet(_TwoFields):
     __slots__ = _fields = ("left", "right")
 
-    def __new__(cls, left: Term, right: Term):
-        key = (cls, left, right)
-        ref = _store.get(key)
-        node = ref and ref()
-        return _intern(key) if node is None else node
 
-
-class Join(_Term):
+class Join(_TwoFields):
     __slots__ = _fields = ("left", "right")
-
-    def __new__(cls, left: Term, right: Term):
-        key = (cls, left, right)
-        ref = _store.get(key)
-        node = ref and ref()
-        return _intern(key) if node is None else node
 
 
 Term = Union[Var, Const, Neg, Meet, Join]
