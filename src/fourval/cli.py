@@ -176,8 +176,10 @@ def cmd_decide(cfg: RunConfig) -> int:
                 v: st.algebra.element_name(e) for v, e in sorted(verdict.valuation.items())}
             entry["failed_conclusions"] = [formula_text(c) for c in verdict.failed_conclusions]
         results.append(entry)
-    report = _envelope(cfg, {"preset": preset_name, "results": results, "valid": all_valid})
-    _emit(report, cfg)
+    result = {"preset": preset_name, "results": results, "valid": all_valid}
+    if not results:  # a rule file of comments and blank lines: nothing was checked
+        result["empty"] = True
+    _emit(_envelope(cfg, result), cfg)
     return EXIT_OK if all_valid else EXIT_INVALID
 
 

@@ -56,6 +56,18 @@ def test_decide_rule_file(capsys, tmp_path):
     assert code == 0 and len(report["results"]) == 2
 
 
+def test_decide_rule_file_without_rules_is_marked_empty(capsys, tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("# only a comment\n\n")
+    code, report, _ = run_json(capsys, "decide", "--logic", "BDE", "--file", str(path))
+    assert code == 0
+    assert (report["results"], report["valid"], report["empty"]) == ([], True, True)
+    code, out, _ = run(capsys, "decide", "--logic", "BDE", "--file", str(path))
+    assert code == 0 and "empty: True\n" in out
+    code, report, _ = run_json(capsys, "decide", "--logic", "BDE", "E(x) |- E(x)")
+    assert "empty" not in report
+
+
 def test_decide_rule_file_error_names_its_line(capsys, tmp_path):
     path = tmp_path / "rules.txt"
     path.write_text("T(x) |- T(x)\n# a comment line\nT(x) |- T(@)\n")
