@@ -1,0 +1,65 @@
+"""Count code lines in Python files.
+
+A line counts when it holds a token other than a comment and lies outside
+a module, class or function docstring; blank lines, comment lines and
+docstring lines do not count.  Prints one count per file and a total:
+
+    python tools/sloc.py src/fourval [more paths...]
+
+Directories are searched for ``*.py`` files recursively.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(source: str) -> set[int]:
+    """Line numbers spanned by module, class and function docstrings."""
+    lines: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def count_code_lines(source: str) -> int:
+    code: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstring_lines(source))
+
+
+def python_files(paths: list[str]) -> list[Path]:
+    files: list[Path] = []
+    for p in map(Path, paths):
+        files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
+    return files
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python tools/sloc.py PATH [PATH...]", file=sys.stderr)
+        return 2
+    total = 0
+    for path in python_files(argv):
+        n = count_code_lines(path.read_text())
+        total += n
+        print(f"{n:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
