@@ -48,6 +48,10 @@ SUITE_DIGESTS = {
     "roundtrip": "95e134d1bedcd0cdfdc56fba79bca97552c04d9313d9cfb0dcc6b2499fb94397",
 }
 
+# [system, term depth, ground rules] of every engine-soundness run's ground
+# program, each rule as [premise formula indices, conclusion index]
+GROUND_PROGRAMS_DIGEST = "f020d00c3ab454de02025442f5f2abc1580153e31eebe94d2ca1872c950819f7"
+
 # [preset, exit code, report] of `fourval --output json leibniz --preset P`
 # for every preset name
 LEIBNIZ_DIGEST = "12e6285b4c288ccf2a4e12c3f4ebb9f4747e054240d81eafd21a80530b73c427"
@@ -126,6 +130,23 @@ def derive_records() -> list:
     return out
 
 
+def ground_program_records() -> list:
+    """[system, term depth, ground program] of the engine-soundness runs:
+    the core systems at term depth 1, the constant variants at depth 0."""
+    runs = [(n, 1) for n in verify.CORE_SINGLE_CONCLUSION]
+    runs += [(n, 0) for n in verify.VARIANT_SMOKE]
+    out = []
+    for name, term_depth in runs:
+        sysd = systems.system(name)
+        bounds = engine.RuleSpaceBounds(max_depth=term_depth, max_premises=2,
+                                        predicates=sysd.signature.relations,
+                                        constants=sysd.signature.constants)
+        terms = engine.terms_within(bounds)
+        formulas = engine.formulas_over(bounds.predicates, terms)
+        out.append([name, term_depth, verify._ground_program(sysd, formulas, terms)])
+    return out
+
+
 def suite_record(name: str) -> dict:
     report = verify.run_suite(name)
     report.pop("timings")
@@ -143,6 +164,12 @@ def test_derivation_certificates_are_pinned():
     assert len(records) == DERIVE_GOALS
     assert all(cert is not None for _, cert in records)
     assert _digest(records) == DERIVE_DIGEST
+
+
+def test_engine_soundness_ground_programs_are_pinned():
+    records = ground_program_records()
+    assert len(records) == 20
+    assert _digest(records) == GROUND_PROGRAMS_DIGEST
 
 
 def leibniz_records(capsys, suffix: str) -> list:
