@@ -9,9 +9,10 @@ come from decide().
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import chain, permutations, product as iproduct
 from math import prod
 from typing import Iterator, Mapping, Sequence
 
@@ -44,7 +45,6 @@ from .syntax import (
     formula_variables,
     print_rule,
     substitute_formula,
-    substitute_term,
     subterms,
     term_depth,
     term_text,
@@ -93,15 +93,6 @@ class Derivation:
                 depths.append(1 + max((depths[p] for p in node.parents), default=0))
         return depths[self.root]
 
-    def rename_variables(self, mapping: Mapping[str, str]) -> "Derivation":
-        ren = {old: Var(new) for old, new in mapping.items()}
-        nodes = []
-        for node in self.nodes:
-            subst = tuple((v, substitute_term(t, ren)) for v, t in node.subst)
-            nodes.append(DerivationNode(substitute_formula(node.formula, ren),
-                                        node.scheme, subst, node.parents))
-        return Derivation(tuple(nodes), self.root)
-
 
 def derivation_to_json(d: Derivation) -> dict:
     nodes = []
@@ -148,33 +139,29 @@ class Universe:
 
 
 def _matcher(pat: Term):
-    """(term, binding) -> the binding extended so that pat matches the
-    term, or None.  A binding maps variable names to terms and is never
-    mutated."""
+    """(term, binding) -> whether pat matches the term, where a variable
+    already in the binding (a dict of variable names to terms) matches
+    only its term; the variables pat binds first are added to the dict."""
     if isinstance(pat, Var):
         name = pat.name
-
-        def match_var(t, b):
-            bound = b.get(name)
-            if bound is None:
-                out = dict(b)
-                out[name] = t
-                return out
-            return b if bound is t else None
-        return match_var
+        return lambda t, b: b.setdefault(name, t) is t
     if isinstance(pat, Const):
-        return lambda t, b: b if t is pat else None
+        return lambda t, b: t is pat
     if isinstance(pat, Neg):
         arg = _matcher(pat.arg)
-        return lambda t, b: arg(t.arg, b) if type(t) is Neg else None
+        return lambda t, b: type(t) is Neg and arg(t.arg, b)
     op, left, right = type(pat), _matcher(pat.left), _matcher(pat.right)
+    return lambda t, b: type(t) is op and left(t.left, b) and right(t.right, b)
 
-    def match_binary(t, b):
-        if type(t) is not op:
-            return None
-        b = left(t.left, b)
-        return None if b is None else right(t.right, b)
-    return match_binary
+
+def _args_matcher(pats: Sequence[Term], k: int = 0):
+    """(arguments, binding) -> whether the patterns from k on match their
+    arguments, as ``_matcher``."""
+    head = _matcher(pats[k])
+    if k + 1 == len(pats):
+        return lambda ts, b: head(ts[k], b)
+    rest = _args_matcher(pats, k + 1)
+    return lambda ts, b: head(ts[k], b) and rest(ts, b)
 
 
 def _builder(pat: Term):
@@ -203,70 +190,79 @@ def _builder(pat: Term):
     return build_binary
 
 
-def _match_premises(patterns: Sequence[tuple[str, list]],
-                    facts_by_pred: Mapping[str, list[Formula]],
-                    fresh: Mapping[str, int] | None, binding: dict[str, Term],
-                    matched: tuple = ()) -> Iterator[tuple[dict[str, Term], tuple]]:
-    """Bindings of the premise patterns against the facts, in fact order,
-    each with the facts it matched.  With ``fresh`` (predicate -> index of
-    its first fresh fact, 0 when absent), only bindings matching at least
-    one fresh fact are yielded: once an earlier pattern matched a fresh
-    fact the rest range freely, otherwise the last pattern ranges over
-    fresh facts only."""
-    if not patterns:
-        if fresh is None:
-            yield binding, matched
-        return
-    (pred, matchers), rest = patterns[0], patterns[1:]
-    facts = facts_by_pred.get(pred, ())
-    start = 0 if fresh is None else fresh.get(pred, 0)
-    for i in range(0 if rest else start, len(facts)):
-        b = binding
-        for m, t in zip(matchers, facts[i].args):
-            b = m(t, b)
-            if b is None:
-                break
-        else:
-            if rest:
-                yield from _match_premises(rest, facts_by_pred, None if i >= start else fresh,
-                                           b, matched + (facts[i],))
+class _FactIndex:
+    """The facts of one predicate that fit one premise pattern, bucketed.
+
+    A fact fits when the pattern matches it on its own: it has every
+    constructor and constant the pattern fixes, and the same term wherever
+    a variable repeats (a shallow discrimination tree, McCune 1992).  Its
+    bucket is keyed by the terms at the ``keyed`` variables, and
+    ``values[i]`` holds fact i's terms at the ``new`` variables (None when
+    fact i does not fit).  Buckets are append-only lists of fact indices,
+    in fact order.  ``update`` indexes the facts appended since the last
+    call; a new list object is indexed from scratch.
+    """
+
+    def __init__(self, signature: tuple, fits):
+        self.pred, _, self.keyed, self.new = signature
+        self.fits = fits
+        self.facts: Sequence[Formula] = ()
+        self.buckets: dict[tuple[Term, ...], list[int]] = {}
+        self.values: list[tuple[Term, ...] | None] = []
+
+    def update(self, facts: Sequence[Formula]) -> None:
+        if facts is not self.facts:
+            self.facts, self.buckets, self.values = facts, {}, []
+        buckets, values, keyed, new = self.buckets, self.values, self.keyed, self.new
+        for i in range(len(values), len(facts)):
+            b = {}
+            if self.fits(facts[i].args, b):
+                buckets.setdefault(tuple([b[v] for v in keyed]), []).append(i)
+                values.append(tuple([b[v] for v in new]))
             else:
-                yield b, matched + (facts[i],)
+                values.append(None)
 
 
 class _GroundScheme:
     """One scheme compiled for every universe.
 
-    Premises are matched in sorted premise order.  The conclusion's free
-    variables are then assigned in name order, each over the universe in
-    its order.  After each assignment the conclusion subterms it completes
-    are looked up, and the partial assignment is dropped if one is
-    outside.  A free variable that is a direct child of a meet or join
-    whose sibling is already determined ranges only over that sibling's
-    row or column.
+    Premises are matched in sorted premise order, each through its
+    ``_FactIndex`` (see ``Grounder``), whose bucket is keyed by the terms
+    that earlier premises bound.  The conclusion's free variables are then
+    assigned in name order, each over the universe in its order.  After
+    each assignment the conclusion subterms it completes are looked up,
+    and the partial assignment is dropped if one is outside.
+
+    A variable that is a direct child of a conclusion meet or join whose
+    sibling is determined earlier ranges only over that sibling's row or
+    column.  A free variable takes those values in turn; a premise
+    variable keys its premise's bucket too, one bucket per partner, and
+    the buckets found are merged in fact order.
     """
 
     def __init__(self, scheme: Scheme):
         self.name = scheme.name
         prems = sorted(scheme.rule.premises, key=formula_text)
         concl = scheme.rule.conclusion
-        bound = set().union(*map(formula_variables, prems))
-        free = sorted(formula_variables(concl) - bound)
-        self.premises = [(p.pred, [_matcher(t) for t in p.args]) for p in prems]
-        self.pred = concl.pred
-        self.args = [_builder(t) for t in concl.args]
-        # stage of a variable: 0 when premises bind it, k + 1 for free[k]
-        stage = {v: 0 for v in bound} | {v: k + 1 for k, v in enumerate(free)}
+        # rank of a variable: k when premise k binds it first, then
+        # len(prems) + k for free[k]; a ground sibling has rank -1
+        rank: dict[str, int] = {}
+        for k, p in enumerate(prems):
+            for v in formula_variables(p):
+                rank.setdefault(v, k)
+        free = sorted(formula_variables(concl) - set(rank))
+        rank.update((v, len(prems) + k) for k, v in enumerate(free))
+        stage = {v: max(0, r - len(prems) + 1) for v, r in rank.items()}
 
         def stage_of(t: Term) -> int:
             return max((stage[v] for v in term_variables(t)), default=0)
 
         # checks[s]: builders of the subterms complete at stage s whose
         # parent is completed later (building one builds what lies beneath);
-        # domains[k]: for free[k], (builder of the sibling, row or column,
-        # op) from its first meet or join whose sibling is complete earlier
+        # domains[v]: (builder of the sibling, row or column, op) from v's
+        # first meet or join whose sibling has a lower rank
         checks: list[list] = [[] for _ in range(len(free) + 1)]
-        domains: list = [None] * len(free)
+        domains: dict[str, tuple] = {}
 
         def visit(t: Term, parent_stage: int) -> None:
             s = stage_of(t)
@@ -276,10 +272,10 @@ class _GroundScheme:
                 visit(t.arg, s)
             elif isinstance(t, (Meet, Join)):
                 for child, sibling, by_row in ((t.right, t.left, True), (t.left, t.right, False)):
-                    if isinstance(child, Var) and stage[child.name] > stage_of(sibling):
-                        k = stage[child.name] - 1
-                        if domains[k] is None:
-                            domains[k] = (_builder(sibling), by_row, type(t))
+                    if (isinstance(child, Var) and child.name not in domains
+                            and rank[child.name] > max(map(rank.get, term_variables(sibling)),
+                                                       default=-1)):
+                        domains[child.name] = (_builder(sibling), by_row, type(t))
                 visit(t.left, s)
                 visit(t.right, s)
 
@@ -287,7 +283,63 @@ class _GroundScheme:
         for t in concl.args:
             visit(t, stage_of(t))
         self.checks0 = checks[0]
-        self.levels = [(v, domains[k], checks[k + 1]) for k, v in enumerate(free)]
+        self.levels = [(v, domains.get(v), checks[k + 1]) for k, v in enumerate(free)]
+        # per premise: its index's signature (predicate, arguments, the
+        # variables keying its buckets, the new variables) and matcher, the
+        # earlier premises' variables keying it, and the domains of its new
+        # variables that key it
+        self.premises = []
+        for k, p in enumerate(prems):
+            names = sorted(formula_variables(p))
+            bound = tuple(v for v in names if rank[v] < k)
+            new = tuple(v for v in names if rank[v] == k)
+            ranged = tuple(v for v in new if v in domains)
+            self.premises.append(((p.pred, p.args, bound + ranged, new),
+                                  _args_matcher(p.args), bound,
+                                  [domains[v] for v in ranged]))
+        self.pred = concl.pred
+        self.args = [_builder(t) for t in concl.args]
+
+    def _match(self, k: int, indexes: Sequence[_FactIndex], b: dict[str, Term],
+               fresh: Mapping[str, int] | None, matched: tuple, uni: Universe
+               ) -> Iterator[tuple[dict[str, Term], tuple]]:
+        """Bindings of premises k onwards, in fact order, each with the
+        facts it matched.  With ``fresh`` (predicate -> index of its first
+        fresh fact, 0 when absent), only bindings matching at least one
+        fresh fact are yielded: once an earlier premise matched a fresh
+        fact the rest range freely, otherwise the last premise ranges over
+        fresh facts only."""
+        if k == len(self.premises):
+            if fresh is None:
+                yield b, matched
+            return
+        index = indexes[k]
+        _, _, keyed, domains = self.premises[k]
+        new = index.new
+        key = tuple([b[v] for v in keyed])
+        if domains:
+            partners = []
+            for sibling, by_row, op in domains:
+                s = sibling(b, uni)
+                if s is None:
+                    return
+                partners.append((uni.rows if by_row else uni.cols)[op][s])
+            found = [bucket for extra in iproduct(*partners)
+                     if (bucket := index.buckets.get(key + extra))]
+            candidates = found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
+        else:
+            candidates = index.buckets.get(key, ())
+        cut = 0 if fresh is None else bisect_left(candidates, fresh.get(index.pred, 0))
+        facts, values, last = index.facts, index.values, k + 1 == len(self.premises)
+        for pos in range(cut if last else 0, len(candidates)):
+            i = candidates[pos]
+            out = dict(b)
+            out.update(zip(new, values[i]))
+            if last:
+                yield out, matched + (facts[i],)
+            else:
+                yield from self._match(k + 1, indexes, out, None if pos >= cut else fresh,
+                                       matched + (facts[i],), uni)
 
     def _assign(self, k: int, b: dict[str, Term], uni: Universe) -> Iterator[dict[str, Term]]:
         if k == len(self.levels):
@@ -306,9 +358,9 @@ class _GroundScheme:
             if all(check(out, uni) is not None for check in checks):
                 yield from self._assign(k + 1, out, uni)
 
-    def instances(self, facts_by_pred, fresh, uni: Universe):
+    def instances(self, indexes: Sequence[_FactIndex], fresh, uni: Universe):
         pred, args, checks0 = self.pred, self.args, self.checks0
-        for binding, matched in _match_premises(self.premises, facts_by_pred, fresh, {}):
+        for binding, matched in self._match(0, indexes, {}, fresh, (), uni):
             if checks0 and any(check(binding, uni) is None for check in checks0):
                 continue
             for b in (self._assign(0, binding, uni) if self.levels else (binding,)):
@@ -317,8 +369,8 @@ class _GroundScheme:
                     yield self.name, b, matched, Formula(pred, terms)
 
 
-# a compiled scheme takes the universe as an argument, so it is compiled
-# once per scheme, not once per derive call
+# a compiled scheme takes the universe and the fact indexes as arguments,
+# so it is compiled once per scheme, not once per derive call
 _ground_scheme = lru_cache(maxsize=None)(_GroundScheme)
 
 
@@ -332,22 +384,38 @@ class Grounder:
     conclusion lies inside the universe: schemes in order, premise matches
     in fact order, then the conclusion's free variables in lexicographic
     universe order.  ``facts_by_pred`` maps a predicate to its facts, the
-    hash-consed Formulas themselves.  With ``fresh`` (see _match_premises)
-    only instances matching a fresh fact are yielded, so zero-premise
-    schemes yield nothing.  An instance with a term outside the universe
-    fails a node-keyed lookup, and the conclusion Formula is built only
-    once every argument has been found inside.
+    hash-consed Formulas themselves.  With ``fresh`` (see
+    ``_GroundScheme._match``) only instances matching a fresh fact are
+    yielded, so zero-premise schemes yield nothing.
+
+    Each premise pattern finds its facts through a ``_FactIndex``: the
+    skeleton bucket, then the bound-term key, then fact order, so the order
+    is the nested-loop join's, but a fact that cannot match is never
+    visited, and the fresh facts of a bucket start at a bisection.  Equal
+    premise patterns with the same variables keyed share one index.  The
+    indexes live as long as the grounder: between calls, each fact list
+    may only grow by appending, and each call indexes only the facts
+    appended since the last (derive's rounds).  An instance with a term
+    outside the universe fails a node-keyed lookup, and the conclusion
+    Formula is built only once every argument has been found inside.
     """
 
     def __init__(self, sys: AxiomSystem, universe: Universe):
         self.universe = universe
         self.schemes = [_ground_scheme(s) for s in sys.schemes]
+        shared: dict[tuple, _FactIndex] = {}
+        self._indexes = [[shared.setdefault(signature, _FactIndex(signature, fits))
+                          for signature, fits, *_ in scheme.premises]
+                         for scheme in self.schemes]
+        self._distinct = list(shared.values())
 
     def instances(self, facts_by_pred: Mapping[str, list[Formula]],
                   fresh: Mapping[str, int] | None = None
                   ) -> Iterator[tuple[str, dict[str, Term], tuple[Formula, ...], Formula]]:
-        for scheme in self.schemes:
-            yield from scheme.instances(facts_by_pred, fresh, self.universe)
+        for index in self._distinct:
+            index.update(facts_by_pred.get(index.pred, ()))
+        for scheme, indexes in zip(self.schemes, self._indexes):
+            yield from scheme.instances(indexes, fresh, self.universe)
 
 
 def _term_universe(r: Rule, sigspec: SigSpec, layers: int, max_terms: int) -> list[Term]:
@@ -390,8 +458,9 @@ def derive(sys: AxiomSystem, r: Rule, depth: int, term_layers: int = 1,
     tried.  The others cannot yield a new fact, so the certificate is the
     naive rounds' one.  Instances come from a Grounder over the universe,
     the grounder engine-soundness uses too: facts are the hash-consed
-    Formulas, and an instance with a term outside the universe fails a
-    node-keyed lookup before its conclusion is built.
+    Formulas, its premise indexes grow by each round's new facts, and an
+    instance with a term outside the universe fails a node-keyed lookup
+    before its conclusion is built.
     """
     if sys.kind != "single-conclusion":
         raise ValueError("derive only searches single-conclusion systems")

@@ -20,7 +20,8 @@ from fourval.engine import (
     translate_exact_to_eq,
 )
 from fourval.structures import preset_structure
-from fourval.syntax import Meet, Var, apply_subst, atom, parse_rule, print_rule, sig
+from fourval.syntax import (Meet, Var, apply_subst, atom, parse_rule, print_rule, sig,
+                            substitute_formula, substitute_term)
 from fourval.systems import system
 from fourval.verify import _valid_goals, random_rule, suite_completeness_evidence
 
@@ -129,12 +130,23 @@ def test_check_derivation_rejects_circular_certificate():
     assert check_derivation(bde, Derivation((), 0), r) == (False, "root 0 is not a node index")
 
 
+def rename_variables(d: Derivation, mapping: dict[str, str]) -> Derivation:
+    """The certificate with its variables renamed by ``mapping``."""
+    ren = {old: Var(new) for old, new in mapping.items()}
+    nodes = []
+    for node in d.nodes:
+        subst = tuple((v, substitute_term(t, ren)) for v, t in node.subst)
+        nodes.append(DerivationNode(substitute_formula(node.formula, ren),
+                                    node.scheme, subst, node.parents))
+    return Derivation(tuple(nodes), d.root)
+
+
 def test_certificate_invariant_under_renaming():
     bde = system("BDE")
     r = parse_rule(r"E(x /\ (~x \/ y)) |- E(y)", bde.signature)
     d = derive(bde, r, depth=6)
     renamed_rule = parse_rule(r"E(p /\ (~p \/ q)) |- E(q)", bde.signature)
-    renamed = d.rename_variables({"x": "p", "y": "q"})
+    renamed = rename_variables(d, {"x": "p", "y": "q"})
     assert check_derivation(bde, renamed, renamed_rule)[0]
 
 

@@ -168,13 +168,16 @@ def _outcome(search, sysd, r, depth, **kwargs):
 
 # (system, goal whose universe is used, term layers): or-intro with the free
 # variable on either side (BDE, K-base), premises over two predicates
-# (TNE-bridge) and the zero-premise De Morgan equations with three free
-# variables (BD-EQ)
+# (TNE-bridge), the zero-premise De Morgan equations with three free
+# variables (BD-EQ), and premises that fit the 3-premise eq-compat-eq and
+# the 4-premise nf-cancel and nf-sep, joined on bound terms (BDNF-EQ)
 _GROUNDER_CASES = [
     ("BDE", r"E(x /\ (~x \/ y)) |- E(y)", 1),
     ("K-base", r"T(x), T(~x) |- T(y)", 1),
     ("TNE-bridge", r"T(x), NF(x) |- NF(x \/ y)", 1),
     ("BD-EQ", r"x = y |- x /\ (y \/ z) = (x /\ y) \/ (x /\ z)", 0),
+    ("BDNF-EQ", r"NF(x), NF(y), T(x), T(u), T(~y \/ v), T(u \/ v), x /\ u \/ (~y \/ v) = ~y \/ v, "
+                r"x /\ ~v \/ (~y \/ ~u) = ~y \/ ~u, ~y \/ v = v |- u \/ (~y \/ v) = v", 0),
 ]
 
 
@@ -207,6 +210,11 @@ def test_grounder_yields_the_in_universe_formula_instances_in_order(name, text, 
         assert {"T.or-intro-l", "T.or-intro-r"} <= schemes
     elif name == "BD-EQ" and not with_fresh:
         assert "eq.dm-dist" in schemes
+    elif name == "BDNF-EQ":
+        assert {"eq.eq-compat-eq", "nf-cancel", "nf-sep"} <= schemes
+        # and a premise whose skeleton no fact fits, so its bucket is empty
+        assert any(all(_match_formula(p, f, {}) is None for f in by_pred.get(p.pred, ()))
+                   for scheme in sysd.schemes for p in scheme.rule.premises)
     assert want and (name == "TNE-bridge" or len(want) < len(every))
 
 
@@ -225,6 +233,24 @@ def test_grounder_rejects_constants_outside_the_universe(with_fresh):
     assert any(inst[0] == "c-neither-exact-l" for inst in every)
     assert want and not any(inst[0].startswith("c-") for inst in want)
     assert list(Grounder(sysd, Universe(universe)).instances(facts, fresh)) == want
+
+
+def test_grounder_indexes_follow_appended_and_replaced_fact_lists():
+    """A grounder's premise indexes outlive a call: facts appended to a
+    list are indexed on the next call, and a new list is indexed afresh."""
+    sysd = system("BDE")
+    r = parse_rule(r"E(x /\ (~x \/ y)) |- E(y)", sysd.signature)
+    universe = Universe(engine._term_universe(r, sysd.signature, 1, 120))
+    pool = [Formula(pred, (t,)) for t in universe.terms[:24] for pred in ("T", "E")]
+    grounder = Grounder(sysd, universe)
+    by_pred = {"T": pool[0:16:2], "E": pool[1:16:2]}
+    assert list(grounder.instances(by_pred))
+    appended = {pred: len(fs) for pred, fs in by_pred.items()}
+    by_pred["T"] += pool[16::2]
+    by_pred["E"] += pool[17::2]
+    for facts, fresh in ((by_pred, appended), ({"T": pool[::4], "E": pool[3::4]}, None)):
+        got = list(grounder.instances(facts, fresh))
+        assert got and got == list(Grounder(sysd, universe).instances(facts, fresh))
 
 
 @lru_cache(maxsize=None)

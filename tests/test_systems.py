@@ -2,7 +2,9 @@ import re
 
 import pytest
 
-from fourval.structures import holds, preset_structure
+from fourval.algebra import builtin
+from fourval.engine import decide
+from fourval.structures import holds, identity_relation, is_model, preset_structure, structure
 from fourval.syntax import UsageError, parse_rule, print_rule, sig
 from fourval.systems import (
     AxiomSystem,
@@ -132,6 +134,21 @@ def test_redundancy_rule_is_valid_but_not_an_axiom():
     rule = parse_rule(r"E(x /\ (~x \/ y)) |- E(y)", bde.signature)
     assert holds(preset_structure("BDE"), rule).valid
     assert all(s.rule != rule for s in bde.schemes)
+
+
+def test_bdnf_eq_has_a_two_element_model_that_refutes_a_preset_valid_rule():
+    """BDNF-EQ, as catalogued, is incomplete for its preset: B2 with T
+    empty, NF everything and eq the identity is a model of its axioms, and
+    it refutes a rule that BDNF-eq validates, so no derivation of that rule
+    exists.  The catalogue is left as it is until the paper's axioms can be
+    checked."""
+    bdnf_eq = system("BDNF-EQ")
+    b2 = builtin("B2")
+    st = structure(b2, {"T": (), "NF": (0, 1)}, {"eq": identity_relation(b2)})
+    assert is_model(st, bdnf_eq.named_rules()) == (True, None)
+    rule = parse_rule(r"NF(x), NF(y) |- ~x \/ y = y", bdnf_eq.signature)
+    assert not holds(st, rule).valid
+    assert decide("BDNF-eq", rule).valid
 
 
 def test_tne_bridge_semantic_interderivability():
