@@ -15,7 +15,7 @@ This fixed order is what makes "first in increasing bitset order" and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .syntax import CONSTANT_SYMBOLS
@@ -216,19 +216,11 @@ class Congruence:
     def is_identity(self) -> bool:
         return self.rep == tuple(range(self.algebra.size))
 
-    @property
-    def is_total(self) -> bool:
-        return all(r == 0 for r in self.rep)
-
     def classes(self) -> tuple[tuple[int, ...], ...]:
         byrep: dict[int, list[int]] = {}
         for i, r in enumerate(self.rep):
             byrep.setdefault(r, []).append(i)
         return tuple(tuple(v) for _, v in sorted(byrep.items()))
-
-    @property
-    def num_classes(self) -> int:
-        return len(set(self.rep))
 
     def refines(self, other: "Congruence") -> bool:
         """True when every class of self is contained in a class of other."""
@@ -243,14 +235,6 @@ def _canon(rep: Sequence[int]) -> tuple[int, ...]:
     return tuple(least[r] for r in rep)
 
 
-def identity_congruence(alg: FiniteAlgebra) -> Congruence:
-    return Congruence(alg, tuple(range(alg.size)))
-
-
-def total_congruence(alg: FiniteAlgebra) -> Congruence:
-    return Congruence(alg, tuple(0 for _ in range(alg.size)))
-
-
 def split_by_operations(alg: FiniteAlgebra, rep: Sequence[int]) -> tuple[int, ...]:
     """The partition rep with each class split by the classes of ``~a``,
     ``a /\\ c`` and ``a \\/ c`` for every c, as a least-representative map."""
@@ -263,26 +247,6 @@ def is_congruence_partition(alg: FiniteAlgebra, rep: Sequence[int]) -> bool:
     """A partition is a congruence iff splitting by the operations splits
     nothing: varying one argument at a time suffices, by transitivity."""
     return split_by_operations(alg, rep) == _canon(rep)
-
-
-def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of {0..n-1} as least-representative maps."""
-    rep = [0] * n
-
-    def rec(i: int, blocks: list[int]):
-        if i == n:
-            yield tuple(rep)
-            return
-        for b in blocks:
-            rep[i] = b
-            yield from rec(i + 1, blocks)
-        rep[i] = i
-        yield from rec(i + 1, blocks + [i])
-
-    if n == 0:
-        yield ()
-        return
-    yield from rec(1, [0])
 
 
 def _merge_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -316,16 +280,6 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     return Congruence(alg, _merge_pairs(alg, [(a, b)]))
 
 
-def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
-    pairs = [(i, c1.rep[i]) for i in range(len(c1.rep))]
-    pairs += [(i, c2.rep[i]) for i in range(len(c2.rep))]
-    return Congruence(c1.algebra, _merge_pairs(c1.algebra, pairs))
-
-
-def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
-    return Congruence(c1.algebra, tuple(zip(c1.rep, c2.rep)))
-
-
 CONGRUENCE_BOUND = 10
 
 
@@ -357,35 +311,7 @@ def congruences(alg: FiniteAlgebra) -> list[Congruence]:
 
 
 # ---------------------------------------------------------------------------
-# Products, subalgebras, quotients.
-
-def _same_constant_names(algs: Sequence[FiniteAlgebra]):
-    names = {frozenset(a.constants) for a in algs}
-    if len(names) > 1:
-        raise AlgebraError("signature mismatch: factors declare different constants")
-
-
-def product(algs: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
-    """Componentwise product; element i encodes a tuple in mixed radix."""
-    if not algs:
-        raise AlgebraError("empty product not supported")
-    _same_constant_names(algs)
-    tuples = list(iproduct(*[range(a.size) for a in algs]))
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-
-    def lift(op):
-        return [[index[tuple(op(a)[x[k]][y[k]] for k, a in enumerate(algs))]
-                 for y in tuples] for x in tuples]
-
-    meet = lift(lambda a: a.meet)
-    join = lift(lambda a: a.join)
-    neg = [index[tuple(a.neg[x[k]] for k, a in enumerate(algs))] for x in tuples]
-    constants = {c: index[tuple(a.constants[c] for a in algs)] for c in algs[0].constants}
-    labels = ["(" + ",".join(a.element_name(x[k]) for k, a in enumerate(algs)) + ")"
-              for x in tuples]
-    return FiniteAlgebra(n, meet, join, neg, constants, labels)
-
+# Subalgebras, quotients.
 
 def subalgebra(alg: FiniteAlgebra, gens: Iterable[int]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Closure of gens (plus constants) under the operations.

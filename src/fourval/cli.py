@@ -34,6 +34,7 @@ from .structures import (
     VariableLimitError,
     format_name,
     parse_name,
+    preset_names,
     preset_structure,
     structure_to_json,
 )
@@ -145,11 +146,12 @@ def _envelope(cfg: RunConfig, result: dict) -> dict:
 
 def _resolve_preset(name: str):
     """A --logic value may be a preset name or an axiom-system name."""
-    try:
+    base, _ = parse_name(name)  # may raise UsageError on the suffix
+    if base in preset_names():
         return name, preset_structure(name)
-    except UsageError:
-        pass
-    sysd = system(name)  # may raise UsageError
+    if base not in {parse_name(n)[0] for n in all_system_names()}:
+        raise UsageError(f"unknown preset or axiom system {name!r}")
+    sysd = system(name)  # may raise UsageError on the constants
     return sysd.preset, preset_structure(sysd.preset)
 
 

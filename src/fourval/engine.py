@@ -10,7 +10,7 @@ come from decide().
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations, product as iproduct
 from math import prod
@@ -659,11 +659,7 @@ class ClassificationReport:
     algebras: int = 0
     structures: int = 0
     models: int = 0
-    violations: list[str] = None
-
-    def __post_init__(self):
-        if self.violations is None:
-            self.violations = []
+    violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -805,11 +801,6 @@ class ModelSweep:
         for values in free:
             if first_failure(dict(zip(self.names, values))) is None:
                 yield _structure(alg, self.names, values)
-
-    def models(self, alg: FiniteAlgebra, ranges: Sequence[Sequence]) -> Iterator[Structure]:
-        """The models among the product of ``ranges`` (one per relation, in
-        ``names`` order), in product order."""
-        return self.expand(alg, self.free_models(alg, ranges))
 
 
 def _top_element(alg: FiniteAlgebra) -> int:

@@ -36,7 +36,6 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
-FUNCTION_ARITIES = {"meet": 2, "join": 2, "neg": 1}
 RELATION_ARITIES = {"T": 1, "E": 1, "NF": 1, "eq": 2}
 PREDICATE_NAMES = ("T", "E", "NF")
 CONSTANT_SYMBOLS = ("#t", "#n", "#b")
@@ -272,10 +271,6 @@ class Formula(_Node):
         return node
 
 
-def atom(pred: str, *args: Term) -> Formula:
-    return Formula(pred, tuple(args))
-
-
 def formula_variables(f: Formula) -> set[str]:
     out: set[str] = set()
     for t in f.args:
@@ -337,10 +332,6 @@ class Rule:
         if len(self.conclusions) != 1:
             raise ValueError("rule does not have exactly one conclusion")
         return next(iter(self.conclusions))
-
-
-def rule(premises: Iterable[Formula], conclusions: Iterable[Formula]) -> Rule:
-    return Rule(frozenset(premises), frozenset(conclusions))
 
 
 def apply_subst(r: Rule, s: Mapping[str, Term]) -> Rule:

@@ -29,14 +29,12 @@ from .structures import format_name, holds, parse_name, preset_structure
 from .syntax import (CONSTANT_SYMBOLS, FULL_SIG, Rule, SigSpec, UsageError, parse_rule, print_rule,
                      sig)
 
-SCHEME_ROLES = ("base", "interaction", "constant")
-
 
 @dataclass(frozen=True)
 class Scheme:
     name: str
     rule: Rule
-    role: str  # one of SCHEME_ROLES
+    role: str  # "base" | "interaction" | "constant"
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,6 @@ class AxiomSystem:
 
     def named_rules(self) -> list[tuple[str, Rule]]:
         return [(s.name, s.rule) for s in self.schemes]
-
-    def rules_by_role(self, role: str) -> list[Scheme]:
-        return [s for s in self.schemes if s.role == role]
 
     def scheme(self, name: str) -> Scheme:
         for s in self.schemes:

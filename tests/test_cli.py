@@ -159,6 +159,18 @@ def test_unknown_preset_exits_two(capsys):
     assert code == 2 and "unknown preset 'NOPE'" in err
 
 
+def test_decide_unknown_logic_names_both_kinds(capsys):
+    """--logic takes a preset or an axiom-system name, so an unknown one
+    is reported as neither; a bad suffix or an unsupported constant keeps
+    its own message."""
+    code, out, err = run(capsys, "decide", "--logic", "NOPE", "T(x) |- T(x)")
+    assert (code, out, err) == (2, "", "error: unknown preset or axiom system 'NOPE'\n")
+    code, _, err = run(capsys, "decide", "--logic", "BDE+x", "T(x) |- T(x)")
+    assert code == 2 and "bad constant suffix 'x'" in err
+    code, _, err = run(capsys, "decide", "--logic", "BD-base+t", "T(x) |- T(x)")
+    assert code == 2 and "does not support constants" in err
+
+
 def test_verify_help_names_every_suite(capsys, monkeypatch):
     from fourval import verify
 

@@ -20,7 +20,7 @@ from fourval.engine import (
     translate_exact_to_eq,
 )
 from fourval.structures import preset_structure
-from fourval.syntax import (Meet, Var, apply_subst, atom, parse_rule, print_rule, sig,
+from fourval.syntax import (Formula, Meet, Var, apply_subst, parse_rule, print_rule, sig,
                             substitute_formula, substitute_term)
 from fourval.systems import system
 from fourval.verify import _valid_goals, random_rule, suite_completeness_evidence
@@ -120,8 +120,8 @@ def test_check_derivation_rejects_circular_certificate():
     assert not decide(bde.preset, r).valid
     x = Var("x")
     forged = Derivation((
-        DerivationNode(atom("T", Meet(x, x)), "T.and-intro", (("x", x), ("y", x)), (-1,)),
-        DerivationNode(atom("T", x), "T.and-elim-l", (("x", x), ("y", x)), (0,)),
+        DerivationNode(Formula("T", (Meet(x, x),)), "T.and-intro", (("x", x), ("y", x)), (-1,)),
+        DerivationNode(Formula("T", (x,)), "T.and-elim-l", (("x", x), ("y", x)), (0,)),
     ), 1)
     ok, msg = check_derivation(bde, forged, r)
     assert not ok and "node 0" in msg

@@ -200,7 +200,8 @@ def test_factorised_sweep_agrees_with_full_product(name, size):
             cands = list(candidate_structures(sysd, alg))
             expected = [c for c in cands if first_failure(_rels(c)) is None]
             lattice = congruences(alg) if "eq" in sweep.names else None
-            models = list(sweep.models(alg, _relation_ranges(sweep.names, alg, lattice)))
+            ranges = _relation_ranges(sweep.names, alg, lattice)
+            models = list(sweep.expand(alg, sweep.free_models(alg, ranges)))
             assert models == expected, f"{name} on |A|={alg.size} {alg.constants}"
             assert list(sweep.expand(alg, free)) == expected, f"{name} on |A|={alg.size} {alg.constants}"
             full += len(cands)

@@ -4,17 +4,12 @@ from itertools import product as iproduct
 import pytest
 
 from fourval.algebra import (
+    Congruence,
     builtin,
-    congruence_join,
-    congruence_meet,
     congruences,
     enumerate_dm_lattices,
     enumerate_filters,
-    identity_congruence,
-    iter_partitions,
     mask_of,
-    product,
-    total_congruence,
 )
 from fourval.engine import ModelSweep, _constant_assignments, _relation_ranges, census_pool
 from fourval.leibniz import (
@@ -31,7 +26,7 @@ from fourval.leibniz import (
 from fourval.structures import identity_relation, preset_structure, structure, structure_to_json
 from fourval.systems import system
 from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS
-from test_algebra import is_congruence_by_definition
+from test_algebra import congruence_join, is_congruence_by_definition, iter_partitions, product
 from test_golden import _digest
 
 DM4 = builtin("DM4")
@@ -57,7 +52,7 @@ def brute_force_largest_compatible(alg, mask):
 def test_leibniz_unary_examples():
     assert leibniz_unary(DM4, mask_of([T])).is_identity
     assert leibniz_unary(DM4, mask_of([T, B])).is_identity
-    assert leibniz_unary(B2, mask_of([0, 1])).is_total
+    assert len(leibniz_unary(B2, mask_of([0, 1])).classes()) == 1
     # oracle comparison
     for mask in range(16):
         assert leibniz_unary(DM4, mask).rep == brute_force_largest_compatible(DM4, mask)
@@ -83,7 +78,7 @@ def test_polynomial_closure_contains_constants_and_identity():
 
 def test_leibniz_binary_examples():
     assert leibniz_binary(DM4, identity_relation(DM4)).is_identity
-    assert leibniz_binary(DM4, tuple(15 for _ in range(4))).is_total
+    assert len(leibniz_binary(DM4, tuple(15 for _ in range(4))).classes()) == 1
     p = product([B2, B2])
     kernel = tuple(sum(1 << b for b in range(4) if b // 2 == a // 2) for a in range(4))
     out = leibniz_binary(p, kernel)
@@ -98,7 +93,7 @@ def test_leibniz_structure_and_reducts():
 
     s = structure(B2, {"T": (0, 1)})
     theta = leibniz_structure(s)
-    assert theta.is_total
+    assert len(theta.classes()) == 1
     red, proj = reduct(s)
     assert red.algebra.size == 1 and red.unary["T"] == 1
 
@@ -110,7 +105,7 @@ def test_leibniz_structure_and_reducts():
     kernel = tuple(sum(1 << j for j in range(16) if j // 4 == i // 4) for i in range(16))
     s2 = structure(p, {"T": t_mask}, {"eq": kernel})
     theta = leibniz_structure(s2)
-    assert theta.num_classes == 4
+    assert len(theta.classes()) == 4
     assert all(theta.relates(i, j) == (i // 4 == j // 4) for i in range(16) for j in range(16))
     # with T = {t,b} x {t,b} instead, both relation congruences are the
     # identity already (brute force over Con(DM4^2)), so the structure is
@@ -130,13 +125,12 @@ def test_reduct_idempotent():
 
 def test_leibniz_intersection_inclusion_on_builtins():
     # meet of the relation-wise congruences is below the congruence of the meet
-    from fourval.algebra import congruence_meet
-
     for alg in (B2, K3, DM4):
         filters = enumerate_filters(alg)
         for f1 in filters:
             for f2 in filters:
-                lhs = congruence_meet(leibniz_unary(alg, f1), leibniz_unary(alg, f2))
+                c1, c2 = leibniz_unary(alg, f1), leibniz_unary(alg, f2)
+                lhs = Congruence(alg, tuple(zip(c1.rep, c2.rep)))
                 rhs = leibniz_unary(alg, f1 & f2)
                 assert lhs.refines(rhs)
 
@@ -162,13 +156,13 @@ def test_binary_crosscheck_on_congruence_relations():
 def test_quotient_structure_requires_compatibility():
     s = structure(DM4, {"T": mask_of([T])})
     with pytest.raises(ValueError, match="relation T"):
-        quotient_structure(s, total_congruence(DM4))
+        quotient_structure(s, Congruence(DM4, (0,) * 4))
 
 
 def test_quotient_structure_names_the_incompatible_binary_relation():
     s = structure(DM4, {}, {"eq": identity_relation(DM4)})
     with pytest.raises(ValueError, match="not compatible with relation eq"):
-        quotient_structure(s, total_congruence(DM4))
+        quotient_structure(s, Congruence(DM4, (0,) * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def compatible_with_binary(theta, rows):
 
 def joined_largest_compatible(alg, congs, compatible):
     """Join every compatible congruence into the identity, one by one."""
-    best = identity_congruence(alg)
+    best = Congruence(alg, range(alg.size))
     for cong in congs:
         if compatible(cong):
             best = congruence_join(best, cong)
@@ -211,7 +205,7 @@ def joined_leibniz_structure(s):
     congs = congruences(s.algebra)
     tests = [partial(compatible_with_unary, mask=m) for _, m in sorted(s.unary.items())]
     tests += [partial(compatible_with_binary, rows=r) for _, r in sorted(s.binary.items())]
-    return reduce(congruence_meet,
+    return reduce(lambda c1, c2: Congruence(s.algebra, tuple(zip(c1.rep, c2.rep))),
                   (joined_largest_compatible(s.algebra, congs, t) for t in tests))
 
 
@@ -264,7 +258,7 @@ def classified_models_at_4(name):
     for base in census_pool(4):
         ranges = _relation_ranges(sweep.names, base, congruences(base))
         for alg in _constant_assignments(base, sysd.signature.constants):
-            models.extend(sweep.models(alg, ranges))
+            models.extend(sweep.expand(alg, sweep.free_models(alg, ranges)))
     return models
 
 

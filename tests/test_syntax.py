@@ -24,7 +24,6 @@ from fourval.syntax import (
     Term,
     Var,
     apply_subst,
-    atom,
     parse_rule,
     parse_rule_lines,
     parse_term,
@@ -38,16 +37,16 @@ from fourval.verify import random_rule
 
 def test_parse_single_conclusion_example():
     r = parse_rule(r"E(x), T(~x \/ y) |- T(y)", sig({"T", "E"}))
-    assert r.premises == frozenset({atom("E", Var("x")),
-                                    atom("T", Join(Neg(Var("x")), Var("y")))})
-    assert r.conclusions == frozenset({atom("T", Var("y"))})
+    assert r.premises == frozenset({Formula("E", (Var("x"),)),
+                                    Formula("T", (Join(Neg(Var("x")), Var("y")),))})
+    assert r.conclusions == frozenset({Formula("T", (Var("y"),))})
     assert r.is_single_conclusion
 
 
 def test_parse_empty_premises_gives_axiom():
     r = parse_rule("|- x = x", sig({"eq"}))
     assert r.premises == frozenset()
-    assert r.conclusions == frozenset({atom("eq", Var("x"), Var("x"))})
+    assert r.conclusions == frozenset({Formula("eq", (Var("x"), Var("x")))})
 
 
 def test_parse_empty_conclusions():
@@ -65,7 +64,7 @@ def test_false_sugar_desugars_to_negated_top():
 def test_order_sugar_desugars_to_join_equation():
     r = parse_rule("x <= y |-", sig({"eq"}))
     (prem,) = r.premises
-    assert prem == atom("eq", Join(Var("x"), Var("y")), Var("y"))
+    assert prem == Formula("eq", (Join(Var("x"), Var("y")), Var("y")))
 
 
 def test_precedence_neg_meet_join():
@@ -88,7 +87,7 @@ def test_print_minimal_parentheses():
 
 
 def test_print_rule_canonical_forms():
-    r = Rule(frozenset({atom("E", Var("x"))}), frozenset({atom("T", Var("x"))}))
+    r = Rule(frozenset({Formula("E", (Var("x"),))}), frozenset({Formula("T", (Var("x"),))}))
     assert print_rule(r) == "E(x) |- T(x)"
     assert print_rule(Rule(frozenset(), frozenset())) == "|-"
 
@@ -206,7 +205,7 @@ def test_equal_nodes_built_apart_are_one_object():
     assert Var("x") is x
     assert parse_term(r"~x /\ y \/ #t") is t
     assert parse_term("#f") is Neg(Const("#t"))
-    f = atom("eq", t, y)
+    f = Formula("eq", (t, y))
     assert parse_rule(r"|- ~x /\ y \/ #t = y").conclusion is f
     assert Formula("eq", (t, y)) is f and hash(f) == hash(Formula("eq", (t, y)))
     assert Join(x, y) is not Meet(x, y) and Var("#t") is not Const("#t")
@@ -214,7 +213,7 @@ def test_equal_nodes_built_apart_are_one_object():
 
 def test_copies_and_pickles_are_the_same_object():
     t = parse_term(r"~(x /\ #b) \/ y")
-    f = atom("T", t)
+    f = Formula("T", (t,))
     for node in (t, f, Var("x")):
         assert pickle.loads(pickle.dumps(node)) is node
         assert copy.copy(node) is node
@@ -226,7 +225,7 @@ def test_copies_and_pickles_are_the_same_object():
 
 
 def test_fields_cannot_be_assigned():
-    t, f = Meet(Var("x"), Var("y")), atom("T", Var("x"))
+    t, f = Meet(Var("x"), Var("y")), Formula("T", (Var("x"),))
     with pytest.raises(FrozenInstanceError):
         t.left = Var("z")
     with pytest.raises(FrozenInstanceError):
@@ -237,7 +236,7 @@ def test_fields_cannot_be_assigned():
 
 
 def test_unreferenced_nodes_leave_the_store():
-    f = atom("NF", Neg(Var("only_here")))
+    f = Formula("NF", (Neg(Var("only_here")),))
     t = f.args[0]
     assert _stored(Formula, "NF", (t,)) and _stored(Neg, Var("only_here"))
     del f, t

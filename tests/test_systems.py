@@ -65,7 +65,7 @@ def test_bad_system_names_are_usage_errors(name):
 
 def test_bde_interaction_rules_exactly():
     bde = system("BDE")
-    got = {print_rule(s.rule) for s in bde.rules_by_role("interaction")}
+    got = {print_rule(s.rule) for s in bde.schemes if s.role == "interaction"}
     expect = {canonical(t, bde.signature) for t in (
         "E(x) |- T(x)",
         r"E(x), T(~x \/ y) |- T(y)",
@@ -80,7 +80,7 @@ def test_bde_interaction_rules_exactly():
 
 def test_etl_eq_non_core_rules_exactly():
     etl_eq = system("ETL-EQ")
-    got = {print_rule(s.rule) for s in etl_eq.rules_by_role("interaction")}
+    got = {print_rule(s.rule) for s in etl_eq.schemes if s.role == "interaction"}
     assert got == {canonical(r"E(x) |- x \/ y = x", etl_eq.signature)}
 
 
@@ -100,9 +100,9 @@ def test_kinds_and_presets():
 
 def test_constant_rules_filtered_by_subset():
     plus_t = system("BDE+t")
-    assert {s.name for s in plus_t.rules_by_role("constant")} == {"c-exact-top"}
+    assert {s.name for s in plus_t.schemes if s.role == "constant"} == {"c-exact-top"}
     plus_n = system("BDE+n")
-    assert {s.name for s in plus_n.rules_by_role("constant")} == {
+    assert {s.name for s in plus_n.schemes if s.role == "constant"} == {
         "c-neither-true-l", "c-neither-true-r", "c-neither-exact-l", "c-neither-exact-r"}
     # the rule mentioning all three constants appears only with all present
     bd_eq_nb = system("BD-EQ+nb")

@@ -95,7 +95,7 @@ def test_engine_soundness_single_system():
 
 def test_classification_violation_reporting():
     # a deliberately wrong "classification": claim KE shapes for BD-EQ models
-    from fourval.engine import classify_models, shape_violations
+    from fourval.engine import shape_violations
     from fourval.leibniz import reduct
     from fourval.structures import structure
     from fourval.algebra import builtin
