@@ -372,10 +372,26 @@ def test_filter_enumeration_b2():
 
 
 def test_ideals_dual_to_filters():
-    for alg in (B2, K3, DM4):
-        flip = {}
-        for m in enumerate_ideals(alg):
-            # the negation image of an ideal is a filter
+    """Oracle from the definition: an ideal is downward closed and closed
+    under join, and a prime ideal also holds a or b whenever it holds
+    a /\\ b (empty and full sets count).  The negation image of an ideal is
+    a filter."""
+    algs = [B2, K3, DM4] + [alg for n in range(1, 7) for alg in enumerate_dm_lattices(n)]
+    for alg in algs:
+        pairs = list(itertools.product(range(alg.size), repeat=2))
+        ideals, primes = [], []
+        for m in range(1 << alg.size):
+            def has(a):
+                return (m >> a) & 1
+            down = all(has(b) for a, b in pairs if has(a) and alg.leq(b, a))
+            joined = all(has(alg.join[a][b]) for a, b in pairs if has(a) and has(b))
+            if down and joined:
+                ideals.append(m)
+                if all(has(a) or has(b) for a, b in pairs if has(alg.meet[a][b])):
+                    primes.append(m)
+        assert enumerate_ideals(alg) == ideals
+        assert enumerate_ideals(alg, prime_only=True) == primes
+        for m in ideals:
             image = mask_of(alg.neg[a] for a in range(alg.size) if (m >> a) & 1)
             assert is_filter(alg, image)
 
