@@ -364,7 +364,7 @@ def quotient(alg: FiniteAlgebra, cong: Congruence) -> tuple[FiniteAlgebra, tuple
 
 # ---------------------------------------------------------------------------
 # Filters and ideals (as bitmasks).  Empty and full sets are admitted, and
-# count as prime.
+# count as prime.  Ideals are read as the filters of the order dual.
 
 def mask_of(elems: Iterable[int]) -> int:
     m = 0
@@ -392,16 +392,6 @@ def is_filter(alg: FiniteAlgebra, mask: int) -> bool:
     return True
 
 
-def is_ideal(alg: FiniteAlgebra, mask: int) -> bool:
-    for a in mask_iter(mask):
-        for b in range(alg.size):
-            if alg.leq(b, a) and not (mask >> b) & 1:
-                return False
-            if (mask >> b) & 1 and not (mask >> alg.join[a][b]) & 1:
-                return False
-    return True
-
-
 def is_prime_filter(alg: FiniteAlgebra, mask: int) -> bool:
     if not is_filter(alg, mask):
         return False
@@ -412,24 +402,19 @@ def is_prime_filter(alg: FiniteAlgebra, mask: int) -> bool:
     return True
 
 
-def is_prime_ideal(alg: FiniteAlgebra, mask: int) -> bool:
-    if not is_ideal(alg, mask):
-        return False
-    for a in range(alg.size):
-        for b in range(alg.size):
-            if (mask >> alg.meet[a][b]) & 1 and not ((mask >> a) & 1 or (mask >> b) & 1):
-                return False
-    return True
-
-
 def enumerate_filters(alg: FiniteAlgebra, prime_only: bool = False) -> list[int]:
     check = is_prime_filter if prime_only else is_filter
     return [m for m in range(1 << alg.size) if check(alg, m)]
 
 
+def _dual(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """The order dual, meet and join swapped: its filters and prime filters
+    are the ideals and prime ideals of alg."""
+    return FiniteAlgebra(alg.size, alg.join, alg.meet, alg.neg)
+
+
 def enumerate_ideals(alg: FiniteAlgebra, prime_only: bool = False) -> list[int]:
-    check = is_prime_ideal if prime_only else is_ideal
-    return [m for m in range(1 << alg.size) if check(alg, m)]
+    return enumerate_filters(_dual(alg), prime_only)
 
 
 def pair_extension(alg: FiniteAlgebra, filter_mask: int, ideal_mask: int) -> tuple[int, int]:
@@ -440,7 +425,7 @@ def pair_extension(alg: FiniteAlgebra, filter_mask: int, ideal_mask: int) -> tup
     """
     if not is_filter(alg, filter_mask):
         raise AlgebraError("first argument is not a filter")
-    if not is_ideal(alg, ideal_mask):
+    if not is_filter(_dual(alg), ideal_mask):
         raise AlgebraError("second argument is not an ideal")
     if filter_mask & ideal_mask:
         raise AlgebraError("filter and ideal are not disjoint")
@@ -448,7 +433,7 @@ def pair_extension(alg: FiniteAlgebra, filter_mask: int, ideal_mask: int) -> tup
     for g in range(1 << alg.size):
         if g & filter_mask == filter_mask and g & ideal_mask == 0 and is_prime_filter(alg, g):
             j = full & ~g
-            if not is_prime_ideal(alg, j):
+            if not is_prime_filter(_dual(alg), j):
                 raise AlgebraError("internal error: complement of prime filter not a prime ideal")
             return g, j
     raise AlgebraError("internal error: no prime extension found on a finite distributive lattice")

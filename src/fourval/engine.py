@@ -12,9 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, permutations, product as iproduct
+from itertools import chain, islice, permutations, product as iproduct
 from math import prod
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .algebra import (
     Congruence,
@@ -190,6 +190,14 @@ def _builder(pat: Term):
     return build_binary
 
 
+def _partners(sibling: Term, by_row: bool, op: type):
+    """(binding, universe) -> the row (or column) of op at the built
+    sibling: each partner in universe order, mapped to the composite; empty
+    when the sibling is outside."""
+    build = _builder(sibling)
+    return lambda b, uni: (uni.rows if by_row else uni.cols)[op].get(build(b, uni), ())
+
+
 class _FactIndex:
     """The facts of one predicate that fit one premise pattern, bucketed.
 
@@ -226,16 +234,18 @@ class _FactIndex:
 class _GroundScheme:
     """One scheme compiled for every universe.
 
-    Premises are matched in sorted premise order, each through its
-    ``_FactIndex`` (see ``Grounder``), whose bucket is keyed by the terms
-    that earlier premises bound.  The conclusion's free variables are then
-    assigned in name order, each over the universe in its order.  After
-    each assignment the conclusion subterms it completes are looked up,
-    and the partial assignment is dropped if one is outside.
+    Its variables are bound by one recursion over levels: one level per
+    premise, in sorted premise order, then one per free conclusion
+    variable, in name order.  A premise level takes, in fact order, the
+    facts of its ``_FactIndex`` (see ``Grounder``) in the bucket keyed by
+    the terms that earlier levels bound; a free-variable level takes the
+    universe in its order.  After each level the conclusion subterms that
+    level completes whose parent is completed later are looked up, and the
+    binding is dropped if one is outside.
 
     A variable that is a direct child of a conclusion meet or join whose
-    sibling is determined earlier ranges only over that sibling's row or
-    column.  A free variable takes those values in turn; a premise
+    sibling is bound at an earlier level ranges only over that sibling's
+    row or column.  A free variable takes those values in turn; a premise
     variable keys its premise's bucket too, one bucket per partner, and
     the buckets found are merged in fact order.
     """
@@ -244,129 +254,106 @@ class _GroundScheme:
         self.name = scheme.name
         prems = sorted(scheme.rule.premises, key=formula_text)
         concl = scheme.rule.conclusion
-        # rank of a variable: k when premise k binds it first, then
-        # len(prems) + k for free[k]; a ground sibling has rank -1
-        rank: dict[str, int] = {}
+        # the level binding a variable: k when premise k binds it first,
+        # then len(prems) + k for free[k]; a ground term's level is -1
+        level: dict[str, int] = {}
         for k, p in enumerate(prems):
             for v in formula_variables(p):
-                rank.setdefault(v, k)
-        free = sorted(formula_variables(concl) - set(rank))
-        rank.update((v, len(prems) + k) for k, v in enumerate(free))
-        stage = {v: max(0, r - len(prems) + 1) for v, r in rank.items()}
+                level.setdefault(v, k)
+        free = sorted(formula_variables(concl) - set(level))
+        level.update((v, len(prems) + k) for k, v in enumerate(free))
 
-        def stage_of(t: Term) -> int:
-            return max((stage[v] for v in term_variables(t)), default=0)
+        def level_of(t: Term) -> int:
+            return max((level[v] for v in term_variables(t)), default=-1)
 
-        # checks[s]: builders of the subterms complete at stage s whose
-        # parent is completed later (building one builds what lies beneath);
-        # domains[v]: (builder of the sibling, row or column, op) from v's
-        # first meet or join whose sibling has a lower rank
-        checks: list[list] = [[] for _ in range(len(free) + 1)]
-        domains: dict[str, tuple] = {}
+        # checks[k]: builders of the subterms complete at level k (a ground
+        # one at level 0) whose parent is completed later (building one
+        # builds what lies beneath); domains[v]: the ``_partners`` of v's
+        # first meet or join whose sibling is bound at an earlier level
+        checks: list[list] = [[] for _ in range(len(prems) + len(free))]
+        domains: dict[str, Callable] = {}
 
-        def visit(t: Term, parent_stage: int) -> None:
-            s = stage_of(t)
-            if not isinstance(t, Var) and s < parent_stage:
-                checks[s].append(_builder(t))
+        def visit(t: Term, parent_level: int) -> None:
+            s = level_of(t)
+            if not isinstance(t, Var) and s < parent_level:
+                checks[max(s, 0)].append(_builder(t))
             if isinstance(t, Neg):
                 visit(t.arg, s)
             elif isinstance(t, (Meet, Join)):
                 for child, sibling, by_row in ((t.right, t.left, True), (t.left, t.right, False)):
                     if (isinstance(child, Var) and child.name not in domains
-                            and rank[child.name] > max(map(rank.get, term_variables(sibling)),
-                                                       default=-1)):
-                        domains[child.name] = (_builder(sibling), by_row, type(t))
+                            and level[child.name] > level_of(sibling)):
+                        domains[child.name] = _partners(sibling, by_row, type(t))
                 visit(t.left, s)
                 visit(t.right, s)
 
         # the arguments themselves are built last, so never checked early
         for t in concl.args:
-            visit(t, stage_of(t))
-        self.checks0 = checks[0]
-        self.levels = [(v, domains.get(v), checks[k + 1]) for k, v in enumerate(free)]
-        # per premise: its index's signature (predicate, arguments, the
-        # variables keying its buckets, the new variables) and matcher, the
-        # earlier premises' variables keying it, and the domains of its new
-        # variables that key it
-        self.premises = []
+            visit(t, level_of(t))
+        # per premise, what its index is built from: the signature (predicate,
+        # arguments, the variables keying its buckets, the new variables) and
+        # the matcher; per level: the variables it binds, the variables
+        # earlier levels bound that key its bucket, the domains of the
+        # variables it binds that key it too, and its checks
+        self.premises, self.levels = [], []
         for k, p in enumerate(prems):
             names = sorted(formula_variables(p))
-            bound = tuple(v for v in names if rank[v] < k)
-            new = tuple(v for v in names if rank[v] == k)
+            bound = tuple(v for v in names if level[v] < k)
+            new = tuple(v for v in names if level[v] == k)
             ranged = tuple(v for v in new if v in domains)
-            self.premises.append(((p.pred, p.args, bound + ranged, new),
-                                  _args_matcher(p.args), bound,
-                                  [domains[v] for v in ranged]))
+            self.premises.append(((p.pred, p.args, bound + ranged, new), _args_matcher(p.args)))
+            self.levels.append((new, bound, [domains[v] for v in ranged], checks[k]))
+        for k, v in enumerate(free, len(prems)):
+            self.levels.append(((v,), (), [domains[v]] if v in domains else [], checks[k]))
         self.pred = concl.pred
         self.args = [_builder(t) for t in concl.args]
 
-    def _match(self, k: int, indexes: Sequence[_FactIndex], b: dict[str, Term],
-               fresh: Mapping[str, int] | None, matched: tuple, uni: Universe
-               ) -> Iterator[tuple[dict[str, Term], tuple]]:
-        """Bindings of premises k onwards, in fact order, each with the
-        facts it matched.  With ``fresh`` (predicate -> index of its first
-        fresh fact, 0 when absent), only bindings matching at least one
-        fresh fact are yielded: once an earlier premise matched a fresh
-        fact the rest range freely, otherwise the last premise ranges over
-        fresh facts only."""
-        if k == len(self.premises):
-            if fresh is None:
-                yield b, matched
-            return
-        index = indexes[k]
-        _, _, keyed, domains = self.premises[k]
-        new = index.new
-        key = tuple([b[v] for v in keyed])
-        if domains:
-            partners = []
-            for sibling, by_row, op in domains:
-                s = sibling(b, uni)
-                if s is None:
-                    return
-                partners.append((uni.rows if by_row else uni.cols)[op][s])
-            found = [bucket for extra in iproduct(*partners)
-                     if (bucket := index.buckets.get(key + extra))]
-            candidates = found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
-        else:
-            candidates = index.buckets.get(key, ())
-        cut = 0 if fresh is None else bisect_left(candidates, fresh.get(index.pred, 0))
-        facts, values, last = index.facts, index.values, k + 1 == len(self.premises)
-        for pos in range(cut if last else 0, len(candidates)):
-            i = candidates[pos]
-            out = dict(b)
-            out.update(zip(new, values[i]))
-            if last:
-                yield out, matched + (facts[i],)
-            else:
-                yield from self._match(k + 1, indexes, out, None if pos >= cut else fresh,
-                                       matched + (facts[i],), uni)
-
-    def _assign(self, k: int, b: dict[str, Term], uni: Universe) -> Iterator[dict[str, Term]]:
+    def _bind(self, k: int, indexes: Sequence[_FactIndex], b: dict[str, Term],
+              fresh: Mapping[str, int] | None, matched: tuple, uni: Universe
+              ) -> Iterator[tuple[dict[str, Term], tuple]]:
+        """Bindings of levels k onwards, each with the facts it matched.
+        With ``fresh`` (predicate -> index of its first fresh fact, 0 when
+        absent), only bindings matching at least one fresh fact are yielded:
+        once a premise matched a fresh fact the rest range freely, otherwise
+        the last premise ranges over fresh facts only."""
         if k == len(self.levels):
-            yield b
+            yield b, matched
             return
-        name, domain, checks = self.levels[k]
-        if domain is None:
-            values = uni.terms
-        else:
-            sibling, by_row, op = domain
-            s = sibling(b, uni)
-            values = () if s is None else (uni.rows if by_row else uni.cols)[op][s]
-        for v in values:
+        names, keyed, domains, checks = self.levels[k]
+        partners = [partners_at(b, uni) for partners_at in domains]
+        if k < len(self.premises):
+            index = indexes[k]
+            key = tuple([b[v] for v in keyed])
+            if partners:
+                found = [bucket for extra in iproduct(*partners)
+                         if (bucket := index.buckets.get(key + extra))]
+                candidates = found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
+            else:
+                candidates = index.buckets.get(key, ())
+            cut = 0 if fresh is None else bisect_left(candidates, fresh.get(index.pred, 0))
+            start = cut if k + 1 == len(self.premises) else 0
+        else:  # a free variable: its candidates are 1-tuples of terms, not fact indices
+            index, candidates, cut, start = None, zip(partners[0] if partners else uni.terms), 0, 0
+        last = k + 1 == len(self.levels)
+        for pos, c in enumerate(islice(candidates, start, None), start):
             out = dict(b)
-            out[name] = v
-            if all(check(out, uni) is not None for check in checks):
-                yield from self._assign(k + 1, out, uni)
+            out.update(zip(names, c if index is None else index.values[c]))
+            m = matched if index is None else matched + (index.facts[c],)
+            if checks and not all(check(out, uni) is not None for check in checks):
+                continue
+            if last:
+                yield out, m
+            else:
+                yield from self._bind(k + 1, indexes, out, fresh if pos < cut else None, m, uni)
 
     def instances(self, indexes: Sequence[_FactIndex], fresh, uni: Universe):
-        pred, args, checks0 = self.pred, self.args, self.checks0
-        for binding, matched in self._match(0, indexes, {}, fresh, (), uni):
-            if checks0 and any(check(binding, uni) is None for check in checks0):
-                continue
-            for b in (self._assign(0, binding, uni) if self.levels else (binding,)):
-                terms = tuple([build(b, uni) for build in args])
-                if None not in terms:
-                    yield self.name, b, matched, Formula(pred, terms)
+        if fresh is not None and not self.premises:
+            return  # no premise to match a fresh fact
+        pred, args = self.pred, self.args
+        for b, matched in self._bind(0, indexes, {}, fresh, (), uni):
+            terms = tuple([build(b, uni) for build in args])
+            if None not in terms:
+                yield self.name, b, matched, Formula(pred, terms)
 
 
 # a compiled scheme takes the universe and the fact indexes as arguments,
@@ -385,7 +372,7 @@ class Grounder:
     in fact order, then the conclusion's free variables in lexicographic
     universe order.  ``facts_by_pred`` maps a predicate to its facts, the
     hash-consed Formulas themselves.  With ``fresh`` (see
-    ``_GroundScheme._match``) only instances matching a fresh fact are
+    ``_GroundScheme._bind``) only instances matching a fresh fact are
     yielded, so zero-premise schemes yield nothing.
 
     Each premise pattern finds its facts through a ``_FactIndex``: the
@@ -405,7 +392,7 @@ class Grounder:
         self.schemes = [_ground_scheme(s) for s in sys.schemes]
         shared: dict[tuple, _FactIndex] = {}
         self._indexes = [[shared.setdefault(signature, _FactIndex(signature, fits))
-                          for signature, fits, *_ in scheme.premises]
+                          for signature, fits in scheme.premises]
                          for scheme in self.schemes]
         self._distinct = list(shared.values())
 

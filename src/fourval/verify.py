@@ -101,7 +101,7 @@ def _report(suite: str, config: dict, checks: int, violations: list[str],
         out["empty"] = True
     if extra:
         out.update(extra)
-    out["timings"] = {"total_s": round(time.time() - started, 3)}
+    out["timings"] = {"total_s": round(time.perf_counter() - started, 3)}
     return out
 
 
@@ -110,7 +110,7 @@ def _report(suite: str, config: dict, checks: int, violations: list[str],
 # defining preset structure.
 
 def suite_soundness(systems: Sequence[str] | None = None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     names = list(systems) if systems else all_system_names()
     violations = []
     checks = 0
@@ -264,7 +264,7 @@ LEDGER_RULES: list[tuple[str, str, bool, dict | None]] = [
 
 
 def suite_rule_ledger() -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     for text, preset, expected, pinned in LEDGER_RULES:
         st = preset_structure(preset)
@@ -304,7 +304,7 @@ BINARY_MAX_SIZE = 4  # binary relations are cross-checked on algebras up to this
 
 
 def suite_leibniz_crosscheck(max_size: int = 5) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     checks = 0
     algebras: list[tuple[str, FiniteAlgebra]] = [(name, builtin(name)) for name in ("B2", "K3", "DM4")]
@@ -336,7 +336,7 @@ PAIR_SIZE = 4  # two-relation model intersections are checked up to this size
 
 
 def suite_facts(max_size: int = 5) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     checks = 0
     bd_rules = system("BD-base").named_rules()
@@ -447,7 +447,7 @@ def suite_facts(max_size: int = 5) -> dict:
 # Suite: subdirect.
 
 def suite_subdirect(max_size: int = 6) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     checks = 0
     targets = {name: builtin(name) for name in ("B2", "K3", "DM4")}
@@ -478,7 +478,7 @@ def _classify_one(args: tuple[str, int]) -> dict:
 
 
 def _classification(names: Sequence[str], size: int, suite: str, jobs: int = 1) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     checks = 0
     details = {}
@@ -593,7 +593,7 @@ def _valid_goals(sysd: AxiomSystem, bounds: RuleSpaceBounds) -> list[Rule]:
 # make the check stronger).
 
 def suite_translation(max_premises: int = 2, sample: int = 500, seed: int = 0) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     bounds = RuleSpaceBounds(max_depth=1, max_premises=max_premises,
                              predicates=frozenset({"T", "E", "eq"}))
     table = _Table(formulas_within(bounds), max_premises)
@@ -628,7 +628,7 @@ MUTATIONS_NEEDED = 100  # single-edge certificate mutations that must be rejecte
 
 
 def suite_derivability(depth: int = 8, seed: int = 0) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     checks = 0
     goals = [
@@ -745,7 +745,7 @@ def _horn_closure(ground, seeds: Sequence[int], depth: int, full: int) -> _Level
 
 
 def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     violations = []
     checks = 0
     stats = {}
@@ -782,7 +782,7 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
 # stays valid in its three catalogued extensions.
 
 def suite_extension(max_premises: int = 2) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     bounds = RuleSpaceBounds(max_depth=1, max_premises=max_premises, predicates=frozenset({"T"}))
     table = _Table(formulas_within(bounds), max_premises)
 
@@ -815,7 +815,7 @@ def suite_completeness_evidence(system_name: str = "BDE", max_depth_terms: int =
     the space's valid rules as read from the premise-set table
     (``_valid_goals``); ``derive`` is tried on each.
     """
-    started = time.time()
+    started = time.perf_counter()
     sysd = system(system_name)
     bounds = RuleSpaceBounds(max_depth=max_depth_terms, max_premises=max_premises,
                              predicates=sysd.signature.relations,
@@ -884,7 +884,7 @@ ROUNDTRIP_COUNT = 10000  # generated rules per round trip run
 
 
 def suite_roundtrip(seed: int = 0) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(seed)
     violations = []
     checks = 0

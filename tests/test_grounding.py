@@ -169,8 +169,10 @@ def _outcome(search, sysd, r, depth, **kwargs):
 # (system, goal whose universe is used, term layers): or-intro with the free
 # variable on either side (BDE, K-base), premises over two predicates
 # (TNE-bridge), the zero-premise De Morgan equations with three free
-# variables (BD-EQ), and premises that fit the 3-premise eq-compat-eq and
-# the 4-premise nf-cancel and nf-sep, joined on bound terms (BDNF-EQ)
+# variables (BD-EQ), premises that fit the 3-premise eq-compat-eq and the
+# 4-premise nf-cancel and nf-sep, joined on bound terms (BDNF-EQ), and the
+# constant schemes: a premise that binds no variable, a ground subterm
+# under a free join, a free join over premise and constant terms (BD-EQ+tnb)
 _GROUNDER_CASES = [
     ("BDE", r"E(x /\ (~x \/ y)) |- E(y)", 1),
     ("K-base", r"T(x), T(~x) |- T(y)", 1),
@@ -178,6 +180,7 @@ _GROUNDER_CASES = [
     ("BD-EQ", r"x = y |- x /\ (y \/ z) = (x /\ y) \/ (x /\ z)", 0),
     ("BDNF-EQ", r"NF(x), NF(y), T(x), T(u), T(~y \/ v), T(u \/ v), x /\ u \/ (~y \/ v) = ~y \/ v, "
                 r"x /\ ~v \/ (~y \/ ~u) = ~y \/ ~u, ~y \/ v = v |- u \/ (~y \/ v) = v", 0),
+    ("BD-EQ+tnb", r"T(~#t), T(#t \/ x) |- #n \/ x \/ y = #n \/ x", 0),
 ]
 
 
@@ -215,6 +218,13 @@ def test_grounder_yields_the_in_universe_formula_instances_in_order(name, text, 
         # and a premise whose skeleton no fact fits, so its bucket is empty
         assert any(all(_match_formula(p, f, {}) is None for f in by_pred.get(p.pred, ()))
                    for scheme in sysd.schemes for p in scheme.rule.premises)
+    elif name == "BD-EQ+tnb" and not with_fresh:
+        # T(~#t) |- x = y: its premise binds nothing, two free variables follow;
+        # |- #t = #t \/ x: no premise, and the ground #t under a free join
+        assert {"c-negtop-collapse", "c-top-eq"} <= schemes
+    elif name == "BD-EQ+tnb":
+        # T(x) |- #n \/ x \/ y = #n \/ x, with fresh premise facts
+        assert "c-neither-absorb" in schemes
     assert want and (name == "TNE-bridge" or len(want) < len(every))
 
 
