@@ -68,7 +68,8 @@ if __name__ == "__main__":
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader of stdout is gone (`sloc.py ... | head`): send what is
-        # still buffered to devnull so that the flush at exit stays quiet
+        # still buffered to devnull so that the flush at exit stays quiet,
+        # and exit as a shell reports a process killed by SIGPIPE (128 + 13)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
     sys.exit(code)
