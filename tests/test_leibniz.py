@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 
 from fourval.algebra import (
+    AlgebraError,
     Congruence,
     builtin,
     congruences,
@@ -23,7 +24,8 @@ from fourval.leibniz import (
     reduct,
     unary_polynomials,
 )
-from fourval.structures import identity_relation, preset_structure, structure, structure_to_json
+from fourval.structures import (identity_relation, preset_names, preset_structure, structure,
+                                structure_to_json)
 from fourval.systems import system
 from fourval.verify import CLASSIFIED_FAMILIES, CLASSIFIED_VARIANTS
 from test_algebra import congruence_join, is_congruence_by_definition, iter_partitions, product
@@ -278,6 +280,30 @@ def test_reducts_of_classified_models_are_pinned():
             records.append([name, structure_to_json(s), structure_to_json(red), proj])
     assert len(records) == sum(CLASSIFIED_MODELS_AT_4.values()) == 1810
     assert _digest(records) == CLASSIFIED_REDUCTS_AT_4_DIGEST
+
+
+def _presets_and_expansions():
+    for base in preset_names():
+        for suffix in ("", "+t", "+tnb", "+tb"):
+            try:
+                yield preset_structure(base + suffix)
+            except AlgebraError:  # B2 takes only #t; K3 not both #n and #b
+                pass
+
+
+def test_reduct_matches_the_validating_quotient():
+    """`reduct` trusts the refinement's θ; `quotient_structure` checks it.
+    Both must build the same quotient, projection and labels."""
+    presets = list(_presets_and_expansions())
+    t_structures = [structure(alg, {"T": mask}) for alg in census_pool(5)
+                    for mask in range(1 << alg.size)]
+    models = [s for name in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS
+              for s in classified_models_at_4(name)]
+    assert (len(presets), len(t_structures), len(models)) == (58, 94, 1810)
+    for s in presets + t_structures + models:
+        red, proj = reduct(s)
+        checked, checked_proj = quotient_structure(s, leibniz_structure(s))
+        assert (red, proj, red.algebra.labels) == (checked, checked_proj, checked.algebra.labels), s
 
 
 # ---------------------------------------------------------------------------
