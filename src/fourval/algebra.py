@@ -30,7 +30,13 @@ class BoundExceededError(AlgebraError):
 
 
 class FiniteAlgebra:
-    """Universe {0..n-1} with full operation tables; immutable by convention."""
+    """Universe {0..n-1} with full operation tables; immutable by convention.
+
+    The constructor trusts its arguments: n x n meet and join tables, n
+    negation entries, constants and entries in 0..n-1, n labels or none.
+    The library's own algebras are so by construction, which the tests
+    check; `algebra_from_json` checks data from outside.
+    """
 
     __slots__ = ("size", "meet", "join", "neg", "constants", "labels", "_key")
 
@@ -41,25 +47,8 @@ class FiniteAlgebra:
         self.neg = tuple(neg)
         self.constants = dict(constants or {})
         self.labels = tuple(labels) if labels else None
-        self._validate()
         self._key = (self.size, self.meet, self.join, self.neg,
                      tuple(sorted(self.constants.items())))
-
-    def _validate(self):
-        n = self.size
-        if len(self.meet) != n or len(self.join) != n or len(self.neg) != n:
-            raise AlgebraError("operation table shape does not match universe size")
-        for table in (self.meet, self.join):
-            for row in table:
-                if len(row) != n or any(not (0 <= v < n) for v in row):
-                    raise AlgebraError("table entry out of range")
-        if any(not (0 <= v < n) for v in self.neg):
-            raise AlgebraError("neg entry out of range")
-        for c, v in self.constants.items():
-            if not (0 <= v < n):
-                raise AlgebraError(f"constant {c} out of range")
-        if self.labels and len(self.labels) != n:
-            raise AlgebraError("label count does not match universe size")
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
@@ -347,6 +336,12 @@ def quotient(alg: FiniteAlgebra, cong: Congruence) -> tuple[FiniteAlgebra, tuple
         raise AlgebraError("congruence belongs to a different algebra")
     if not is_congruence_partition(alg, cong.rep):
         raise AlgebraError("partition is not a congruence")
+    return _quotient(alg, cong)
+
+
+def _quotient(alg: FiniteAlgebra, cong: Congruence) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """`quotient`'s tables, for a partition of alg already known to be a
+    congruence."""
     reps = sorted(set(cong.rep))
     back = {r: i for i, r in enumerate(reps)}
     proj = tuple(back[cong.rep[a]] for a in range(alg.size))
@@ -572,18 +567,6 @@ def canonical_key(alg: FiniteAlgebra) -> tuple:
                for rest in permutations([b for b in elems if b != a]))
 
 
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
-    """An isomorphism a -> b respecting shared constants, or None."""
-    if a.size != b.size:
-        return None
-    for perm in permutations(range(a.size)):
-        hom = Homomorphism(a, b, perm)
-        ok, _ = hom.check()
-        if ok:
-            return tuple(perm)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Census of De Morgan lattices up to isomorphism, by Birkhoff duality.
 #
@@ -689,26 +672,39 @@ def _check(ok: bool, field: str, expected: str) -> None:
         raise AlgebraError(f"{field} must be {expected}")
 
 
-def _ints(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
+def _elements(value, n: int) -> bool:
+    """value is a list of n integers in 0..n-1."""
+    return (isinstance(value, list) and len(value) == n
+            and all(type(v) is int and 0 <= v < n for v in value))
 
 
 def algebra_from_json(data: dict) -> FiniteAlgebra:
-    """Read the interchange format; reject malformed input with an
-    AlgebraError that names the field."""
+    """Read the interchange format, where algebra tables come from outside.
+
+    Rejects, with an AlgebraError that names the field: data that is not
+    an object; a size that is not a non-negative integer; missing ``ops``;
+    a meet or join table that is not size rows of size entries; a neg that
+    is not size entries; an entry or constant value that is not an integer
+    in 0..size-1; a constant other than #t, #n, #b; labels that are not
+    size strings.  An empty or missing label list means no labels.
+    """
     _check(isinstance(data, dict), "algebra JSON", "an object")
-    _check(type(data.get("size")) is int, "size", "an integer")
+    n = data.get("size")
+    _check(type(n) is int and n >= 0, "size", "a non-negative integer")
     ops = data.get("ops")
     _check(isinstance(ops, dict), "ops", "an object")
+    within = f"integers in 0..{n - 1}"
     for op in ("meet", "join"):
-        _check(isinstance(ops.get(op), list) and all(map(_ints, ops[op])),
-               f"ops.{op}", "a list of integer lists")
-    _check(_ints(ops.get("neg")), "ops.neg", "a list of integers")
+        _check(isinstance(ops.get(op), list) and len(ops[op]) == n
+               and all(_elements(row, n) for row in ops[op]),
+               f"ops.{op}", f"{n} rows of {n} {within}")
+    _check(_elements(ops.get("neg"), n), "ops.neg", f"a list of {n} {within}")
     const = ops.get("const", {})
-    _check(isinstance(const, dict) and all(c in CONSTANT_SYMBOLS and type(v) is int
+    _check(isinstance(const, dict) and all(c in CONSTANT_SYMBOLS and type(v) is int and 0 <= v < n
                                            for c, v in const.items()),
-           "ops.const", f"a map from {list(CONSTANT_SYMBOLS)} to integers")
+           "ops.const", f"a map from {list(CONSTANT_SYMBOLS)} to {within}")
     labels = data.get("labels")
-    _check(labels is None or isinstance(labels, list) and all(isinstance(x, str) for x in labels),
-           "labels", "a list of strings")
-    return FiniteAlgebra(data["size"], ops["meet"], ops["join"], ops["neg"], const, labels)
+    _check(labels is None or isinstance(labels, list) and len(labels) in (0, n)
+           and all(isinstance(x, str) for x in labels),
+           "labels", f"a list of {n} strings")
+    return FiniteAlgebra(n, ops["meet"], ops["join"], ops["neg"], const, labels)

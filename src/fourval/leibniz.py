@@ -16,6 +16,15 @@ the polynomial method hands it each element's signature as its label.
 Only the refinement canonicalises by itself, since each round compares
 its map with the last.
 
+``reduct`` checks neither condition again.  The refinement starts from
+the agreement partition and only splits classes, so its θ lies inside
+that partition and is compatible with every relation; it stops only when
+``split_by_operations`` splits nothing, so θ is a congruence.  ``reduct``
+therefore builds the quotient with the unchecked builders behind
+``quotient`` and ``quotient_structure`` (``algebra._quotient`` and
+``_project``); both public functions keep their checks for congruences
+that callers supply.
+
 Two independent algorithms for the Leibniz congruence are implemented and
 cross-checked:
 
@@ -38,8 +47,8 @@ from __future__ import annotations
 
 from typing import Collection, Sequence
 
-from .algebra import (Congruence, FiniteAlgebra, _canon, mask_iter, mask_of, quotient,
-                      split_by_operations)
+from .algebra import (Congruence, FiniteAlgebra, _canon, _quotient, mask_iter, mask_of,
+                      quotient, split_by_operations)
 from .structures import Structure
 
 
@@ -164,9 +173,11 @@ def is_reduced(s: Structure) -> bool:
 
 
 def reduct(s: Structure) -> tuple[Structure, tuple[int, ...]]:
-    """Quotient the algebra and all relations by the Leibniz congruence."""
+    """Quotient the algebra and all relations by the Leibniz congruence,
+    which the refinement proves a compatible congruence (module docstring)."""
     theta = leibniz_structure(s)
-    return quotient_structure(s, theta)
+    alg2, proj = _quotient(s.algebra, theta)
+    return _project(s, alg2, proj), proj
 
 
 def quotient_structure(s: Structure, theta: Congruence) -> tuple[Structure, tuple[int, ...]]:
@@ -181,6 +192,11 @@ def quotient_structure(s: Structure, theta: Congruence) -> tuple[Structure, tupl
     for i, name in enumerate([*s.unary, *s.binary]):
         if any(sig[i] != signatures[r][i] for sig, r in zip(signatures, theta.rep)):
             raise ValueError(f"congruence not compatible with relation {name}")
+    return _project(s, alg2, proj), proj
+
+
+def _project(s: Structure, alg2: FiniteAlgebra, proj: Sequence[int]) -> Structure:
+    """The relations of s carried along proj onto alg2."""
     unary = {name: mask_of(proj[a] for a in mask_iter(mask)) for name, mask in s.unary.items()}
     binary = {}
     for name, rows in s.binary.items():
@@ -188,4 +204,4 @@ def quotient_structure(s: Structure, theta: Congruence) -> tuple[Structure, tupl
         for a, row in enumerate(rows):
             rows2[proj[a]] |= mask_of(proj[b] for b in mask_iter(row))
         binary[name] = tuple(rows2)
-    return Structure(alg2, unary, binary), proj
+    return Structure(alg2, unary, binary)

@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 from .algebra import (
     FiniteAlgebra,
     builtin,
+    canonical_key,
     congruences,
     enumerate_dm_lattices,
     enumerate_filters,
-    find_isomorphism,
     is_prime_filter,
     mask_iter,
     subalgebra,
@@ -450,7 +450,7 @@ def suite_subdirect(max_size: int = 6) -> dict:
     started = time.perf_counter()
     violations = []
     checks = 0
-    targets = {name: builtin(name) for name in ("B2", "K3", "DM4")}
+    targets = {canonical_key(builtin(name)) for name in ("B2", "K3", "DM4")}
     for n in range(1, max_size + 1):
         for i, alg in enumerate(enumerate_dm_lattices(n)):
             checks += 1
@@ -463,7 +463,7 @@ def suite_subdirect(max_size: int = 6) -> dict:
                     violations.append(f"census{n}.{i}: coordinate not a homomorphism ({witness})")
                 image = hom.image()
                 sub, _ = subalgebra(builtin("DM4"), image)
-                if not any(find_isomorphism(sub, t) for t in targets.values()):
+                if canonical_key(sub) not in targets:
                     violations.append(
                         f"census{n}.{i}: coordinate image {image} not one of the three generators")
     return _report("subdirect", {"max_size": max_size}, checks, violations, started)
@@ -499,14 +499,18 @@ def _classification(names: Sequence[str], size: int, suite: str, jobs: int = 1) 
                    checks, violations, started, {"systems": details})
 
 
-def suite_classification(size: int = 4, include_variants: bool = True, jobs: int = 1) -> dict:
+def _classified(kind: str, include_variants: bool = True) -> list[str]:
     names = CLASSIFIED_FAMILIES + (CLASSIFIED_VARIANTS if include_variants else ())
-    names = [n for n in names if system(n).kind == "single-conclusion"]
-    return _classification(names, size, "classification", jobs)
+    return [n for n in names if system(n).kind == kind]
+
+
+def suite_classification(size: int = 4, include_variants: bool = True, jobs: int = 1) -> dict:
+    return _classification(_classified("single-conclusion", include_variants), size,
+                           "classification", jobs)
 
 
 def suite_mc_classification(size: int = 4, jobs: int = 1) -> dict:
-    return _classification(["MC-ETL", "MC-ETL+tnb"], size, "mc-classification", jobs)
+    return _classification(_classified("multiple-conclusion"), size, "mc-classification", jobs)
 
 
 # ---------------------------------------------------------------------------

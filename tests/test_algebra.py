@@ -20,8 +20,8 @@ from fourval.algebra import (
     enumerate_dm_lattices,
     enumerate_filters,
     enumerate_ideals,
+    _dual,
     _merge_pairs,
-    find_isomorphism,
     hom_to_dm4,
     is_congruence_partition,
     is_filter,
@@ -91,6 +91,32 @@ def iter_partitions(n):
         yield ()
         return
     yield from rec(1, [0])
+
+
+def find_isomorphism(a, b):
+    """Oracle: an isomorphism a -> b respecting shared constants, or None,
+    by trying every bijection."""
+    if a.size != b.size:
+        return None
+    for perm in itertools.permutations(range(a.size)):
+        ok, _ = Homomorphism(a, b, perm).check()
+        if ok:
+            return perm
+    return None
+
+
+def well_formed(alg):
+    """Oracle: n x n meet and join tables, n negation entries, constants
+    and entries in 0..n-1, and n labels or none.  The constructor trusts
+    these; `algebra_from_json` checks them on outside data."""
+    n = alg.size
+    universe = range(n)
+    return (len(alg.meet) == len(alg.join) == len(alg.neg) == n
+            and all(len(row) == n and all(v in universe for v in row)
+                    for table in (alg.meet, alg.join) for row in table)
+            and all(v in universe for v in alg.neg)
+            and all(v in universe for v in alg.constants.values())
+            and (alg.labels is None or len(alg.labels) == n))
 
 
 def congruence_join(c1, c2):
@@ -182,6 +208,32 @@ def test_quotient_by_identity_is_isomorphic():
     q, proj = quotient(DM4, Congruence(DM4, range(4)))
     assert q.size == 4 and proj == (0, 1, 2, 3)
     assert find_isomorphism(q, DM4) is not None
+
+
+def test_internal_constructions_are_well_formed():
+    """The constructor checks nothing, so this is what catches a malformed
+    table that the library builds itself."""
+    checked = []
+    for name in ("B2", "K3", "DM4"):
+        for k in range(4):
+            for consts in itertools.combinations(("#t", "#n", "#b"), k):
+                try:
+                    checked.append(builtin(name, consts))
+                except AlgebraError:  # B2 takes only #t; K3 not both #n and #b
+                    pass
+    bases = [a for n in range(1, 7) for a in enumerate_dm_lattices(n)] + [B2, K3, DM4]
+    for alg in bases:
+        checked += [alg, _dual(alg)]
+        checked += [quotient(alg, cong)[0] for cong in congruences(alg)]
+        checked += [subalgebra(alg, {a})[0] for a in range(alg.size)]
+    for alg in (a for n in range(1, 4) for a in enumerate_dm_lattices(n)):
+        for values in itertools.product([None, *range(alg.size)], repeat=3):
+            expanded = alg.with_constants({c: v for c, v in zip(("#t", "#n", "#b"), values)
+                                           if v is not None})
+            checked += [expanded, expanded.without_constants()]
+    for alg in checked:
+        assert well_formed(alg), alg
+    assert len(checked) == 16 + 133 + 2 * (2 ** 3 + 3 ** 3 + 4 ** 3)  # builtins, bases, expansions
 
 
 def test_quotient_rejects_a_partition_that_is_not_a_congruence():
@@ -635,7 +687,13 @@ B2_OPS = algebra_to_json(B2)["ops"]
     ({"size": 2, "ops": {**B2_OPS, "meet": [[0, "1"], [1, 1]]}}, "ops.meet"),
     ([2, B2_OPS], "algebra JSON"),
     ({"size": 2, "ops": {**B2_OPS, "const": {"#q": 0}}}, "ops.const"),
-], ids=["missing-ops", "string-entry", "list", "unknown-constant"])
+    ({"size": 2, "ops": {**B2_OPS, "meet": [[0, 2], [1, 1]]}}, "ops.meet"),
+    ({"size": 2, "ops": {**B2_OPS, "join": [[0, 0], [0]]}}, "ops.join"),
+    ({"size": 2, "ops": {**B2_OPS, "neg": [1, -1]}}, "ops.neg"),
+    ({"size": 2, "ops": {**B2_OPS, "const": {"#t": 5}}}, "ops.const"),
+    ({"size": 2, "ops": B2_OPS, "labels": ["t", "f", "x"]}, "labels"),
+], ids=["missing-ops", "string-entry", "list", "unknown-constant", "meet-entry-equals-size",
+        "short-join-row", "neg-out-of-range", "constant-out-of-range", "label-count"])
 def test_algebra_from_json_rejects_malformed_input(data, message):
     with pytest.raises(AlgebraError, match=message):
         algebra_from_json(data)

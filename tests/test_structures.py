@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fourval import structures
-from fourval.algebra import builtin, mask_of
+from fourval.algebra import AlgebraError, builtin, mask_of
 from fourval.structures import (
     SignatureMismatchError,
     VariableLimitError,
@@ -284,6 +284,13 @@ def test_structure_from_json_rejects_bad_relations(rels, message):
     data = structure_to_json(preset_structure("BD"))
     data["rels"] = rels
     with pytest.raises(ValueError, match=message):
+        structure_from_json(data)
+
+
+def test_structure_from_json_inherits_the_algebra_checks():
+    data = structure_to_json(preset_structure("BD"))
+    data["ops"]["neg"] = [2, 1, 0, 4]
+    with pytest.raises(AlgebraError, match="ops.neg"):
         structure_from_json(data)
 
 
