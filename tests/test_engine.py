@@ -1,14 +1,20 @@
+import json
 import random
 
 import pytest
 
-from fourval.algebra import enumerate_dm_lattices
+from fourval import engine
+from fourval.algebra import congruences, enumerate_dm_lattices
 from fourval.engine import (
     Derivation,
     DerivationNode,
     DeriveBudgetError,
+    ModelSweep,
     RuleSpaceBounds,
     RuleSpaceBudgetError,
+    _constant_assignments,
+    _describe,
+    _relation_ranges,
     canonical_rule,
     census_pool,
     check_derivation,
@@ -19,7 +25,8 @@ from fourval.engine import (
     edge_mutations,
     translate_exact_to_eq,
 )
-from fourval.structures import preset_structure
+from fourval.leibniz import reduct
+from fourval.structures import preset_structure, structure_to_json
 from fourval.syntax import (Formula, Meet, Var, apply_subst, parse_rule, print_rule, sig,
                             substitute_formula, substitute_term)
 from fourval.systems import system
@@ -219,6 +226,28 @@ def test_census_pool_is_one_shared_tuple_per_size():
 def test_classify_bde_size_3():
     rep = classify_models(system("BDE"), 3)
     assert rep.ok and rep.models > 0
+
+
+def test_classify_reports_a_violation_line_per_model(monkeypatch):
+    """Every model gets its own violation lines, in sweep order, naming
+    the model, even where many models share one reduct."""
+    def flag_every_reduct(family, red):
+        return [f"{family} flagged {json.dumps(structure_to_json(red), sort_keys=True)}"]
+
+    monkeypatch.setattr(engine, "shape_violations", flag_every_reduct)
+    sysd = system("BDE+tnb")
+    sweep = ModelSweep(sysd)
+    expected, reducts = [], set()
+    for base in census_pool(3):
+        ranges = _relation_ranges(sweep.names, base, congruences(base))
+        for alg in _constant_assignments(base, sysd.signature.constants):
+            for cand in sweep.expand(alg, sweep.free_models(alg, ranges)):
+                red, _ = reduct(cand)
+                reducts.add(red)
+                expected.extend(f"{_describe(cand)}: {v}" for v in flag_every_reduct("BDE", red))
+    rep = classify_models(sysd, 3)
+    assert rep.violations == expected
+    assert len(expected) == rep.models > len(reducts)
 
 
 def test_classify_rejects_non_congruence_equality():

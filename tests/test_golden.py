@@ -48,6 +48,13 @@ SUITE_DIGESTS = {
     "roundtrip": "95e134d1bedcd0cdfdc56fba79bca97552c04d9313d9cfb0dcc6b2499fb94397",
 }
 
+# the classification and mc-classification reports at size 6, one size past
+# the acceptance pins: 52,876,464 and 62,968 checks
+CLASSIFICATION_6_DIGESTS = {
+    "classification": "28c3a94d98316cf7970694a4d2c7f31df3809ec69931c1c31b9a28e693c85b28",
+    "mc-classification": "25cc0d88f9e089eddcb66570422343707e6b43b34056b2761ad20aa4b2590eaa",
+}
+
 # [system, term depth, ground rules] of every engine-soundness run's ground
 # program, each rule as [premise formula indices, conclusion index]
 GROUND_PROGRAMS_DIGEST = "f020d00c3ab454de02025442f5f2abc1580153e31eebe94d2ca1872c950819f7"
@@ -147,8 +154,8 @@ def ground_program_records() -> list:
     return out
 
 
-def suite_record(name: str) -> dict:
-    report = verify.run_suite(name)
+def suite_record(name: str, **kwargs) -> dict:
+    report = verify.run_suite(name, **kwargs)
     report.pop("timings")
     return report
 
@@ -192,6 +199,11 @@ def test_leibniz_reports_with_constants_are_pinned(capsys):
 @pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
 def test_suite_reports_are_pinned(name):
     assert _digest(suite_record(name)) == SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFICATION_6_DIGESTS))
+def test_classification_reports_at_size_6_are_pinned(name):
+    assert _digest(suite_record(name, size=6)) == CLASSIFICATION_6_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name,kwargs,checks,gaps,digest", COMPLETENESS_RUNS,
