@@ -682,7 +682,8 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     """Read the interchange format, where algebra tables come from outside.
 
     Rejects, with an AlgebraError that names the field: data that is not
-    an object; a size that is not a non-negative integer; missing ``ops``;
+    an object; a size that is not a positive integer (a lattice has at
+    least one element); missing ``ops``;
     a meet or join table that is not size rows of size entries; a neg that
     is not size entries; an entry or constant value that is not an integer
     in 0..size-1; a constant other than #t, #n, #b; labels that are not
@@ -690,7 +691,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     """
     _check(isinstance(data, dict), "algebra JSON", "an object")
     n = data.get("size")
-    _check(type(n) is int and n >= 0, "size", "a non-negative integer")
+    _check(type(n) is int and n >= 1, "size", "a positive integer")
     ops = data.get("ops")
     _check(isinstance(ops, dict), "ops", "an object")
     within = f"integers in 0..{n - 1}"

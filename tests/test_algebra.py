@@ -692,8 +692,9 @@ B2_OPS = algebra_to_json(B2)["ops"]
     ({"size": 2, "ops": {**B2_OPS, "neg": [1, -1]}}, "ops.neg"),
     ({"size": 2, "ops": {**B2_OPS, "const": {"#t": 5}}}, "ops.const"),
     ({"size": 2, "ops": B2_OPS, "labels": ["t", "f", "x"]}, "labels"),
+    ({"size": 0, "ops": {"meet": [], "join": [], "neg": []}}, "size"),
 ], ids=["missing-ops", "string-entry", "list", "unknown-constant", "meet-entry-equals-size",
-        "short-join-row", "neg-out-of-range", "constant-out-of-range", "label-count"])
+        "short-join-row", "neg-out-of-range", "constant-out-of-range", "label-count", "empty"])
 def test_algebra_from_json_rejects_malformed_input(data, message):
     with pytest.raises(AlgebraError, match=message):
         algebra_from_json(data)
