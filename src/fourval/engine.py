@@ -752,11 +752,13 @@ class ModelSweep:
 
     A constant-free axiom never reads a constant, so ``classify_models``
     runs ``free_models`` once per base algebra and ``expand`` once per
-    constant assignment.  Constants are nullary operations and impose no
-    compatibility condition, so every expansion of an algebra has the
-    congruence lattice of the base algebra, in the same order: the eq
-    values come from one lattice per base algebra (checked at n <= 5 in
-    ``tests/test_algebra.py``).
+    constant assignment, through ``reducts``.  Constants are nullary
+    operations and impose no compatibility condition, so every expansion
+    of an algebra has the congruence lattice of the base algebra, in the
+    same order: the eq values come from one lattice per base algebra
+    (checked at n <= 5 in ``tests/test_algebra.py``).  For the same
+    reason a model's Leibniz congruence depends only on the base algebra
+    and its relation values, which ``reducts`` uses.
     """
 
     def __init__(self, sys: AxiomSystem):
@@ -788,6 +790,32 @@ class ModelSweep:
         for values in free:
             if first_failure(dict(zip(self.names, values))) is None:
                 yield _structure(alg, self.names, values)
+
+    def reducts(self, expansions: Sequence[FiniteAlgebra], free: Sequence[tuple]
+                ) -> Iterator[tuple[Structure, Structure, tuple[int, ...], bool]]:
+        """Per model, in ``expand`` order over ``expansions`` (the constant
+        assignments of one base algebra, on which ``free`` was swept): the
+        model, its reduct, the projection onto it and whether the reduct
+        is reduced.
+
+        The Leibniz refinement never reads a constant, so θ, the quotient
+        and the projection are found once per relation-value tuple, on its
+        first model, with ``reduct``; each later model with those values
+        only rebinds the quotient's constants to the images of its own.
+        """
+        known: dict[tuple, tuple[Structure, tuple[int, ...], bool]] = {}
+        for alg in expansions:
+            for model in self.expand(alg, free):
+                values = (*model.unary.values(), *model.binary.values())
+                if values in known:
+                    red, proj, reduced = known[values]
+                    consts = {c: proj[v] for c, v in alg.constants.items()}
+                    red = Structure(red.algebra.with_constants(consts), red.unary, red.binary)
+                else:
+                    red, proj = reduct(model)
+                    reduced = is_reduced(red)
+                    known[values] = red, proj, reduced
+                yield model, red, proj, reduced
 
 
 def _top_element(alg: FiniteAlgebra) -> int:
@@ -867,28 +895,30 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     still counts the full product of every assignment, whose other
     members each fail an axiom.  Each base algebra's congruence lattice is
     enumerated once, for the eq values of all its expansions, and only
-    for a system with eq; each model's Leibniz congruence, and its
-    reduct's, is found by partition refinement without a lattice.
+    for a system with eq.  ``ModelSweep.reducts`` finds the Leibniz
+    congruence, by partition refinement, and the quotient once per base
+    algebra and relation values, not once per model.  Each distinct
+    reduct's shape is checked once; every model still gets its own
+    violation lines, in sweep order.
     """
     family, _ = parse_name(sys.name)
     report = ClassificationReport(sys.name, size)
     sweep = ModelSweep(sys)
+    shapes: dict[Structure, list[str]] = {}
     for base_alg in census_pool(size):
         lattice = congruences(base_alg) if "eq" in sweep.names else None
         ranges = _relation_ranges(sweep.names, base_alg, lattice)
-        free = sweep.free_models(base_alg, ranges)
-        for alg in _constant_assignments(base_alg, sys.signature.constants):
-            report.algebras += 1
-            report.structures += prod(map(len, ranges))
-            for cand in sweep.expand(alg, free):
-                report.models += 1
-                red, _ = reduct(cand)
-                if not is_reduced(red):
-                    report.violations.append(
-                        f"{_describe(cand)}: reduct is not reduced")
-                    continue
-                for v in shape_violations(family, red):
-                    report.violations.append(f"{_describe(cand)}: {v}")
+        expansions = list(_constant_assignments(base_alg, sys.signature.constants))
+        report.algebras += len(expansions)
+        report.structures += prod(map(len, ranges)) * len(expansions)
+        for cand, red, _, reduced in sweep.reducts(expansions, sweep.free_models(base_alg, ranges)):
+            report.models += 1
+            if not reduced:
+                report.violations.append(f"{_describe(cand)}: reduct is not reduced")
+                continue
+            if red not in shapes:
+                shapes[red] = shape_violations(family, red)
+            report.violations.extend(f"{_describe(cand)}: {v}" for v in shapes[red])
     return report
 
 

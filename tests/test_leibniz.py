@@ -282,6 +282,40 @@ def test_reducts_of_classified_models_are_pinned():
     assert _digest(records) == CLASSIFIED_REDUCTS_AT_4_DIGEST
 
 
+def reduct_stream(name, size):
+    """`ModelSweep.reducts` over the census, as `classify_models` runs it."""
+    sysd = system(name)
+    sweep = ModelSweep(sysd)
+    for base in census_pool(size):
+        ranges = _relation_ranges(sweep.names, base, congruences(base))
+        expansions = list(_constant_assignments(base, sysd.signature.constants))
+        yield from sweep.reducts(expansions, sweep.free_models(base, ranges))
+
+
+def test_reduct_stream_gives_the_pinned_reducts():
+    records = []
+    for name in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS:
+        for s, red, proj, reduced in reduct_stream(name, 4):
+            assert reduced, (name, s)
+            records.append([name, structure_to_json(s), structure_to_json(red), proj])
+    assert len(records) == 1810
+    assert _digest(records) == CLASSIFIED_REDUCTS_AT_4_DIGEST
+
+
+@pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
+def test_reduct_stream_matches_reduct_per_model_at_size_5(name):
+    """The stream computes θ once per relation-value tuple and rebinds
+    only the constants; `reduct` on each model, labels included, is the
+    reference."""
+    models = 0
+    for s, red, proj, reduced in reduct_stream(name, 5):
+        expected, expected_proj = reduct(s)
+        assert (structure_to_json(red), proj) == (structure_to_json(expected), expected_proj), s
+        assert red == expected and reduced == is_reduced(expected), s
+        models += 1
+    assert models > 0 or name == "MC-ETL+tnb"
+
+
 def _presets_and_expansions():
     for base in preset_names():
         for suffix in ("", "+t", "+tnb", "+tb"):
