@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -146,6 +147,47 @@ def test_builtin_constants():
         builtin("B2", {"#n"})
     with pytest.raises(AlgebraError):
         builtin("DM5")
+
+
+def _builtin_outcomes():
+    """Per name, constant subset (with one unknown constant) and middle
+    label: the builtin's JSON and constant order, or its error text."""
+    out = []
+    for name in ("B2", "K3", "DM4", "DM5"):
+        for k in range(5):
+            for consts in itertools.combinations(("#t", "#n", "#b", "#q"), k):
+                for middle in (None, "m"):
+                    try:
+                        alg = builtin(name, consts, middle)
+                        got = [algebra_to_json(alg), list(alg.constants)]
+                    except AlgebraError as exc:
+                        got = str(exc)
+                    out.append([name, list(consts), middle, got])
+    return out
+
+
+def test_builtin_outcomes_are_pinned():
+    """Every combination the builtins accept gives the same tables, labels
+    and constants in the same order; every one they reject, the same error."""
+    outcomes = _builtin_outcomes()
+    assert sum(isinstance(got, list) for *_, got in outcomes) == 2 * (2 + 6 + 8)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "7fb90adbb83702a4bed82c63e15ef891fbc3c76535a7919db236d00e1f4482d7"
+    assert list(builtin("K3", ["#n", "#t"]).constants) == ["#t", "#n"]
+    assert list(builtin("K3", {"#b", "#t"}).constants) == ["#t", "#b"]
+    assert list(builtin("DM4", {"#n", "#b", "#t"}).constants) == ["#t", "#b", "#n"]
+    assert builtin("K3", {"#n"}, "m").labels == ("t", "m", "f")
+    rejected = {
+        ("B2", "#n"): "B2 only supports the constant #t",
+        ("B2", "#b"): "B2 only supports the constant #t",
+        ("K3", "#n", "#b"): "K3 has a single middle element; request #n or #b, not both",
+        ("DM4", "#q"): "unknown constants ['#q']",
+        ("DM5",): "unknown builtin algebra 'DM5'",
+    }
+    for (name, *consts), message in rejected.items():
+        with pytest.raises(AlgebraError) as exc:
+            builtin(name, consts)
+        assert str(exc.value) == message
 
 
 def test_check_demorgan_builtins():
