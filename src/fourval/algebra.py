@@ -78,6 +78,18 @@ class FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # Builtins.
 
+# Per builtin: meet, join, neg, labels, and the element each supported
+# constant names, in the order the algebra's constant map lists them.
+_BUILTINS = {
+    "B2": ([[0, 1], [1, 1]], [[0, 0], [0, 1]], [1, 0], ("t", "f"), {"#t": 0}),
+    "K3": ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], [[0, 0, 0], [0, 1, 1], [0, 1, 2]], [2, 1, 0],
+           ("t", "i", "f"), {"#t": 0, "#n": 1, "#b": 1}),
+    "DM4": ([[0, 1, 2, 3], [1, 1, 2, 2], [2, 2, 2, 2], [3, 2, 2, 3]],
+            [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 3], [0, 0, 3, 3]], [2, 1, 0, 3],
+            ("t", "b", "f", "n"), {"#t": 0, "#b": 1, "#n": 3}),
+}
+
+
 def builtin(name: str, constants: Iterable[str] = (), middle_label: str | None = None) -> FiniteAlgebra:
     """One of B2, K3, DM4, optionally expanded by constants #t/#n/#b.
 
@@ -88,48 +100,18 @@ def builtin(name: str, constants: Iterable[str] = (), middle_label: str | None =
     bad = constants - {"#t", "#n", "#b"}
     if bad:
         raise AlgebraError(f"unknown constants {sorted(bad)}")
-    if name == "B2":
-        if constants - {"#t"}:
-            raise AlgebraError("B2 only supports the constant #t")
-        alg = FiniteAlgebra(2, [[0, 1], [1, 1]], [[0, 0], [0, 1]], [1, 0],
-                            {c: 0 for c in constants}, ("t", "f"))
-        return alg
+    if name not in _BUILTINS:
+        raise AlgebraError(f"unknown builtin algebra {name!r}")
+    meet, join, neg, labels, named = _BUILTINS[name]
+    if constants - named.keys():
+        raise AlgebraError(f"{name} only supports the constant {', '.join(named)}")
     if name == "K3":
         if {"#n", "#b"} <= constants:
             raise AlgebraError("K3 has a single middle element; request #n or #b, not both")
-        label = middle_label or ("n" if "#n" in constants else "b" if "#b" in constants else "i")
-        consts = {}
-        if "#t" in constants:
-            consts["#t"] = 0
-        if "#n" in constants:
-            consts["#n"] = 1
-        if "#b" in constants:
-            consts["#b"] = 1
-        return FiniteAlgebra(
-            3,
-            [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
-            [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
-            [2, 1, 0],
-            consts,
-            ("t", label, "f"),
-        )
-    if name == "DM4":
-        consts = {}
-        if "#t" in constants:
-            consts["#t"] = 0
-        if "#b" in constants:
-            consts["#b"] = 1
-        if "#n" in constants:
-            consts["#n"] = 3
-        return FiniteAlgebra(
-            4,
-            [[0, 1, 2, 3], [1, 1, 2, 2], [2, 2, 2, 2], [3, 2, 2, 3]],
-            [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 3], [0, 0, 3, 3]],
-            [2, 1, 0, 3],
-            consts,
-            ("t", "b", "f", "n"),
-        )
-    raise AlgebraError(f"unknown builtin algebra {name!r}")
+        middle = middle_label or ("n" if "#n" in constants else "b" if "#b" in constants else "i")
+        labels = ("t", middle, "f")
+    return FiniteAlgebra(len(neg), meet, join, neg,
+                         {c: v for c, v in named.items() if c in constants}, labels)
 
 
 # ---------------------------------------------------------------------------
