@@ -15,6 +15,7 @@ This fixed order is what makes "first in increasing bitset order" and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -247,14 +248,11 @@ def _merge_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> tuple[
     return _canon([find(i) for i in range(n)])
 
 
-def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
-    return Congruence(alg, _merge_pairs(alg, [(a, b)]))
-
-
 CONGRUENCE_BOUND = 10
 
 
-def congruences(alg: FiniteAlgebra) -> list[Congruence]:
+@lru_cache(maxsize=None)
+def congruences(alg: FiniteAlgebra) -> tuple[Congruence, ...]:
     """The full congruence lattice, sorted by least-representative map.
 
     Every congruence is the join of the principal congruences it
@@ -262,12 +260,17 @@ def congruences(alg: FiniteAlgebra) -> list[Congruence]:
     principal congruences under joins with a principal one.  The tests
     check it against a filter over all partitions, the oracle, on every
     census algebra up to size 7.
+
+    Cached, so each algebra's lattice is enumerated once per process; the
+    tuple and its congruences are immutable and shared by every caller.
+    The key, algebra equality, ignores labels: a relabelled copy gets the
+    congruences of the first copy asked for, and ``quotient`` and
+    ``quotient_structure`` take labels from the algebra they are given.
     """
     n = alg.size
     if n > CONGRUENCE_BOUND:
         raise BoundExceededError(f"|A| = {n} exceeds congruence bound {CONGRUENCE_BOUND}")
-    principals = {principal_congruence(alg, a, b).rep
-                  for a in range(n) for b in range(a + 1, n)}
+    principals = {_merge_pairs(alg, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     known = {tuple(range(n))} | principals
     frontier = list(known)
     while frontier:
@@ -278,7 +281,7 @@ def congruences(alg: FiniteAlgebra) -> list[Congruence]:
             if joined not in known:
                 known.add(joined)
                 frontier.append(joined)
-    return [Congruence(alg, rep) for rep in sorted(known)]
+    return tuple(Congruence(alg, rep) for rep in sorted(known))
 
 
 # ---------------------------------------------------------------------------

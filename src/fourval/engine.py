@@ -10,14 +10,13 @@ come from decide().
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, permutations, product as iproduct
 from math import prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .algebra import (
-    Congruence,
     FiniteAlgebra,
     Homomorphism,
     builtin,
@@ -653,15 +652,7 @@ class ClassificationReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "system": self.system,
-            "size": self.size,
-            "algebras": self.algebras,
-            "structures": self.structures,
-            "models": self.models,
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @lru_cache(maxsize=None)
@@ -700,12 +691,12 @@ def _relation_names(sys: AxiomSystem) -> list[str]:
     return names + ["eq"] if "eq" in sys.signature.relations else names
 
 
-def _relation_ranges(names: Sequence[str], alg: FiniteAlgebra,
-                     lattice: Sequence[Congruence] | None) -> list[Sequence]:
+def _relation_ranges(names: Sequence[str], alg: FiniteAlgebra) -> list[Sequence]:
     """The values each relation ranges over on alg: every subset for a
-    unary relation, the rows of each congruence in ``lattice`` for eq."""
-    return [[_congruence_rows(c) for c in lattice] if name == "eq" else range(1 << alg.size)
-            for name in names]
+    unary relation, the rows of each congruence of alg for eq, read from
+    the cached ``congruences``."""
+    return [[_congruence_rows(c) for c in congruences(alg)] if name == "eq"
+            else range(1 << alg.size) for name in names]
 
 
 def _structure(alg: FiniteAlgebra, names: Sequence[str], values: Sequence) -> Structure:
@@ -729,8 +720,7 @@ def candidate_structures(sys: AxiomSystem, alg: FiniteAlgebra) -> Iterator[Struc
     and is the oracle the factorised sweep is tested against.
     """
     names = _relation_names(sys)
-    lattice = congruences(alg) if "eq" in names else None
-    for values in iproduct(*_relation_ranges(names, alg, lattice)):
+    for values in iproduct(*_relation_ranges(names, alg)):
         yield _structure(alg, names, values)
 
 
@@ -755,8 +745,9 @@ class ModelSweep:
     constant assignment, through ``reducts``.  Constants are nullary
     operations and impose no compatibility condition, so every expansion
     of an algebra has the congruence lattice of the base algebra, in the
-    same order: the eq values come from one lattice per base algebra
-    (checked at n <= 5 in ``tests/test_algebra.py``).  For the same
+    same order: the eq values of every expansion come from the base
+    algebra's lattice (checked at n <= 5 in ``tests/test_algebra.py``),
+    which ``congruences`` enumerates once per process.  For the same
     reason a model's Leibniz congruence depends only on the base algebra
     and its relation values, which ``reducts`` uses.
     """
@@ -893,21 +884,21 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     relation passes its own axioms; per constant assignment it checks the
     axioms that mention a constant on the survivors alone.  ``structures``
     still counts the full product of every assignment, whose other
-    members each fail an axiom.  Each base algebra's congruence lattice is
-    enumerated once, for the eq values of all its expansions, and only
-    for a system with eq.  ``ModelSweep.reducts`` finds the Leibniz
-    congruence, by partition refinement, and the quotient once per base
-    algebra and relation values, not once per model.  Each distinct
-    reduct's shape is checked once; every model still gets its own
-    violation lines, in sweep order.
+    members each fail an axiom.  A system with eq reads each base
+    algebra's congruence lattice, for the eq values of all its
+    expansions, from ``congruences``, which enumerates it once per
+    process however many eq systems are classified.
+    ``ModelSweep.reducts`` finds the Leibniz congruence, by partition
+    refinement, and the quotient once per base algebra and relation
+    values, not once per model.  Each distinct reduct's shape is checked
+    once; every model still gets its own violation lines, in sweep order.
     """
     family, _ = parse_name(sys.name)
     report = ClassificationReport(sys.name, size)
     sweep = ModelSweep(sys)
     shapes: dict[Structure, list[str]] = {}
     for base_alg in census_pool(size):
-        lattice = congruences(base_alg) if "eq" in sweep.names else None
-        ranges = _relation_ranges(sweep.names, base_alg, lattice)
+        ranges = _relation_ranges(sweep.names, base_alg)
         expansions = list(_constant_assignments(base_alg, sys.signature.constants))
         report.algebras += len(expansions)
         report.structures += prod(map(len, ranges)) * len(expansions)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fourval import engine
-from fourval.algebra import congruences, enumerate_dm_lattices
+from fourval.algebra import FiniteAlgebra, congruences, enumerate_dm_lattices, mask_of, quotient
 from fourval.engine import (
     Derivation,
     DerivationNode,
@@ -25,12 +25,12 @@ from fourval.engine import (
     edge_mutations,
     translate_exact_to_eq,
 )
-from fourval.leibniz import reduct
-from fourval.structures import preset_structure, structure_to_json
+from fourval.leibniz import quotient_structure, reduct
+from fourval.structures import preset_structure, structure, structure_to_json
 from fourval.syntax import (Formula, Meet, Var, apply_subst, parse_rule, print_rule, sig,
                             substitute_formula, substitute_term)
 from fourval.systems import system
-from fourval.verify import _valid_goals, random_rule, suite_completeness_evidence
+from fourval.verify import _valid_goals, random_rule, suite_classification, suite_completeness_evidence
 
 
 # -- decide -------------------------------------------------------------------
@@ -223,6 +223,24 @@ def test_census_pool_is_one_shared_tuple_per_size():
     assert census_pool(0) == () == census_pool(-1)
 
 
+def test_congruences_are_enumerated_once_per_algebra():
+    """A classification run enumerates each census algebra's lattice once,
+    however many eq systems it sweeps; the cache ignores labels, and a
+    quotient through a cached congruence carries its own algebra's labels."""
+    congruences.cache_clear()
+    suite_classification(size=4)
+    assert congruences.cache_info().misses == len(census_pool(4)) == 6
+    alg = next(a for a in census_pool(4) if len(congruences(a)) > 2)
+    assert congruences(alg) is congruences(alg)
+    copy = FiniteAlgebra(alg.size, alg.meet, alg.join, alg.neg, labels=("a", "b", "c", "d"))
+    theta = congruences(copy)[1]
+    assert congruences(copy) is congruences(alg) and theta.algebra.labels is None
+    q, _ = quotient(copy, theta)
+    assert q.labels == tuple("|".join("abcd"[e] for e in cls) for cls in theta.classes())
+    s, _ = quotient_structure(structure(copy, {"T": mask_of(theta.classes()[0])}), theta)
+    assert s.algebra.labels == q.labels
+
+
 def test_classify_bde_size_3():
     rep = classify_models(system("BDE"), 3)
     assert rep.ok and rep.models > 0
@@ -239,7 +257,7 @@ def test_classify_reports_a_violation_line_per_model(monkeypatch):
     sweep = ModelSweep(sysd)
     expected, reducts = [], set()
     for base in census_pool(3):
-        ranges = _relation_ranges(sweep.names, base, congruences(base))
+        ranges = _relation_ranges(sweep.names, base)
         for alg in _constant_assignments(base, sysd.signature.constants):
             for cand in sweep.expand(alg, sweep.free_models(alg, ranges)):
                 red, _ = reduct(cand)

@@ -258,7 +258,7 @@ def classified_models_at_4(name):
     sweep = ModelSweep(sysd)
     models = []
     for base in census_pool(4):
-        ranges = _relation_ranges(sweep.names, base, congruences(base))
+        ranges = _relation_ranges(sweep.names, base)
         for alg in _constant_assignments(base, sysd.signature.constants):
             models.extend(sweep.expand(alg, sweep.free_models(alg, ranges)))
     return models
@@ -287,7 +287,7 @@ def reduct_stream(name, size):
     sysd = system(name)
     sweep = ModelSweep(sysd)
     for base in census_pool(size):
-        ranges = _relation_ranges(sweep.names, base, congruences(base))
+        ranges = _relation_ranges(sweep.names, base)
         expansions = list(_constant_assignments(base, sysd.signature.constants))
         yield from sweep.reducts(expansions, sweep.free_models(base, ranges))
 
