@@ -73,9 +73,6 @@ class RunConfig:
     jobs: int = 1
     output: str = "text"
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 OUTPUT_FORMATS = ("text", "json")
 # the command and its operands come from the command line only; every
@@ -141,7 +138,7 @@ def _emit_text(report: dict, out):
 
 def _envelope(cfg: RunConfig, result: dict) -> dict:
     return {"schema": SCHEMA_VERSION, "command": cfg.command,
-            "config": cfg.to_json(), **result}
+            "config": asdict(cfg), **result}
 
 
 def _resolve_preset(name: str):

@@ -346,11 +346,11 @@ def holds(s: Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Ver
     return Verdict(True)
 
 
-def is_model(s: Structure, named_rules: Iterable[tuple[str, Rule]],
-             var_limit: int = DEFAULT_VARIABLE_LIMIT) -> tuple[bool, tuple[str, Verdict] | None]:
+def is_model(s: Structure,
+             named_rules: Iterable[tuple[str, Rule]]) -> tuple[bool, tuple[str, Verdict] | None]:
     """Conjunction of holds(); reports the first failing axiom."""
     for name, r in named_rules:
-        verdict = holds(s, r, var_limit)
+        verdict = holds(s, r)
         if not verdict.valid:
             return False, (name, verdict)
     return True, None

@@ -332,10 +332,11 @@ def suite_leibniz_crosscheck(max_size: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 # Suite: facts.  The finitely checkable content of the structural facts.
 
+FACTS_MAX_SIZE = 5  # the facts are checked on census algebras up to this size
 PAIR_SIZE = 4  # two-relation model intersections are checked up to this size
 
 
-def suite_facts(max_size: int = 5) -> dict:
+def suite_facts() -> dict:
     started = time.perf_counter()
     violations = []
     checks = 0
@@ -344,7 +345,7 @@ def suite_facts(max_size: int = 5) -> dict:
     # model intersection: filters are exactly the truth-base models, and
     # intersections of models stay models
     bd_sweep = ModelSweep(system("BD-base"))
-    for alg in census_pool(max_size):
+    for alg in census_pool(FACTS_MAX_SIZE):
         filters = enumerate_filters(alg)
         models = {t for (t,) in bd_sweep.free_models(alg, [range(1 << alg.size)])}
         if sorted(models) != sorted(filters):
@@ -367,7 +368,7 @@ def suite_facts(max_size: int = 5) -> dict:
 
     # reduct invariance: S is a model iff S/theta is, for theta below the
     # Leibniz congruence; and the reduct is reduced
-    for alg in census_pool(max_size):
+    for alg in census_pool(FACTS_MAX_SIZE):
         congs = congruences(alg)
         for t in range(1 << alg.size):
             s = structure(alg, {"T": t})
@@ -388,7 +389,7 @@ def suite_facts(max_size: int = 5) -> dict:
                 violations.append(f"|A|={alg.size} T={t:#x}: reduct not idempotent")
 
     # explicit description of the Leibniz congruence of a truth-filter model
-    for alg in census_pool(max_size):
+    for alg in census_pool(FACTS_MAX_SIZE):
         for t in enumerate_filters(alg):
             checks += 1
             omega = leibniz_unary(alg, t)
@@ -420,7 +421,7 @@ def suite_facts(max_size: int = 5) -> dict:
     # prime-filter reducts embed into the four-element targets
     dm4_t = structure(builtin("DM4"), {"T": (0, 1)})
     dm4_tnf = structure(builtin("DM4"), {"T": (0, 1), "NF": (0, 3)})
-    for alg in census_pool(max_size):
+    for alg in census_pool(FACTS_MAX_SIZE):
         full = (1 << alg.size) - 1
         for t in enumerate_filters(alg, prime_only=True):
             checks += 1
@@ -439,7 +440,7 @@ def suite_facts(max_size: int = 5) -> dict:
             if not _embeds_into(red2, dm4_tnf):
                 violations.append(f"|A|={alg.size} prime T={t:#x}: two-predicate reduct does not embed")
 
-    return _report("facts", {"max_size": max_size, "pair_size": PAIR_SIZE},
+    return _report("facts", {"max_size": FACTS_MAX_SIZE, "pair_size": PAIR_SIZE},
                    checks, violations, started)
 
 
@@ -499,14 +500,12 @@ def _classification(names: Sequence[str], size: int, suite: str, jobs: int = 1) 
                    checks, violations, started, {"systems": details})
 
 
-def _classified(kind: str, include_variants: bool = True) -> list[str]:
-    names = CLASSIFIED_FAMILIES + (CLASSIFIED_VARIANTS if include_variants else ())
-    return [n for n in names if system(n).kind == kind]
+def _classified(kind: str) -> list[str]:
+    return [n for n in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS if system(n).kind == kind]
 
 
-def suite_classification(size: int = 4, include_variants: bool = True, jobs: int = 1) -> dict:
-    return _classification(_classified("single-conclusion", include_variants), size,
-                           "classification", jobs)
+def suite_classification(size: int = 4, jobs: int = 1) -> dict:
+    return _classification(_classified("single-conclusion"), size, "classification", jobs)
 
 
 def suite_mc_classification(size: int = 4, jobs: int = 1) -> dict:

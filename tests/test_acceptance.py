@@ -57,7 +57,7 @@ def test_criterion_3_leibniz_crosscheck():
 
 
 def test_criterion_4_fact_suite():
-    report = verify.suite_facts(max_size=5)
+    report = verify.suite_facts()
     _criterion(4, "intersection/reduct/description/embedding facts hold at size <= 5",
                report)
 
@@ -70,7 +70,7 @@ def test_criterion_5_subdirect_representation():
 
 def test_criterion_6_classification_sweeps():
     started = time.time()
-    report = verify.suite_classification(size=4, include_variants=True)
+    report = verify.suite_classification(size=4)
     mc = verify.suite_mc_classification(size=4)
     combined = {
         "ok": report["ok"] and mc["ok"],
@@ -86,7 +86,7 @@ def test_classification_sweeps_at_size_5():
     """Criterion 6 one size further: 1,836,456 candidate structures, of
     which the factorised sweep checks in full only those whose every
     relation passes its own axioms."""
-    report = verify.suite_classification(size=5, include_variants=True)
+    report = verify.suite_classification(size=5)
     mc = verify.suite_mc_classification(size=5)
     assert (report["checks"], mc["checks"]) == (1_829_040, 7_416)
     assert report["violations"] == [] and mc["violations"] == []

@@ -57,8 +57,8 @@ def test_translation_suite_small():
 
 
 def test_classification_parallel_matches_sequential():
-    seq = verify.suite_classification(size=3, include_variants=True, jobs=1)
-    par = verify.suite_classification(size=3, include_variants=True, jobs=2)
+    seq = verify.suite_classification(size=3, jobs=1)
+    par = verify.suite_classification(size=3, jobs=2)
     assert seq["ok"] and par["ok"]
     assert seq["systems"] == par["systems"]
     assert seq["checks"] == par["checks"]
