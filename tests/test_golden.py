@@ -55,6 +55,12 @@ CLASSIFICATION_6_DIGESTS = {
     "mc-classification": "25cc0d88f9e089eddcb66570422343707e6b43b34056b2761ad20aa4b2590eaa",
 }
 
+# the same reports at size 7, with their check counts; no violations
+CLASSIFICATION_7_PINS = {
+    "classification": (213_382_320, "60fe9dc3b5575635d8182a0ca1f3144c1ce2132d5c263ae4c29f1515f25877a6"),
+    "mc-classification": (151_032, "dbb932927067fbc23db21532d8cc7681be0d73a77920bbe4ee0484b39b55e081"),
+}
+
 # [system, term depth, ground rules] of every engine-soundness run's ground
 # program, each rule as [premise formula indices, conclusion index]
 GROUND_PROGRAMS_DIGEST = "f020d00c3ab454de02025442f5f2abc1580153e31eebe94d2ca1872c950819f7"
@@ -204,6 +210,13 @@ def test_suite_reports_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(CLASSIFICATION_6_DIGESTS))
 def test_classification_reports_at_size_6_are_pinned(name):
     assert _digest(suite_record(name, size=6)) == CLASSIFICATION_6_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFICATION_7_PINS))
+def test_classification_reports_at_size_7_are_pinned(name):
+    report = suite_record(name, size=7)
+    assert (report["checks"], report["violations"]) == (CLASSIFICATION_7_PINS[name][0], [])
+    assert _digest(report) == CLASSIFICATION_7_PINS[name][1]
 
 
 @pytest.mark.parametrize("name,kwargs,checks,gaps,digest", COMPLETENESS_RUNS,
