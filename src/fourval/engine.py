@@ -25,6 +25,7 @@ from .algebra import (
     congruences,
     enumerate_dm_lattices,
     is_filter,
+    mask_iter,
 )
 from .leibniz import is_reduced, reduct
 from .structures import (DEFAULT_VARIABLE_LIMIT, CompiledRules, Structure, Verdict, holds,
@@ -735,14 +736,20 @@ class ModelSweep:
     values by its own axioms, then checks only the product of the
     survivors against the rest.  A combination outside that product fails
     a one-relation axiom.  ``expand`` checks those tuples against the
-    axioms that mention a constant, on one constant assignment.  So the
-    models and their order are those of filtering the full product by
-    every axiom.  Relation values are checked as they are; a ``Structure``
-    is built only for a model.
+    axioms that mention a constant, on every constant assignment at once.
+    So the models and their order are those of filtering the full product
+    of each assignment by every axiom.  Relation values are checked as
+    they are; a ``Structure`` is built only for a model.
 
     A constant-free axiom never reads a constant, so ``classify_models``
-    runs ``free_models`` once per base algebra and ``expand`` once per
-    constant assignment, through ``reducts``.  Constants are nullary
+    runs ``free_models`` once per base algebra.  ``expand`` compiles the
+    axioms that mention a constant once per base algebra too: the base
+    algebra interprets no constant, so ``CompiledRules`` reads each one as
+    a grid variable that leads every such axiom's grid, and the j-th
+    assignment in ``_constant_assignments`` order is the j-th run of n**k
+    points of an axiom's grid over k variables.  One pass over those
+    axioms per free tuple gives the assignments on which it fails, with
+    one memo of relation values for all of them.  Constants are nullary
     operations and impose no compatibility condition, so every expansion
     of an algebra has the congruence lattice of the base algebra, in the
     same order: the eq values of every expansion come from the base
@@ -759,6 +766,8 @@ class ModelSweep:
         free = [nr for nr in named if not nr[1].constants()]
         self._free = CompiledRules(free)
         self._bound = CompiledRules(nr for nr in named if nr[1].constants())
+        self.constants = sorted(sys.signature.constants)
+        self._leads = sorted(self._bound.constants)  # the constants that lead their grids
         predicates = [r.predicates() for _, r in free]
         self._own = [[i for i, p in enumerate(predicates) if p == {name}] for name in self.names]
         self._rest = [i for i, p in enumerate(predicates) if len(p) != 1]
@@ -767,27 +776,41 @@ class ModelSweep:
         """The value tuples among the product of ``ranges`` (one per
         relation, in ``names`` order) that pass every constant-free axiom
         on alg, in product order."""
-        first_failure = self._free.for_algebra(alg)
+        first_failure = self._free.for_algebra(alg).first_failure
         survivors = [[v for v in values if first_failure({name: v}, own) is None]
                      for name, values, own in zip(self.names, ranges, self._own)]
         return [values for values in iproduct(*survivors)
                 if first_failure(dict(zip(self.names, values)), self._rest) is None]
 
     def expand(self, alg: FiniteAlgebra, free: Sequence[tuple]) -> Iterator[Structure]:
-        """The models on alg among ``free`` (from ``free_models`` on alg or
-        on alg without its constants): those that pass every axiom that
-        mentions a constant, in order."""
-        first_failure = self._bound.for_algebra(alg)
+        """The models among ``free`` (from ``free_models`` on alg) on every
+        constant assignment of alg, a base algebra without constants:
+        assignment-major, in ``_constant_assignments`` order, then in
+        ``free`` order.  Those are the tuples that pass every axiom that
+        mentions a constant on the assignment."""
+        check = self._bound.for_algebra(alg)
+        n, every = alg.size, (1 << alg.size ** len(self._leads)) - 1
+        passing: list[list[tuple]] = [[] for _ in range(every.bit_length())]
         for values in free:
-            if first_failure(dict(zip(self.names, values))) is None:
-                yield _structure(alg, self.names, values)
+            failed = 0
+            for run, points in check.failing_points(dict(zip(self.names, values))):
+                failed |= _runs_hit(points, run, every & ~failed)
+                if failed == every:
+                    break
+            for lead in mask_iter(every & ~failed):
+                passing[lead].append(values)
+        for expansion in _constant_assignments(alg, self.constants):
+            lead = 0
+            for c in self._leads:
+                lead = lead * n + expansion.constants[c]
+            for values in passing[lead]:
+                yield _structure(expansion, self.names, values)
 
-    def reducts(self, expansions: Sequence[FiniteAlgebra], free: Sequence[tuple]
+    def reducts(self, alg: FiniteAlgebra, free: Sequence[tuple]
                 ) -> Iterator[tuple[Structure, Structure, tuple[int, ...], bool]]:
-        """Per model, in ``expand`` order over ``expansions`` (the constant
-        assignments of one base algebra, on which ``free`` was swept): the
-        model, its reduct, the projection onto it and whether the reduct
-        is reduced.
+        """Per model, in ``expand`` order over the constant assignments of
+        alg, the base algebra on which ``free`` was swept: the model, its
+        reduct, the projection onto it and whether the reduct is reduced.
 
         The Leibniz refinement never reads a constant, so θ, the quotient
         and the projection are found once per relation-value tuple, on its
@@ -795,18 +818,30 @@ class ModelSweep:
         only rebinds the quotient's constants to the images of its own.
         """
         known: dict[tuple, tuple[Structure, tuple[int, ...], bool]] = {}
-        for alg in expansions:
-            for model in self.expand(alg, free):
-                values = (*model.unary.values(), *model.binary.values())
-                if values in known:
-                    red, proj, reduced = known[values]
-                    consts = {c: proj[v] for c, v in alg.constants.items()}
-                    red = Structure(red.algebra.with_constants(consts), red.unary, red.binary)
-                else:
-                    red, proj = reduct(model)
-                    reduced = is_reduced(red)
-                    known[values] = red, proj, reduced
-                yield model, red, proj, reduced
+        for model in self.expand(alg, free):
+            values = (*model.unary.values(), *model.binary.values())
+            if values in known:
+                red, proj, reduced = known[values]
+                consts = {c: proj[v] for c, v in model.algebra.constants.items()}
+                red = Structure(red.algebra.with_constants(consts), red.unary, red.binary)
+            else:
+                red, proj = reduct(model)
+                reduced = is_reduced(red)
+                known[values] = red, proj, reduced
+            yield model, red, proj, reduced
+
+
+def _runs_hit(points: int, run: int, among: int) -> int:
+    """The j in the mask ``among`` whose j-th run of ``run`` points holds a
+    set bit of ``points``."""
+    if run == 1:
+        return points & among
+    ones = (1 << run) - 1
+    hit = 0
+    for j in mask_iter(among):
+        if points >> j * run & ones:
+            hit |= 1 << j
+    return hit
 
 
 def _top_element(alg: FiniteAlgebra) -> int:
@@ -881,13 +916,14 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
 
     The sweep is factorised (``ModelSweep``): per base algebra it checks
     the constant-free axioms once, on only the combinations whose every
-    relation passes its own axioms; per constant assignment it checks the
-    axioms that mention a constant on the survivors alone.  ``structures``
-    still counts the full product of every assignment, whose other
-    members each fail an axiom.  A system with eq reads each base
-    algebra's congruence lattice, for the eq values of all its
-    expansions, from ``congruences``, which enumerates it once per
-    process however many eq systems are classified.
+    relation passes its own axioms, then the axioms that mention a
+    constant on the survivors alone, in one pass per survivor over every
+    constant assignment.  ``structures`` still counts the full product
+    of every assignment, whose other members each fail an axiom.  A
+    system with eq reads each base algebra's congruence lattice, for the
+    eq values of all its expansions, from ``congruences``, which
+    enumerates it once per process however many eq systems are
+    classified.
     ``ModelSweep.reducts`` finds the Leibniz congruence, by partition
     refinement, and the quotient once per base algebra and relation
     values, not once per model.  Each distinct reduct's shape is checked
@@ -899,10 +935,10 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     shapes: dict[Structure, list[str]] = {}
     for base_alg in census_pool(size):
         ranges = _relation_ranges(sweep.names, base_alg)
-        expansions = list(_constant_assignments(base_alg, sys.signature.constants))
-        report.algebras += len(expansions)
-        report.structures += prod(map(len, ranges)) * len(expansions)
-        for cand, red, _, reduced in sweep.reducts(expansions, sweep.free_models(base_alg, ranges)):
+        assignments = base_alg.size ** len(sweep.constants)
+        report.algebras += assignments
+        report.structures += prod(map(len, ranges)) * assignments
+        for cand, red, _, reduced in sweep.reducts(base_alg, sweep.free_models(base_alg, ranges)):
             report.models += 1
             if not reduced:
                 report.violations.append(f"{_describe(cand)}: reduct is not reduced")

@@ -42,7 +42,12 @@ memory stays bounded however many variables a rule has; the first block
 with a failing point holds the least counter-valuation.
 `CompiledRules` serves sweeps that check many relation values over one
 algebra: per algebra it builds one grid per variable tuple of its rules,
-and memoises each formula's bitset per value of its relation.
+and memoises each formula's bitset per value of its relation.  On an
+algebra that leaves some of the rules' constants uninterpreted, those
+constants lead every grid as variables, so one check covers every
+assignment of them: the j-th assignment is the j-th run of each grid,
+and `RuleCheck.failing_points` gives a rule's failing points over all
+of them.
 `eval_term` evaluates one term at one valuation; it is the independent
 oracle the tests compare the kernel against.
 """
@@ -52,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 from .algebra import FiniteAlgebra, algebra_from_json, algebra_to_json, builtin, mask_iter, mask_of
@@ -251,8 +256,8 @@ class _Grid:
         bits = self.memo.get(t)
         if bits is None:
             alg = self.alg
-            if kind is Const:
-                bits = _constant_bits(alg, t.symbol, self.full)
+            if kind is Const:  # a leading grid variable, or the constant's value
+                bits = self.env.get(t.symbol) or _constant_bits(alg, t.symbol, self.full)
             elif kind is Neg:
                 bits = _negate(alg.neg, self.term(t.arg))
             else:
@@ -361,32 +366,44 @@ class CompiledRules:
 
     `for_algebra` builds one grid per variable tuple on an algebra, so
     rules over the same variables share their terms' bitsets, and returns
-    a check of relation values over that algebra.  The check memoises each
-    formula's bitset per value of its relation, keyed by the formula node
-    in its grid's memo; the memo belongs to the check and goes with it.
-    Each grid is swept whole, in one block, so rules are held to the
-    default variable limit.
+    a `RuleCheck` of relation values over that algebra.  The check
+    memoises each formula's bitset per value of its relation, keyed by the
+    formula node in its grid's memo; the memo belongs to the check and
+    goes with it.  A constant that the rules mention and the algebra does
+    not interpret is read as one more grid variable.  Those constants, in
+    sorted order, lead the grid of every rule, also of a rule that
+    mentions only some of them or none, so on an n-element algebra the
+    j-th run of n**k points of a grid with k variables is the j-th
+    valuation of the constants (the first varies slowest) in every grid.
+    Each grid is swept whole, in one block, so a rule's variables and
+    those constants are held to the default variable limit together,
+    checked for every rule before any grid is built.
     """
 
     def __init__(self, named_rules: Iterable[tuple[str, Rule]]):
         # (name, sorted variables, literals); a literal's bitset is XORed
         # with its flip: 0 keeps a premise, -1 complements a conclusion
         self.rules: list[tuple[str, tuple[str, ...], list[tuple[Formula, int]]]] = []
+        constants: set[str] = set()
         for name, r in named_rules:
-            names = tuple(sorted(r.variables()))
-            if len(names) > DEFAULT_VARIABLE_LIMIT:
-                raise VariableLimitError(
-                    f"rule has {len(names)} variables, limit is {DEFAULT_VARIABLE_LIMIT}")
-            self.rules.append((name, names, [(f, 0) for f in sorted(r.premises, key=formula_text)]
+            constants |= r.constants()
+            self.rules.append((name, tuple(sorted(r.variables())),
+                               [(f, 0) for f in sorted(r.premises, key=formula_text)]
                                + [(f, -1) for f in sorted(r.conclusions, key=formula_text)]))
+        self.constants = frozenset(constants)
 
-    def for_algebra(self, alg: FiniteAlgebra) -> Callable[..., str | None]:
-        """A check `first_failure(rels, group)`: the name of the first rule,
-        of those indexed by `group` (all of them by default), that fails
-        when each relation takes its value in `rels`, or None."""
+    def for_algebra(self, alg: FiniteAlgebra) -> RuleCheck:
+        """The check of relation values against the rules on alg."""
+        lead = tuple(sorted(self.constants - alg.constants.keys()))
+        for name, names, _ in self.rules:
+            if len(lead) + len(names) > DEFAULT_VARIABLE_LIMIT:
+                raise VariableLimitError(
+                    f"rule {name} has {len(names)} variables and {len(lead)} constants read as "
+                    f"variables, limit is {DEFAULT_VARIABLE_LIMIT}")
         grids: dict[tuple[str, ...], _Grid] = {}
         rules = []
         for name, names, literals in self.rules:
+            names = lead + names
             grid = grids.get(names)
             if grid is None:
                 grid = grids[names] = _Grid(alg, names, {})
@@ -396,28 +413,66 @@ class CompiledRules:
                 if slot is None:
                     slot = grid.memo[f] = (f.pred, {}, [grid.term(t) for t in f.args])
                 slots.append((*slot, flip))
-            rules.append((name, grid.full, slots))
+            rules.append((name, grid.full, slots, alg.size ** (len(names) - len(lead))))
+        return RuleCheck(rules)
 
-        def first_failure(rels: Mapping[str, object], group: Iterable[int] = range(len(rules))) -> str | None:
-            try:
-                for i in group:
-                    name, full, slots = rules[i]
-                    fail = full
-                    for pred, memo, args, flip in slots:
-                        value = rels[pred]
-                        f_bits = memo.get(value)
-                        if f_bits is None:
-                            f_bits = memo[value] = _relation_bits(value, args)
-                        fail &= f_bits ^ flip
-                        if not fail:
-                            break
-                    else:
-                        return name
-            except KeyError as missing:
-                raise SignatureMismatchError(f"predicate {missing} not in structure") from None
-            return None
 
-        return first_failure
+class RuleCheck:
+    """Compiled rules on one algebra, built by `CompiledRules.for_algebra`.
+
+    `first_failure(rels, group)`, also the check called as a function,
+    gives the name of the first rule, of those indexed by `group` (all of
+    them by default), that fails at some point of its grid when each
+    relation takes its value in `rels`, or None.  `failing_points` gives
+    every failing rule's points.  Each repeats the loop over a rule's
+    literals: `first_failure` runs once per relation value in a sweep,
+    and a helper called per rule slowed that sweep by about 5%.
+    """
+
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: list[tuple[str, int, list, int]]):
+        self.rules = rules  # (name, all-ones of the grid, literal slots, run)
+
+    def first_failure(self, rels: Mapping[str, object], group: Iterable[int] | None = None) -> str | None:
+        rules = self.rules
+        try:
+            for i in range(len(rules)) if group is None else group:
+                name, fail, slots, _ = rules[i]
+                for pred, memo, args, flip in slots:
+                    value = rels[pred]
+                    f_bits = memo.get(value)
+                    if f_bits is None:
+                        f_bits = memo[value] = _relation_bits(value, args)
+                    fail &= f_bits ^ flip
+                    if not fail:
+                        break
+                else:
+                    return name
+        except KeyError as missing:
+            raise SignatureMismatchError(f"predicate {missing} not in structure") from None
+        return None
+
+    __call__ = first_failure
+
+    def failing_points(self, rels: Mapping[str, object]) -> Iterator[tuple[int, int]]:
+        """(run, points) per rule that fails somewhere, in rule order: the
+        grid bitset of the points where it fails, and the number of points
+        per valuation of the leading constants (1 if there are none)."""
+        try:
+            for _, fail, slots, run in self.rules:
+                for pred, memo, args, flip in slots:
+                    value = rels[pred]
+                    f_bits = memo.get(value)
+                    if f_bits is None:
+                        f_bits = memo[value] = _relation_bits(value, args)
+                    fail &= f_bits ^ flip
+                    if not fail:
+                        break
+                else:
+                    yield run, fail
+        except KeyError as missing:
+            raise SignatureMismatchError(f"predicate {missing} not in structure") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fourval.engine import (
     ModelSweep,
     RuleSpaceBounds,
     RuleSpaceBudgetError,
-    _constant_assignments,
     _describe,
     _relation_ranges,
     canonical_rule,
@@ -26,7 +25,7 @@ from fourval.engine import (
     translate_exact_to_eq,
 )
 from fourval.leibniz import quotient_structure, reduct
-from fourval.structures import preset_structure, structure, structure_to_json
+from fourval.structures import CompiledRules, preset_structure, structure, structure_to_json
 from fourval.syntax import (Formula, Meet, Var, apply_subst, parse_rule, print_rule, sig,
                             substitute_formula, substitute_term)
 from fourval.systems import system
@@ -241,6 +240,24 @@ def test_congruences_are_enumerated_once_per_algebra():
     assert s.algebra.labels == q.labels
 
 
+def test_constant_axioms_compile_once_per_base_algebra(monkeypatch):
+    """A classification compiles each census algebra's checks at most
+    twice: once for the constant-free axioms and once for the axioms that
+    mention a constant, whose grids cover every constant assignment."""
+    calls = []
+    for_algebra = CompiledRules.for_algebra
+
+    def counted(self, alg):
+        calls.append(alg)
+        return for_algebra(self, alg)
+
+    monkeypatch.setattr(CompiledRules, "for_algebra", counted)
+    report = classify_models(system("BDE+tnb"), 4)
+    assert report.models == 230
+    assert len(calls) <= 2 * len(census_pool(4)) == 12
+    assert all(not alg.constants for alg in calls)
+
+
 def test_classify_bde_size_3():
     rep = classify_models(system("BDE"), 3)
     assert rep.ok and rep.models > 0
@@ -258,11 +275,10 @@ def test_classify_reports_a_violation_line_per_model(monkeypatch):
     expected, reducts = [], set()
     for base in census_pool(3):
         ranges = _relation_ranges(sweep.names, base)
-        for alg in _constant_assignments(base, sysd.signature.constants):
-            for cand in sweep.expand(alg, sweep.free_models(alg, ranges)):
-                red, _ = reduct(cand)
-                reducts.add(red)
-                expected.extend(f"{_describe(cand)}: {v}" for v in flag_every_reduct("BDE", red))
+        for cand in sweep.expand(base, sweep.free_models(base, ranges)):
+            red, _ = reduct(cand)
+            reducts.add(red)
+            expected.extend(f"{_describe(cand)}: {v}" for v in flag_every_reduct("BDE", red))
     rep = classify_models(sysd, 3)
     assert rep.violations == expected
     assert len(expected) == rep.models > len(reducts)

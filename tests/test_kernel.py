@@ -194,19 +194,88 @@ def test_factorised_sweep_agrees_with_full_product(name, size):
     full = kept = 0
     for base in census_pool(size):
         free = sweep.free_models(base, _relation_ranges(sweep.names, base))
+        in_order = []
         for alg in _constant_assignments(base, sysd.signature.constants):
             first_failure = program.for_algebra(alg)
             cands = list(candidate_structures(sysd, alg))
             expected = [c for c in cands if first_failure(_rels(c)) is None]
             ranges = _relation_ranges(sweep.names, alg)
-            models = list(sweep.expand(alg, sweep.free_models(alg, ranges)))
+            models = [m for m in sweep.expand(base, sweep.free_models(alg, ranges)) if m.algebra == alg]
             assert models == expected, f"{name} on |A|={alg.size} {alg.constants}"
-            assert list(sweep.expand(alg, free)) == expected, f"{name} on |A|={alg.size} {alg.constants}"
+            in_order += expected
             full += len(cands)
             kept += len(models)
+        assert list(sweep.expand(base, free)) == in_order, f"{name} on |A|={base.size}"
     report = classify_models(sysd, size)
     assert (report.structures, report.models) == (full, kept)
     assert kept > 0 or name == "MC-ETL+tnb"  # its two models have size 4
+
+
+# a constant axiom over three variables that names only #n
+_PLANTED = r"T(x), T(y) |- T(#n \/ z)"
+_NEITHER_AND_BOTH = ("c-both-true", "c-neither-true-l", "c-neither-true-r",
+                     "c-neither-exact-l", "c-neither-exact-r")
+
+
+def _planted(dropped=(), text=_PLANTED):
+    """BDE+tnb without the constant axioms named in `dropped`, plus `text`."""
+    bde = system("BDE+tnb")
+    rule = parse_rule(text, bde.signature)
+    return replace(bde, schemes=tuple(s for s in bde.schemes if s.name not in dropped)
+                   + (Scheme("planted", rule, "constant"),))
+
+
+@pytest.mark.parametrize("dropped, models", [((), 228), (_NEITHER_AND_BOTH, 335)],
+                         ids=["BDE+tnb", "only-planted-names-n"])
+def test_constant_axiom_grids_line_up_with_assignments(dropped, models):
+    """The sweep over every constant assignment at once keeps, in order,
+    exactly the candidates of each expansion that pass the per-assignment
+    check, at sizes <= 4 from the one-element algebra up, with a planted
+    constant axiom whose grid leads with constants it does not mention.
+    The second system keeps #b in its signature but in no axiom, and
+    leaves the planted axiom the only one that names #n."""
+    sysd = _planted(dropped)
+    program = CompiledRules(sysd.named_rules())
+    sweep = ModelSweep(sysd)
+    kept = 0
+    assert census_pool(4)[0].size == 1
+    for base in census_pool(4):
+        expected = []
+        for alg in _constant_assignments(base, sysd.signature.constants):
+            first_failure = program.for_algebra(alg)
+            expected += [c for c in candidate_structures(sysd, alg) if first_failure(_rels(c)) is None]
+        free = sweep.free_models(base, _relation_ranges(sweep.names, base))
+        assert list(sweep.expand(base, free)) == expected, f"|A|={base.size}"
+        assert [model for model, *_ in sweep.reducts(base, free)] == expected, f"|A|={base.size}"
+        kept += len(expected)
+    assert kept == classify_models(sysd, 4).models == models
+
+
+def test_constants_read_as_grid_variables_count_toward_the_limit(monkeypatch):
+    """A constant axiom whose variables and the system's constants exceed
+    the variable limit is refused before any grid is built for it; with
+    one variable fewer it is swept, and on an algebra that interprets the
+    constants its variables alone count."""
+    built = []
+
+    class Recorded(structures._Grid):
+        def __init__(self, alg, names, memo):
+            built.append(len(names))
+            super().__init__(alg, names, memo)
+
+    monkeypatch.setattr(structures, "_Grid", Recorded)
+    limit = structures.DEFAULT_VARIABLE_LIMIT
+    wide = _planted(text=r"T(a), T(b), T(c), T(d), T(e) |- T(f \/ #n)")
+    with pytest.raises(structures.VariableLimitError,
+                       match=f"planted has 6 variables and 3 constants .* limit is {limit}"):
+        classify_models(wide, 2)
+    assert built and max(built) <= limit
+    base = census_pool(2)[-1]
+    CompiledRules(wide.named_rules()).for_algebra(base.with_constants({"#t": 0, "#n": 1, "#b": 1}))
+    assert max(built) == 6
+    edge = _planted(text=r"T(a), T(b), T(c), T(d) |- T(e \/ #n)")
+    assert classify_models(edge, 2).models > 0
+    assert max(built) == limit
 
 
 def test_relation_free_rule_rejects_every_candidate():

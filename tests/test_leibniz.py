@@ -12,7 +12,7 @@ from fourval.algebra import (
     enumerate_filters,
     mask_of,
 )
-from fourval.engine import ModelSweep, _constant_assignments, _relation_ranges, census_pool
+from fourval.engine import ModelSweep, _relation_ranges, census_pool
 from fourval.leibniz import (
     is_reduced,
     leibniz_binary,
@@ -259,8 +259,7 @@ def classified_models_at_4(name):
     models = []
     for base in census_pool(4):
         ranges = _relation_ranges(sweep.names, base)
-        for alg in _constant_assignments(base, sysd.signature.constants):
-            models.extend(sweep.expand(alg, sweep.free_models(alg, ranges)))
+        models.extend(sweep.expand(base, sweep.free_models(base, ranges)))
     return models
 
 
@@ -288,8 +287,7 @@ def reduct_stream(name, size):
     sweep = ModelSweep(sysd)
     for base in census_pool(size):
         ranges = _relation_ranges(sweep.names, base)
-        expansions = list(_constant_assignments(base, sysd.signature.constants))
-        yield from sweep.reducts(expansions, sweep.free_models(base, ranges))
+        yield from sweep.reducts(base, sweep.free_models(base, ranges))
 
 
 def test_reduct_stream_gives_the_pinned_reducts():
