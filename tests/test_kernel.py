@@ -14,6 +14,7 @@ from fourval.engine import (
     ModelSweep,
     _congruence_rows,
     _constant_assignments,
+    _relation_names,
     _relation_ranges,
     candidate_structures,
     census_pool,
@@ -249,6 +250,58 @@ def test_constant_axiom_grids_line_up_with_assignments(dropped, models):
         assert [model for model, *_ in sweep.reducts(base, free)] == expected, f"|A|={base.size}"
         kept += len(expected)
     assert kept == classify_models(sysd, 4).models == models
+
+
+def _clear_caches():
+    """Forget what the sweep memoises per process, so that what is built
+    next shares nothing with what was built before."""
+    congruences.cache_clear()
+
+
+def _programs(sysd):
+    """A system's axioms compiled as the sweep compiles them: those that
+    mention no constant, then those that mention one."""
+    named = sysd.named_rules()
+    return [CompiledRules(nr for nr in named if bool(nr[1].constants()) is bound)
+            for bound in (False, True)]
+
+
+def _verdicts(sysd, alg):
+    """Per program and relation-value tuple of the sweep's ranges on alg:
+    the first failing rule and every failing rule's points."""
+    names = _relation_names(sysd)
+    tuples = list(product(*_relation_ranges(names, alg)))
+    out = []
+    for program in _programs(sysd):
+        check = program.for_algebra(alg)
+        for values in tuples:
+            rels = dict(zip(names, values))
+            out.append((check.first_failure(rels), list(check.failing_points(rels))))
+    return out
+
+
+def test_shared_checks_agree_with_fresh_ones():
+    """Every classified system's checks on every census algebra up to size
+    3, built while the other systems' checks are built, give for every
+    relation-value tuple the verdicts of checks built after the memos are
+    cleared."""
+    shared = {(name, alg): _verdicts(system(name), alg)
+              for name in CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS for alg in census_pool(3)}
+    assert len(shared) == 16 * len(census_pool(3))
+    for (name, alg), verdicts in shared.items():
+        _clear_caches()
+        assert _verdicts(system(name), alg) == verdicts, f"{name} on |A|={alg.size}"
+
+
+def test_classification_does_not_depend_on_the_order_of_systems():
+    """The classify workload's systems give the same reports at size 4
+    whichever order they are classified in."""
+    names = CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS
+    _clear_caches()
+    forward = [classify_models(system(name), 4).to_json() for name in names]
+    _clear_caches()
+    backward = [classify_models(system(name), 4).to_json() for name in reversed(names)]
+    assert forward == backward[::-1]
 
 
 def test_constants_read_as_grid_variables_count_toward_the_limit(monkeypatch):
