@@ -58,12 +58,19 @@ class FiniteAlgebra:
         return self.labels[i] if self.labels else str(i)
 
     def with_constants(self, constants: dict[str, int]) -> "FiniteAlgebra":
-        merged = dict(self.constants)
-        merged.update(constants)
-        return FiniteAlgebra(self.size, self.meet, self.join, self.neg, merged, self.labels)
+        return self._expanded({**self.constants, **constants})
 
     def without_constants(self) -> "FiniteAlgebra":
-        return FiniteAlgebra(self.size, self.meet, self.join, self.neg, {}, self.labels)
+        return self._expanded({})
+
+    def _expanded(self, constants: dict[str, int]) -> "FiniteAlgebra":
+        """This algebra with `constants` in place of its own, sharing its
+        immutable tables and labels instead of copying them."""
+        alg = object.__new__(FiniteAlgebra)
+        alg.size, alg.meet, alg.join, alg.neg = self.size, self.meet, self.join, self.neg
+        alg.constants, alg.labels = constants, self.labels
+        alg._key = (*self._key[:4], tuple(sorted(constants.items())))
+        return alg
 
     def __eq__(self, other):
         return isinstance(other, FiniteAlgebra) and self._key == other._key

@@ -813,22 +813,34 @@ class ModelSweep:
         reduct, the projection onto it and whether the reduct is reduced.
 
         The Leibniz refinement never reads a constant, so θ, the quotient
-        and the projection are found once per relation-value tuple, on its
-        first model, with ``reduct``; each later model with those values
-        only rebinds the quotient's constants to the images of its own.
+        and the projection are found by ``reduct`` on the structure over
+        alg itself, once per process for each alg, relation names and
+        values (``_free_reduct``); a model with constants only rebinds the
+        quotient's constants to the images of its own.
         """
-        known: dict[tuple, tuple[Structure, tuple[int, ...], bool]] = {}
+        names = tuple(self.names)
         for model in self.expand(alg, free):
             values = (*model.unary.values(), *model.binary.values())
-            if values in known:
-                red, proj, reduced = known[values]
+            red, proj, reduced = _free_reduct(alg, alg.labels, names, values)
+            if model.algebra.constants:
                 consts = {c: proj[v] for c, v in model.algebra.constants.items()}
                 red = Structure(red.algebra.with_constants(consts), red.unary, red.binary)
-            else:
-                red, proj = reduct(model)
-                reduced = is_reduced(red)
-                known[values] = red, proj, reduced
             yield model, red, proj, reduced
+
+
+@lru_cache(maxsize=None)
+def _free_reduct(alg: FiniteAlgebra, labels: tuple[str, ...] | None, names: tuple[str, ...],
+                 values: tuple) -> tuple[Structure, tuple[int, ...], bool]:
+    """The reduct of the structure on alg whose relations ``names`` take
+    ``values``, the projection onto it and whether the reduct is reduced.
+
+    Cached per process, like ``congruences``, so each tuple is reduced
+    once however many systems and constant assignments reach it.  The key
+    holds ``labels`` because algebra equality ignores them, and the
+    reduct's element names come from them.
+    """
+    red, proj = reduct(_structure(alg, names, values))
+    return red, proj, is_reduced(red)
 
 
 def _runs_hit(points: int, run: int, among: int) -> int:

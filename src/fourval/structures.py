@@ -41,8 +41,11 @@ block by block in lexicographic order, each with a fresh `_Grid`, so
 memory stays bounded however many variables a rule has; the first block
 with a failing point holds the least counter-valuation.
 `CompiledRules` serves sweeps that check many relation values over one
-algebra: per algebra it builds one grid per variable tuple of its rules,
-and memoises each formula's bitset per value of its relation.  On an
+algebra: per algebra it reads one grid per variable tuple of its rules
+from `_compiled_grid`, which keeps each such grid once per process for
+every `CompiledRules`, and each grid memoises each formula's bitset per
+value of its relation, so systems that share an axiom share its
+bitsets.  On an
 algebra that leaves some of the rules' constants uninterpreted, those
 constants lead every grid as variables, so one check covers every
 assignment of them: the j-th assignment is the j-th run of each grid,
@@ -361,15 +364,31 @@ def is_model(s: Structure,
     return True, None
 
 
+@lru_cache(maxsize=None)
+def _compiled_grid(alg: FiniteAlgebra, names: tuple[str, ...]) -> _Grid:
+    """The grid of `names` over alg that every `CompiledRules` shares.
+
+    Its memo maps a term to its bitsets and a formula to its slot: the
+    relation, a memo of the formula's bitset per relation value, and the
+    arguments' bitsets.  All of these depend only on alg's tables and
+    constants, the names (constants read as variables included), the
+    node and the value, never on the rules being checked, so the systems
+    of a sweep share them.  Cached per process, like ``congruences``; the
+    key, algebra equality, ignores labels, which no bitset reads.
+    """
+    return _Grid(alg, names, {})
+
+
 class CompiledRules:
     """Named rules compiled once, for model checks of many relation values.
 
-    `for_algebra` builds one grid per variable tuple on an algebra, so
-    rules over the same variables share their terms' bitsets, and returns
-    a `RuleCheck` of relation values over that algebra.  The check
-    memoises each formula's bitset per value of its relation, keyed by the
-    formula node in its grid's memo; the memo belongs to the check and
-    goes with it.  A constant that the rules mention and the algebra does
+    `for_algebra` takes one grid per variable tuple on an algebra from
+    `_compiled_grid`, so rules over the same variables share their terms'
+    bitsets, also with the rules of every other `CompiledRules`, and
+    returns a `RuleCheck` of relation values over that algebra.  The
+    check reads and fills each formula's memo of bitsets per value of its
+    relation, kept in the shared grid, so a formula that several systems'
+    axioms share is evaluated once per algebra and value.  A constant that the rules mention and the algebra does
     not interpret is read as one more grid variable.  Those constants, in
     sorted order, lead the grid of every rule, also of a rule that
     mentions only some of them or none, so on an n-element algebra the
@@ -400,13 +419,10 @@ class CompiledRules:
                 raise VariableLimitError(
                     f"rule {name} has {len(names)} variables and {len(lead)} constants read as "
                     f"variables, limit is {DEFAULT_VARIABLE_LIMIT}")
-        grids: dict[tuple[str, ...], _Grid] = {}
         rules = []
         for name, names, literals in self.rules:
             names = lead + names
-            grid = grids.get(names)
-            if grid is None:
-                grid = grids[names] = _Grid(alg, names, {})
+            grid = _compiled_grid(alg, names)
             slots = []  # per literal: (relation, memo by relation value, arguments' bitsets, flip)
             for f, flip in literals:
                 slot = grid.memo.get(f)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fourval import engine
+from fourval import engine, structures
 from fourval.algebra import FiniteAlgebra, congruences, enumerate_dm_lattices, mask_of, quotient
 from fourval.engine import (
     Derivation,
@@ -256,6 +256,53 @@ def test_constant_axioms_compile_once_per_base_algebra(monkeypatch):
     assert report.models == 230
     assert len(calls) <= 2 * len(census_pool(4)) == 12
     assert all(not alg.constants for alg in calls)
+
+
+def test_grids_and_reducts_are_built_once_per_key(monkeypatch):
+    """BDE and then BDE+tnb at size 4 build one grid per algebra and
+    variable tuple, and reduce each relation-value tuple once per base
+    algebra and relation names, although the two systems share most of
+    their axioms and the second reaches each tuple on many assignments."""
+    structures._compiled_grid.cache_clear()
+    engine._free_reduct.cache_clear()
+    grids, reduced = [], []
+
+    class Recorded(structures._Grid):
+        def __init__(self, alg, names, memo):
+            grids.append((alg, tuple(names)))
+            super().__init__(alg, names, memo)
+
+    def counted(s):
+        reduced.append((s.algebra.without_constants(), tuple(s.unary), tuple(s.binary),
+                        (*s.unary.values(), *s.binary.values())))
+        return reduct(s)
+
+    monkeypatch.setattr(structures, "_Grid", Recorded)
+    monkeypatch.setattr(engine, "reduct", counted)
+    models = classify_models(system("BDE"), 4).models + classify_models(system("BDE+tnb"), 4).models
+    assert grids and len(grids) == len(set(grids))
+    assert reduced and len(reduced) == len(set(reduced)) < models
+
+
+def test_shared_reducts_carry_their_own_algebras_labels():
+    """A relabelled copy of a census algebra gets the reducts of the
+    unlabelled one, which the memo already holds, under its own labels."""
+    sweep = ModelSweep(system("BDE+tnb"))
+    alg = census_pool(4)[-1]
+    copy = FiniteAlgebra(alg.size, alg.meet, alg.join, alg.neg, labels=("a", "b", "c", "d"))
+    free = sweep.free_models(alg, _relation_ranges(sweep.names, alg))
+    plain = list(sweep.reducts(alg, free))
+    relabelled = list(sweep.reducts(copy, free))
+    assert len(plain) == len(relabelled) > 0
+    merged = 0
+    for (_, red, proj, reduced), (model, red2, proj2, reduced2) in zip(plain, relabelled):
+        direct, _ = reduct(model)
+        assert model.algebra.labels == copy.labels and red.algebra.labels is None
+        assert (red2, proj2, reduced2) == (red, proj, reduced)
+        assert red2.algebra.labels == direct.algebra.labels
+        assert red2.algebra.constants == direct.algebra.constants
+        merged += red2.algebra.size < alg.size
+    assert merged > 0
 
 
 def test_classify_bde_size_3():

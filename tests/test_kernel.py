@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from fourval import structures
+from fourval import engine, structures
 from fourval.algebra import AlgebraError, congruences
 from fourval.engine import (
     ModelSweep,
@@ -256,6 +256,8 @@ def _clear_caches():
     """Forget what the sweep memoises per process, so that what is built
     next shares nothing with what was built before."""
     congruences.cache_clear()
+    structures._compiled_grid.cache_clear()
+    engine._free_reduct.cache_clear()
 
 
 def _programs(sysd):
@@ -309,6 +311,7 @@ def test_constants_read_as_grid_variables_count_toward_the_limit(monkeypatch):
     the variable limit is refused before any grid is built for it; with
     one variable fewer it is swept, and on an algebra that interprets the
     constants its variables alone count."""
+    _clear_caches()  # a grid that an earlier test left cached is not built again
     built = []
 
     class Recorded(structures._Grid):
