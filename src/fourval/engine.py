@@ -749,7 +749,8 @@ class ModelSweep:
     assignment in ``_constant_assignments`` order is the j-th run of n**k
     points of an axiom's grid over k variables.  One pass over those
     axioms per free tuple gives the assignments on which it fails, with
-    one memo of relation values for all of them.  Constants are nullary
+    one memo of relation values for all of them, kept in grids that the
+    ``CompiledRules`` of every system share.  Constants are nullary
     operations and impose no compatibility condition, so every expansion
     of an algebra has the congruence lattice of the base algebra, in the
     same order: the eq values of every expansion come from the base
@@ -762,7 +763,7 @@ class ModelSweep:
     def __init__(self, sys: AxiomSystem):
         named = sorted(sys.named_rules(),
                        key=lambda nr: (len(nr[1].variables()), len(nr[1].premises)))
-        self.names = _relation_names(sys)
+        self.names = tuple(_relation_names(sys))
         free = [nr for nr in named if not nr[1].constants()]
         self._free = CompiledRules(free)
         self._bound = CompiledRules(nr for nr in named if nr[1].constants())
@@ -818,10 +819,9 @@ class ModelSweep:
         values (``_free_reduct``); a model with constants only rebinds the
         quotient's constants to the images of its own.
         """
-        names = tuple(self.names)
         for model in self.expand(alg, free):
             values = (*model.unary.values(), *model.binary.values())
-            red, proj, reduced = _free_reduct(alg, alg.labels, names, values)
+            red, proj, reduced = _free_reduct(alg, alg.labels, self.names, values)
             if model.algebra.constants:
                 consts = {c: proj[v] for c, v in model.algebra.constants.items()}
                 red = Structure(red.algebra.with_constants(consts), red.unary, red.binary)
@@ -936,10 +936,14 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     eq values of all its expansions, from ``congruences``, which
     enumerates it once per process however many eq systems are
     classified.
-    ``ModelSweep.reducts`` finds the Leibniz congruence, by partition
-    refinement, and the quotient once per base algebra and relation
-    values, not once per model.  Each distinct reduct's shape is checked
-    once; every model still gets its own violation lines, in sweep order.
+    The compiled grids, with their memos of each axiom formula's bitset
+    per relation value, are shared by every system classified in the
+    process (``structures._compiled_grid``).  ``ModelSweep.reducts``
+    finds the Leibniz congruence, by partition refinement, and the
+    quotient once per process for each base algebra, relation names and
+    values, not once per model or per system.  Each distinct reduct's
+    shape is checked once per system; every model still gets its own
+    violation lines, in sweep order.
     """
     family, _ = parse_name(sys.name)
     report = ClassificationReport(sys.name, size)

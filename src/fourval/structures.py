@@ -45,12 +45,11 @@ algebra: per algebra it reads one grid per variable tuple of its rules
 from `_compiled_grid`, which keeps each such grid once per process for
 every `CompiledRules`, and each grid memoises each formula's bitset per
 value of its relation, so systems that share an axiom share its
-bitsets.  On an
-algebra that leaves some of the rules' constants uninterpreted, those
-constants lead every grid as variables, so one check covers every
-assignment of them: the j-th assignment is the j-th run of each grid,
-and `RuleCheck.failing_points` gives a rule's failing points over all
-of them.
+bitsets.  On an algebra that leaves some of the rules' constants
+uninterpreted, those constants lead every grid as variables, so one
+check covers every assignment of them: the j-th assignment is the j-th
+run of each grid, and `RuleCheck.failing_points` gives a rule's failing
+points over all of them.
 `eval_term` evaluates one term at one valuation; it is the independent
 oracle the tests compare the kernel against.
 """
