@@ -837,10 +837,21 @@ def _free_reduct(alg: FiniteAlgebra, labels: tuple[str, ...] | None, names: tupl
     Cached per process, like ``congruences``, so each tuple is reduced
     once however many systems and constant assignments reach it.  The key
     holds ``labels`` because algebra equality ignores them, and the
-    reduct's element names come from them.
+    reduct's element names come from them.  The many tuples share few
+    quotients, so the reduct is rebuilt on the quotient algebra interned
+    by ``_interned``.
     """
     red, proj = reduct(_structure(alg, names, values))
+    red = Structure(_interned(red.algebra, red.algebra.labels), red.unary, red.binary)
     return red, proj, is_reduced(red)
+
+
+@lru_cache(maxsize=None)
+def _interned(alg: FiniteAlgebra, labels: tuple[str, ...] | None) -> FiniteAlgebra:
+    """The first algebra seen equal to alg with these labels, so that equal
+    quotients share one object and its tables.  The key holds ``labels``
+    because algebra equality ignores them."""
+    return alg
 
 
 def _runs_hit(points: int, run: int, among: int) -> int:

@@ -89,7 +89,8 @@ VARIANT_SMOKE = ("BDE+tnb", "BDNF+tnb", "KE+tb", "BD-EQ+tnb", "ETL-EQ+tnb",
 
 
 def _report(suite: str, config: dict, checks: int, violations: list[str],
-            started: float, extra: dict | None = None) -> dict:
+            started: float, extra: dict | None = None,
+            phases: dict[str, float] | None = None) -> dict:
     out = {
         "suite": suite,
         "config": config,
@@ -101,7 +102,8 @@ def _report(suite: str, config: dict, checks: int, violations: list[str],
         out["empty"] = True
     if extra:
         out.update(extra)
-    out["timings"] = {"total_s": round(time.perf_counter() - started, 3)}
+    out["timings"] = {**{name: round(secs, 3) for name, secs in (phases or {}).items()},
+                      "total_s": round(time.perf_counter() - started, 3)}
     return out
 
 
@@ -708,17 +710,35 @@ def _rule_sample(formulas: Sequence[Formula], max_premises: int, rng: random.Ran
 
 def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> list[tuple[tuple[int, ...], int]]:
     findex = {f: i for i, f in enumerate(formulas)}
+    lookup, index = findex.get, findex.__getitem__
     by_pred: dict[str, list[Formula]] = {}
     for f in findex:
         by_pred.setdefault(f.pred, []).append(f)
     ground: set[tuple[tuple[int, ...], int]] = set()
     for _, _, matched, concl in Grounder(sysd, Universe(universe)).instances(by_pred):
-        ci = findex.get(concl)
+        ci = lookup(concl)
         if ci is not None:
-            prems = tuple(sorted({findex[p] for p in matched}))
+            prems = tuple(sorted(set(map(index, matched))))
             if ci not in prems:
                 ground.add((prems, ci))
-    return sorted(ground)
+    # the order of sorted(ground), read from one int per rule: the premises
+    # as base-(n + 1) digits one above their indices, padded with zeros to
+    # the widest scheme (so a tuple sorts before its extensions), then the
+    # conclusion as the last digit
+    base = len(formulas) + 1
+    width = max((len(s.rule.premises) for s in sysd.schemes), default=0)
+    scale = [base ** (width + 1 - k) for k in range(width + 1)]
+
+    def key(rule: tuple[tuple[int, ...], int]) -> int:
+        prems, concl = rule
+        k = 0
+        for p in prems:
+            k = k * base + p + 1
+        return k * scale[len(prems)] + concl
+    program = list(ground)
+    del ground  # its table goes before the keys are made, which keeps the peak
+    program.sort(key=key)
+    return program
 
 
 class _Levels(list):
@@ -731,15 +751,53 @@ def _horn_closure(ground, seeds: Sequence[int], depth: int, full: int) -> _Level
     """Saturate every premise set at once (Dowling & Gallier 1984): bit j of
     ``seeds[f]``, and of the result's entry f, says formula f is in, or is
     reached from, premise set j.  Rounds are synchronous, so a fact's round
-    is one past its latest premise; zero-premise rules fire for all (``full``)."""
+    is one past its latest premise; zero-premise rules fire for all (``full``).
+
+    The program is split once.  A rule of one to three premises joins a
+    group headed by its first two premises, whose tail holds the third
+    premise and the conclusion of each of its rules as two ints; a rule (a)
+    reads as (a, a, a) and a rule (a, b) as (a, b, a).  A rule whose first
+    two premises differ from the last group's heads a new group, so each
+    pair in ``_ground_program``'s sorted output heads one group.  A round
+    ANDs each group's pair once, skips the group when that is 0, and ORs
+    the pair ANDed with each third premise into its conclusion, skipping a
+    0.  This is exact in any order: AND is associative, commutative and
+    idempotent, so the grouped AND is the rule's, and OR is idempotent and
+    commutative, so the order of the ORs, and leaving out ``| 0``, change
+    no entry.  Rules of no premise or of more than three AND their
+    premises from ``full``.
+    """
+    wide: list[tuple[tuple[int, ...], int]] = []
+    heads: list[int] = []  # a, b of each group in turn
+    tails: list[list[int]] = []
+    head = None
+    for prems, concl in ground:
+        if 0 < len(prems) <= 3:
+            a, b, c = prems if len(prems) == 3 else (prems * 3)[:3]
+            if (a, b) != head:
+                head, tail = (a, b), []
+                heads += head
+                tails.append(tail)
+            tail += (c, concl)
+        else:
+            wide.append((prems, concl))
     level = _Levels(seeds)
     for _ in range(depth):
         nxt = level[:]
-        for prems, concl in ground:
+        for prems, concl in wide:
             reach = full
             for p in prems:
                 reach &= level[p]
             nxt[concl] |= reach
+        pairs = iter(heads)
+        for a, b, tail in zip(pairs, pairs, tails):
+            pair = level[a] & level[b]
+            if pair:
+                thirds = iter(tail)
+                for c, concl in zip(thirds, thirds):
+                    reach = pair & level[c]
+                    if reach:
+                        nxt[concl] |= reach
         if nxt == level:
             break
         level[:] = nxt
@@ -752,6 +810,7 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
     violations = []
     checks = 0
     stats = {}
+    phases = {"ground_s": 0.0, "closure_s": 0.0}
     # (system, term depth), at most two premises; constant variants run at
     # term depth 0, where the space stays desk-scale but constants are exercised
     runs: list[tuple[str, int]] = [(n, 1) for n in (systems_run or CORE_SINGLE_CONCLUSION)]
@@ -764,10 +823,14 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
                                  constants=sysd.signature.constants)
         terms = terms_within(bounds)
         formulas = formulas_over(bounds.predicates, terms)
+        clock = time.perf_counter()
         ground = _ground_program(sysd, formulas, terms)
+        phases["ground_s"] += time.perf_counter() - clock
         # built after grounding, so the premise sets are not held while it peaks
         table = _Table(formulas, bounds.max_premises)
+        clock = time.perf_counter()
         level = _horn_closure(ground, table.seeds, depth, table.full)
+        phases["closure_s"] += time.perf_counter() - clock
         reached = [lv & ~s for lv, s in zip(level, table.seeds)]
         refuted = table.refuted(preset_structure(sysd.preset))
         for j, c in _pairs(a & b for a, b in zip(reached, refuted)):
@@ -777,7 +840,7 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
         stats[sys_name] = {"ground_rules": len(ground), "premise_sets": len(table.sets),
                            "closure_rounds": level.rounds, "derived_pairs": derived}
     return _report("engine-soundness", {"depth": depth, "runs": [r[0] for r in runs]},
-                   checks, violations, started, {"stats": stats})
+                   checks, violations, started, {"stats": stats}, phases)
 
 
 # ---------------------------------------------------------------------------

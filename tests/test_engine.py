@@ -305,6 +305,28 @@ def test_shared_reducts_carry_their_own_algebras_labels():
     assert merged > 0
 
 
+def test_memoised_reducts_share_one_algebra_per_quotient(monkeypatch):
+    """After a serial size-5 classification, the reducts the memo holds
+    share one algebra object per (algebra, labels), although many
+    relation-value tuples reduce to equal quotients."""
+    engine._free_reduct.cache_clear()
+    held = []
+    free_reduct = engine._free_reduct
+
+    def recorded(*key):
+        out = free_reduct(*key)
+        held.append(out[0].algebra)
+        return out
+
+    monkeypatch.setattr(engine, "_free_reduct", recorded)
+    assert suite_classification(size=5, jobs=1)["ok"]
+    objects: dict[tuple, set[int]] = {}
+    for alg in held:
+        objects.setdefault((alg, alg.labels), set()).add(id(alg))
+    assert len(held) > len(objects) > 1
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
 def test_classify_bde_size_3():
     rep = classify_models(system("BDE"), 3)
     assert rep.ok and rep.models > 0

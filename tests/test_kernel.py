@@ -258,6 +258,7 @@ def _clear_caches():
     congruences.cache_clear()
     structures._compiled_grid.cache_clear()
     engine._free_reduct.cache_clear()
+    engine._interned.cache_clear()
 
 
 def _programs(sysd):

@@ -89,6 +89,31 @@ def test_closure_matches_per_set_bfs(name, term_depth):
     assert any(rnd > 0 for reached in rounds for rnd in reached.values())
 
 
+# Shapes the suite's programs lack: rules of 0 to 4 premises, out of order;
+# two duplicated rules; (3, 4) opens two three-premise rules; formula 0 is
+# in no premise set and concludes no rule, so the pair (0, 3) ANDs to 0
+SYNTHETIC = [
+    ((1, 3, 5, 7), 2), ((), 1), ((3,), 4), ((2, 4), 6), ((2, 4), 6),
+    ((3, 4, 5), 7), ((3, 4, 6), 8), ((0, 3, 5), 8), ((8,), 5), ((1, 7), 3),
+    ((2, 3, 6, 8), 7), ((4, 6, 7), 2), ((5, 6), 2), ((1, 3, 5, 7), 2),
+]
+
+
+def test_closure_matches_per_set_bfs_on_a_synthetic_program():
+    sets = [prem for k in range(MAX_PREMISES + 1) for prem in combinations(range(1, 9), k)]
+    seeds = _seeds(9, sets)
+    full = (1 << len(sets)) - 1
+    rounds = [oracle_rounds(SYNTHETIC, prem, 4) for prem in sets]
+    for depth in range(1, 5):
+        level = verify._horn_closure(SYNTHETIC, seeds, depth, full)
+        got = {(j, f) for f, bits in enumerate(level) for j in mask_iter(bits)}
+        want = {(j, f) for j, reached in enumerate(rounds)
+                for f, rnd in reached.items() if rnd <= depth}
+        assert got == want, f"depth {depth}"
+        assert level.rounds == depth
+        assert level[0] == 0
+
+
 def _oracle_violations(sysd, formulas, ground, sets, depth: int) -> list[str]:
     """The violation list of the per-set BFS, in (premise set, conclusion) order."""
     st = preset_structure(sysd.preset)
@@ -134,3 +159,11 @@ def test_engine_soundness_reports_are_deterministic():
     assert report["stats"] == {"BDE": {"ground_rules": 52, "premise_sets": 301,
                                        "closure_rounds": 2,
                                        "derived_pairs": report["checks"]}}
+
+
+def test_engine_soundness_times_its_phases():
+    timings = verify.suite_engine_soundness(depth=2, systems_run=["BDE"])["timings"]
+    assert set(timings) == {"ground_s", "closure_s", "total_s"}
+    assert min(timings.values()) >= 0
+    # each is rounded to the millisecond on its own
+    assert timings["ground_s"] + timings["closure_s"] <= timings["total_s"] + 0.002
