@@ -736,7 +736,7 @@ def _ground_program(sysd: AxiomSystem, formulas: list[Formula], universe) -> lis
             k = k * base + p + 1
         return k * scale[len(prems)] + concl
     program = list(ground)
-    del ground  # its table goes before the keys are made, which keeps the peak
+    del ground  # so the set's table and the sort keys are never held at once
     program.sort(key=key)
     return program
 

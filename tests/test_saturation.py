@@ -90,8 +90,9 @@ def test_closure_matches_per_set_bfs(name, term_depth):
 
 
 # Shapes the suite's programs lack: rules of 0 to 4 premises, out of order;
-# two duplicated rules; (3, 4) opens two three-premise rules; formula 0 is
-# in no premise set and concludes no rule, so the pair (0, 3) ANDs to 0
+# two duplicated rules; two three-premise rules that share the first pair
+# (3, 4); formula 0 is in no premise set and concludes no rule, so the pair
+# (0, 3) ANDs to 0
 SYNTHETIC = [
     ((1, 3, 5, 7), 2), ((), 1), ((3,), 4), ((2, 4), 6), ((2, 4), 6),
     ((3, 4, 5), 7), ((3, 4, 6), 8), ((0, 3, 5), 8), ((8,), 5), ((1, 7), 3),
