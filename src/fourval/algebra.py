@@ -39,7 +39,7 @@ class FiniteAlgebra:
     check; `algebra_from_json` checks data from outside.
     """
 
-    __slots__ = ("size", "meet", "join", "neg", "constants", "labels", "_key")
+    __slots__ = ("size", "meet", "join", "neg", "constants", "labels", "_key", "_hash")
 
     def __init__(self, size, meet, join, neg, constants=None, labels=None):
         self.size = size
@@ -76,7 +76,16 @@ class FiniteAlgebra:
         return isinstance(other, FiniteAlgebra) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            self._hash = hash(self._key)
+            return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy in another process hashes there
+        return FiniteAlgebra, (self.size, self.meet, self.join, self.neg, self.constants,
+                               self.labels)
 
     def __repr__(self):
         names = ",".join(self.element_name(i) for i in range(self.size))

@@ -145,7 +145,7 @@ def identity_relation(algebra: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(1 << i for i in range(algebra.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     valid: bool
     valuation: dict[str, int] | None = None

@@ -25,6 +25,21 @@ entry is dropped when the node is collected, so the store is bounded by
 the nodes the program still references and has no size to set.  Nodes
 are immutable, since every holder shares them; pickling and copying call
 the constructor again and so return the stored node.
+
+`parse_rule` parses each distinct formula text once.  No token but `,`,
+`|` and the turnstile `|-` holds a `,` or a `|`, so the first `|-` in a
+rule is its turnstile, and the text before it splits at `,`, and the text
+after it at `|`, into the rule's formula texts.  If each of those pieces parses alone
+as one formula, the whole text parses to the rule of those formulas: the
+parser reads a formula the same way whether `,`, `|`, `|-` or the end of
+input follows it.  A piece is parsed under `FULL_SIG` and kept in a memo
+of weak references, so an entry lives as long as its formula does and the
+memo has no size to set.  A restricted signature accepts a stored formula
+only if it provides the formula's predicate and every constant in its
+terms, which is exactly when the parser would accept that text under it.
+Any other text (no turnstile, an empty or unparsable piece, a symbol the
+signature lacks) is parsed whole by the token parser, so every error keeps
+its class, message and position.
 """
 
 from __future__ import annotations
@@ -143,7 +158,8 @@ class _Node:
 
 
 class _Term(_Node):
-    __slots__ = ("_text", "_symbols")  # term_text, term_symbols: filled on first use
+    # term_text, term_symbols, term_depth: filled on first use
+    __slots__ = ("_text", "_symbols", "_depth")
 
 
 class _OneField(_Term):
@@ -247,11 +263,19 @@ def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
 
 
 def term_depth(t: Term) -> int:
-    if isinstance(t, (Var, Const)):
-        return 0
-    if isinstance(t, Neg):
-        return 1 + term_depth(t.arg)
-    return 1 + max(term_depth(t.left), term_depth(t.right))
+    """Nesting depth of t's operators, cached in each node on first use."""
+    try:
+        return t._depth
+    except AttributeError:  # not measured yet
+        kind = type(t)
+        if kind is Var or kind is Const:
+            depth = 0
+        elif kind is Neg:
+            depth = 1 + term_depth(t.arg)
+        else:
+            depth = 1 + max(term_depth(t.left), term_depth(t.right))
+        object.__setattr__(t, "_depth", depth)  # a cache in the node, not a field
+        return depth
 
 
 class Formula(_Node):
@@ -546,11 +570,54 @@ def _whole_term(tokens: list[str], sigspec: SigSpec) -> Term:
     return t
 
 
+def _whole_formula(tokens: list[str], sigspec: SigSpec) -> Formula:
+    f = _formula(tokens, sigspec)
+    _expect(tokens, _EOF, "eof")
+    return f
+
+
+# formula text, stripped -> its formula under FULL_SIG; see the module docstring.
+# Threads that miss on the same text store the same interned formula.
+_formulas: weakref.WeakValueDictionary[str, Formula] = weakref.WeakValueDictionary()
+
+
+def _memo_formulas(side: str, sep: str, sigspec: SigSpec) -> frozenset[Formula] | None:
+    """The formulas of one side of a rule, split at sep, or None if a piece
+    is empty, is not one formula, or uses a symbol sigspec lacks."""
+    if not side.strip():
+        return frozenset()
+    out = []
+    for piece in side.split(sep):
+        piece = piece.strip()
+        f = _formulas.get(piece)
+        if f is None:
+            try:
+                f = _parse(piece, FULL_SIG, _whole_formula)
+            except ParseError:
+                return None
+            _formulas[piece] = f
+        if f.pred not in sigspec.relations:
+            return None
+        for t in f.args:
+            if not term_symbols(t)[1] <= sigspec.constants:
+                return None
+        out.append(f)
+    return frozenset(out)
+
+
 def parse_rule(text: str, sigspec: SigSpec = FULL_SIG) -> Rule:
-    """Parse a rule in the concrete grammar against the given signature.
+    """Parse a rule in the concrete grammar against the given signature,
+    each formula text through the memo (see the module docstring).
 
     A rule nested deeper than the interpreter's recursion limit lets the
     parser follow raises ParseError ("nested too deeply")."""
+    left, turnstile, right = text.partition("|-")
+    if turnstile:
+        premises = _memo_formulas(left, ",", sigspec)
+        if premises is not None:
+            conclusions = _memo_formulas(right, "|", sigspec)
+            if conclusions is not None:
+                return Rule(premises, conclusions)
     return _parse(text, sigspec, _rule)
 
 

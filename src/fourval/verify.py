@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations, product as iproduct
+from itertools import combinations, islice, product as iproduct
 from math import comb
 from typing import Callable, Sequence
 
@@ -747,54 +747,76 @@ class _Levels(list):
     rounds = 0
 
 
-def _horn_closure(ground, seeds: Sequence[int], depth: int, full: int) -> _Levels:
+def _horn_closure(ground, seeds: Sequence[int], depth: int, full: int, largest: int) -> _Levels:
     """Saturate every premise set at once (Dowling & Gallier 1984): bit j of
     ``seeds[f]``, and of the result's entry f, says formula f is in, or is
     reached from, premise set j.  Rounds are synchronous, so a fact's round
     is one past its latest premise; zero-premise rules fire for all (``full``).
+    A rule's premises are distinct, as ``_ground_program`` gives them, and
+    ``largest`` is the size of the largest premise set.
 
     The program is split once.  A rule of one to three premises joins a
-    group headed by its first two premises, whose tail holds the third
-    premise and the conclusion of each of its rules as two ints; a rule (a)
-    reads as (a, a, a) and a rule (a, b) as (a, b, a).  A rule whose first
-    two premises differ from the last group's heads a new group, so each
-    pair in ``_ground_program``'s sorted output heads one group.  A round
-    ANDs each group's pair once, skips the group when that is 0, and ORs
-    the pair ANDed with each third premise into its conclusion, skipping a
-    0.  This is exact in any order: AND is associative, commutative and
-    idempotent, so the grouped AND is the rule's, and OR is idempotent and
-    commutative, so the order of the ORs, and leaving out ``| 0``, change
-    no entry.  Rules of no premise or of more than three AND their
-    premises from ``full``.
+    group headed by its first two premises; a rule (a) reads as (a, a).  A
+    group's tail holds the conclusion of each of its rules (a) or (a, b),
+    then the third premise and the conclusion of each rule (a, b, c), as two
+    ints.  A rule whose first two premises differ from the last group's
+    heads a new group, so each pair in ``_ground_program``'s sorted output
+    heads one group.  A round ANDs each group's pair once, skips the group
+    when that is 0, ORs the pair itself into the conclusion of each rule
+    (a) or (a, b), and ORs the pair ANDed with c into the conclusion of
+    each rule (a, b, c), skipping a 0.  This is exact in any order: AND is
+    associative, commutative and idempotent, so the grouped AND is the
+    rule's, and OR is idempotent and commutative, so the order of the ORs,
+    and leaving out ``| 0``, change no entry.  Rules of no premise or of
+    more than three AND their premises from ``full``.
+
+    When ``largest`` is below 3, round 1 leaves out the rules of three or
+    more premises.  Before it, a formula's bitset is its seed, so such a
+    rule's AND has a bit j only if premise set j holds all of its distinct
+    premises, which no set of at most ``largest`` formulas does: its AND is
+    0 and its ORs change nothing.
     """
-    wide: list[tuple[tuple[int, ...], int]] = []
-    heads: list[int] = []  # a, b of each group in turn
-    tails: list[list[int]] = []
+    wide: list[tuple[tuple[int, ...], int]] = []  # rules of no premise or of more than three
+    heads: list[int] = []  # a, b and the number k of rules (a) or (a, b) of each group in turn
+    tails: list[list[int]] = []  # the k conclusions, then c, conclusion of each rule (a, b, c)
     head = None
     for prems, concl in ground:
         if 0 < len(prems) <= 3:
-            a, b, c = prems if len(prems) == 3 else (prems * 3)[:3]
+            a, b = (prems * 2)[:2]
             if (a, b) != head:
                 head, tail = (a, b), []
-                heads += head
+                heads += (a, b, 0)
                 tails.append(tail)
-            tail += (c, concl)
+            if len(prems) == 3:
+                tail += (prems[2], concl)
+            else:
+                tail.insert(heads[-1], concl)
+                heads[-1] += 1
         else:
             wide.append((prems, concl))
     level = _Levels(seeds)
-    for _ in range(depth):
+    for rnd in range(depth):
+        opening = rnd == 0 and largest < 3  # see the docstring
         nxt = level[:]
         for prems, concl in wide:
+            if opening and prems:
+                continue
             reach = full
             for p in prems:
                 reach &= level[p]
             nxt[concl] |= reach
-        pairs = iter(heads)
-        for a, b, tail in zip(pairs, pairs, tails):
+        fields = iter(heads)
+        for a, b, k, tail in zip(fields, fields, fields, tails):
+            if opening and not k:
+                continue
             pair = level[a] & level[b]
             if pair:
-                thirds = iter(tail)
-                for c, concl in zip(thirds, thirds):
+                rules = iter(tail)
+                for concl in islice(rules, k):
+                    nxt[concl] |= pair
+                if opening:
+                    continue
+                for c, concl in zip(rules, rules):
                     reach = pair & level[c]
                     if reach:
                         nxt[concl] |= reach
@@ -829,7 +851,7 @@ def suite_engine_soundness(depth: int = 4, systems_run: Sequence[str] | None = N
         # built after grounding, so the premise sets are not held while it peaks
         table = _Table(formulas, bounds.max_premises)
         clock = time.perf_counter()
-        level = _horn_closure(ground, table.seeds, depth, table.full)
+        level = _horn_closure(ground, table.seeds, depth, table.full, len(table.sets[-1]))
         phases["closure_s"] += time.perf_counter() - clock
         reached = [lv & ~s for lv, s in zip(level, table.seeds)]
         refuted = table.refuted(preset_structure(sysd.preset))

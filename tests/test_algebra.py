@@ -1,7 +1,12 @@
+import copy
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -719,6 +724,34 @@ def test_json_roundtrip():
     data = algebra_to_json(alg)
     back = algebra_from_json(data)
     assert back == alg and back.labels == alg.labels
+
+
+def test_equal_algebras_hash_equal_however_they_are_built():
+    alg = builtin("DM4", {"#t", "#b"})
+    bare = builtin("DM4")
+    built = [alg, bare.with_constants(dict(alg.constants)), algebra_from_json(algebra_to_json(alg)),
+             alg.without_constants().with_constants({"#b": 1, "#t": 0}), copy.deepcopy(alg)]
+    for other in built:
+        assert other == alg and hash(other) == hash(alg)
+    assert alg.without_constants() == bare and hash(alg.without_constants()) == hash(bare)
+    assert len({*built, bare, alg.without_constants()}) == 2
+
+
+def test_a_pickled_algebra_hashes_afresh_in_another_process():
+    # constant names are strings, whose hashes differ between processes
+    # with different hash seeds, so a copy must not carry its hash along
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    dump = ("import pickle, sys; from fourval.algebra import builtin; "
+            "alg = builtin('DM4', {'#t', '#n'}); hash(alg); "
+            "sys.stdout.buffer.write(pickle.dumps({alg: 1}))")
+    load = ("import pickle, sys; from fourval.algebra import builtin; "
+            "print(pickle.loads(sys.stdin.buffer.read()).get(builtin('DM4', {'#t', '#n'})))")
+    data = subprocess.run([sys.executable, "-c", dump], capture_output=True, check=True,
+                          env={**env, "PYTHONHASHSEED": "1"}).stdout
+    out = subprocess.run([sys.executable, "-c", load], input=data, capture_output=True,
+                         check=True, env={**env, "PYTHONHASHSEED": "2"}).stdout
+    assert out.decode().strip() == "1"
 
 
 B2_OPS = algebra_to_json(B2)["ops"]

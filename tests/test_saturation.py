@@ -79,7 +79,7 @@ def test_closure_matches_per_set_bfs(name, term_depth):
     full = (1 << len(sets)) - 1
     rounds = [oracle_rounds(ground, prem, 4) for prem in sets]
     for depth in range(1, 5):
-        level = verify._horn_closure(ground, seeds, depth, full)
+        level = verify._horn_closure(ground, seeds, depth, full, MAX_PREMISES)
         got = {(j, f) for f, bits in enumerate(level) for j in mask_iter(bits)}
         want = {(j, f) for j, reached in enumerate(rounds)
                 for f, rnd in reached.items() if rnd <= depth}
@@ -106,13 +106,31 @@ def test_closure_matches_per_set_bfs_on_a_synthetic_program():
     full = (1 << len(sets)) - 1
     rounds = [oracle_rounds(SYNTHETIC, prem, 4) for prem in sets]
     for depth in range(1, 5):
-        level = verify._horn_closure(SYNTHETIC, seeds, depth, full)
+        level = verify._horn_closure(SYNTHETIC, seeds, depth, full, MAX_PREMISES)
         got = {(j, f) for f, bits in enumerate(level) for j in mask_iter(bits)}
         want = {(j, f) for j, reached in enumerate(rounds)
                 for f, rnd in reached.items() if rnd <= depth}
         assert got == want, f"depth {depth}"
         assert level.rounds == depth
         assert level[0] == 0
+
+
+@pytest.mark.parametrize("largest", [0, 1, 3, 4])
+def test_closure_is_exact_for_every_largest_premise_set(largest):
+    # round 1 leaves out the rules of three or more premises only when no
+    # premise set is that large
+    sets = [prem for k in range(largest + 1) for prem in combinations(range(1, 9), k)]
+    seeds = _seeds(9, sets)
+    full = (1 << len(sets)) - 1
+    rounds = [oracle_rounds(SYNTHETIC, prem, 4) for prem in sets]
+    for depth in range(1, 5):
+        level = verify._horn_closure(SYNTHETIC, seeds, depth, full, largest)
+        got = {(j, f) for f, bits in enumerate(level) for j in mask_iter(bits)}
+        want = {(j, f) for j, reached in enumerate(rounds)
+                for f, rnd in reached.items() if rnd <= depth}
+        assert got == want, f"depth {depth}"
+        assert level.rounds == max(rnd for reached in rounds for rnd in reached.values()
+                                   if rnd <= depth)
 
 
 def _oracle_violations(sysd, formulas, ground, sets, depth: int) -> list[str]:

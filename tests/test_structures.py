@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -119,6 +122,17 @@ def test_failed_conclusions_sorted_by_text():
     assert [formula_text(c) for c in verdict.failed_conclusions] == [
         r"T(x /\ y)", "T(z)", "T(~x)"]
     assert verdict.failed_conclusions == tuple(sorted(r.conclusions, key=formula_text))
+
+
+def test_verdicts_carry_no_instance_dict_and_copy_equal():
+    r = parse_rule(r"T(x) |- T(z) | T(~x)", sig({"T"}))
+    valid = parse_rule("T(x) |- T(x)", sig({"T"}))
+    for verdict in (holds(preset_structure("BD"), r), holds(preset_structure("BD"), valid)):
+        assert not hasattr(verdict, "__dict__")
+        assert pickle.loads(pickle.dumps(verdict)) == verdict
+        assert copy.deepcopy(verdict) == verdict
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.valid = True
 
 
 def test_counter_valuation_replays():

@@ -3,6 +3,8 @@ import gc
 import pickle
 import random
 import re
+import sys
+import threading
 import weakref
 from dataclasses import FrozenInstanceError
 
@@ -10,8 +12,10 @@ import pytest
 
 from fourval import syntax
 from fourval.syntax import (
+    CONSTANT_SYMBOLS,
     FULL_SIG,
     PREDICATE_NAMES,
+    RELATION_ARITIES,
     Const,
     Formula,
     Join,
@@ -29,6 +33,7 @@ from fourval.syntax import (
     parse_term,
     print_rule,
     sig,
+    term_depth,
     term_symbols,
     term_text,
 )
@@ -282,6 +287,22 @@ def test_cached_symbol_sets_agree_with_a_walk():
         assert r.symbols() == (variables, constants, predicates)  # from the cached sets now
 
 
+def _walked_depth(t: Term) -> int:
+    if isinstance(t, (Var, Const)):
+        return 0
+    if isinstance(t, Neg):
+        return 1 + _walked_depth(t.arg)
+    return 1 + max(_walked_depth(t.left), _walked_depth(t.right))
+
+
+def test_cached_depths_agree_with_a_walk():
+    rng = random.Random(11)
+    for _ in range(500):
+        for t in random_rule(rng, max_depth=4).terms():
+            assert term_depth(t) == _walked_depth(t)
+            assert term_depth(t) == _walked_depth(t)  # from the cache now
+
+
 def test_cached_symbol_sets_change_no_repr_or_pickle_and_keep_nothing_alive():
     t = Join(Meet(Var("cached_x"), Const("#n")), Neg(Var("cached_y")))
     before = repr(t)
@@ -526,3 +547,82 @@ def test_parse_term_agrees_with_the_old_parser():
         for text in inputs:
             assert (_outcome(parse_term, text, sigspec)
                     == _outcome(_old_parse_term, text, sigspec)), (text, sigspec)
+
+
+# ---------------------------------------------------------------------------
+# The formula memo in front of parse_rule.
+
+_MEMO_TEXTS = (
+    r"T(x /\ #t), E(#b) |- x = #f | NF(~y)",
+    r"x <= #n,NF(y)|- T(x) | E(#t)",
+    r"E(x), T(#f) |- NF(x)",
+    r" |- x = y",
+    r"T(x), T(y) |-",
+    r"T(x), |- T(x)",
+    r"T(x) |- T(x), E(x)",
+    r"T(x) | E(x) |- T(x)",
+    r"T(x) |- T(y) |- T(z)",
+    r"T(x /\ #q) |- T(x)",
+    r"T(x) |- T(#b) | T(",
+)
+
+
+def _every_signature() -> list[SigSpec]:
+    relations = sorted(RELATION_ARITIES)
+    return [sig([r for i, r in enumerate(relations) if rmask >> i & 1],
+                [c for i, c in enumerate(CONSTANT_SYMBOLS) if cmask >> i & 1])
+            for rmask in range(1, 1 << len(relations)) for cmask in range(1 << len(CONSTANT_SYMBOLS))]
+
+
+def test_cached_formulas_meet_each_signature_like_a_cold_parse():
+    signatures = _every_signature()
+    errors = set()
+    for text in _MEMO_TEXTS:
+        # the token parser alone, which never reads the memo
+        cold = [_outcome(lambda t, s: syntax._parse(t, s, syntax._rule), text, s)
+                for s in signatures]
+        warm = _outcome(parse_rule, text, FULL_SIG)  # held, so its pieces stay cached
+        if isinstance(warm, Rule):
+            assert warm.premises | warm.conclusions <= set(syntax._formulas.values())
+        assert [_outcome(parse_rule, text, s) for s in signatures] == cold, text
+        errors |= {outcome[0] for outcome in cold if isinstance(outcome, tuple)}
+    assert errors == {ParseError, SignatureError}
+
+
+def test_a_memo_entry_goes_with_its_formula():
+    r = parse_rule(r"NF(memoonly /\ #n) |- T(memoonly)")
+    f = syntax._formulas["T(memoonly)"]
+    assert f is r.conclusion and syntax._formulas[r"NF(memoonly /\ #n)"] in r.premises
+    assert parse_rule("T(memoonly) |-").premises == {f}  # a hit
+    del r, f
+    gc.collect()
+    assert "T(memoonly)" not in syntax._formulas
+    assert r"NF(memoonly /\ #n)" not in syntax._formulas
+    assert not _stored(Var, "memoonly")
+
+
+def test_threads_sharing_the_memo_parse_like_the_token_parser():
+    rng = random.Random(31)
+    texts = [_random_rule_text(rng) for _ in range(200)]
+    want = [syntax._parse(text, FULL_SIG, syntax._rule) for text in texts]
+    syntax._formulas.clear()
+    results: dict[int, list] = {}
+
+    def work(k: int) -> None:  # half the threads parse the texts in reverse
+        results[k] = [parse_rule(text) for text in (texts[::-1] if k % 2 else texts)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(6):
+        assert results[k] == (want[::-1] if k % 2 else want)
+    assert all(syntax._parse(text, FULL_SIG, syntax._whole_formula) is f
+               for text, f in syntax._formulas.items())
