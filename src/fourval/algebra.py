@@ -444,7 +444,7 @@ class Homomorphism:
     target: FiniteAlgebra
     mapping: tuple[int, ...]
 
-    def check(self, include_constants: bool = True) -> tuple[bool, str | None]:
+    def check(self) -> tuple[bool, str | None]:
         h = self.mapping
         s, t = self.source, self.target
         for a in range(s.size):
@@ -455,10 +455,9 @@ class Homomorphism:
                     return False, f"meet not preserved at {a},{b}"
                 if t.join[h[a]][h[b]] != h[s.join[a][b]]:
                     return False, f"join not preserved at {a},{b}"
-        if include_constants:
-            for c in set(s.constants) & set(t.constants):
-                if h[s.constants[c]] != t.constants[c]:
-                    return False, f"constant {c} not preserved"
+        for c in set(s.constants) & set(t.constants):
+            if h[s.constants[c]] != t.constants[c]:
+                return False, f"constant {c} not preserved"
         return True, None
 
     @property
@@ -490,7 +489,7 @@ def hom_to_dm4(alg: FiniteAlgebra, prime_filter_mask: int) -> Homomorphism:
         else:
             mapping.append(3)  # n
     hom = Homomorphism(alg.without_constants(), dm4, tuple(mapping))
-    ok, witness = hom.check(include_constants=False)
+    ok, witness = hom.check()
     if not ok:
         raise AlgebraError(f"internal error: induced map is not a homomorphism ({witness})")
     return hom

@@ -947,9 +947,9 @@ def classify_models(sys: AxiomSystem, size: int) -> ClassificationReport:
     eq values of all its expansions, from ``congruences``, which
     enumerates it once per process however many eq systems are
     classified.
-    The compiled grids, with their memos of each axiom formula's bitset
-    per relation value, are shared by every system classified in the
-    process (``structures._compiled_grid``).  ``ModelSweep.reducts``
+    The grids, with their memos of each axiom formula's bitset per
+    relation value, are shared by every system classified in the process
+    and by ``holds`` (``structures._grid``).  ``ModelSweep.reducts``
     finds the Leibniz congruence, by partition refinement, and the
     quotient once per process for each base algebra, relation names and
     values, not once per model or per system.  Each distinct reduct's

@@ -24,40 +24,46 @@ Validity is decided by one kernel over valuation bitsets.
   Bit order is grid order, so the lowest set bit of that int is the
   lexicographically least counter-valuation, which is the one reported.
 
+The bitsets live in one store: `_grid(alg, names)` keeps one `_Grid` per
+process for each algebra and variable tuple (constants read as variables
+included).  Its memo maps a term node to its bitsets and a formula node to
+a dict from the value of its relation to its bitset.  All of these depend
+only on the algebra's tables and constants, the names, the node and the
+value, never on a structure, so structures built apart over one algebra
+share them, and so do systems that share an axiom.  Terms and formulas
+are hash-consed (see `syntax`), so a node met again in another rule or
+structure is one dict lookup.  The memo's keys are weak: an entry goes
+when its node does, so the store is bounded by the nodes the program
+still references.  The key, algebra equality, ignores labels, which no
+bitset reads.
+
 `holds` decides one rule.  It reads the rule's variables, predicates and
 constants once (each term caches its own sets), and rejects a symbol the
 structure does not interpret before it evaluates anything.  Premises are
 ANDed in set order, since AND commutes, and evaluation stops at the first zero;
 conclusions are sorted by text only to report a failure.  A grid of at
-most BLOCK_VALUATIONS points is swept whole, and its `_Grid` is memoised
-on the structure, one per variable tuple: its memo keeps each term's and
-each formula's bitsets over the grid.  Terms and formulas are
-hash-consed (see `syntax`), so a formula or subterm met again in another
-rule is one dict lookup.  The memo's keys are weak, so it is bounded by
-the nodes the program still references, and it is not part of the
-structure's equality, hash, repr or JSON; `formula_bitmap` reads the same
-memo.  Larger grids are swept in blocks that fix the leading variables,
-block by block in lexicographic order, each with a fresh `_Grid`, so
-memory stays bounded however many variables a rule has; the first block
-with a failing point holds the least counter-valuation.
+most BLOCK_VALUATIONS points is swept whole, on the store's grid, and
+`formula_bitmap` reads the same grids.  Larger grids are swept in blocks
+that fix the leading variables, block by block in lexicographic order,
+each with a fresh `_Grid` outside the store, so memory stays bounded
+however many variables a rule has; the first block with a failing point
+holds the least counter-valuation.
 `CompiledRules` serves sweeps that check many relation values over one
-algebra: per algebra it reads one grid per variable tuple of its rules
-from `_compiled_grid`, which keeps each such grid once per process for
-every `CompiledRules`, and each grid memoises each formula's bitset per
-value of its relation, so systems that share an axiom share its
-bitsets.  On an algebra that leaves some of the rules' constants
-uninterpreted, those constants lead every grid as variables, so one
-check covers every assignment of them: the j-th assignment is the j-th
-run of each grid, and `RuleCheck.failing_points` gives a rule's failing
-points over all of them.
+algebra: a literal reads its formula's dict in the store's grid, and
+`_Grid.formula` fills it on a miss, as it does for `holds`.  On an
+algebra that leaves some of the rules' constants uninterpreted, those
+constants lead every grid as variables, so one check covers every
+assignment of them: the j-th assignment is the j-th run of each grid,
+and `RuleCheck.failing_points` gives a rule's failing points over all of
+them.
 `eval_term` evaluates one term at one valuation; it is the independent
 oracle the tests compare the kernel against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -94,12 +100,6 @@ class Structure:
     algebra: FiniteAlgebra
     unary: dict[str, int]
     binary: dict[str, tuple[int, ...]]
-    # holds' memo: grid (sorted variable names) -> its _Grid, whose memo
-    # maps terms and formulas to their bitsets with weak keys, so an entry
-    # goes when its node does.  Set on the first holds, so a structure never
-    # decided carries none.
-    _bitsets: dict[tuple[str, ...], _Grid] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def signature(self) -> SigSpec:
         return SigSpec(frozenset(self.unary) | frozenset(self.binary),
@@ -117,10 +117,6 @@ class Structure:
     def __eq__(self, other):
         return (isinstance(other, Structure) and self.algebra == other.algebra
                 and self.unary == other.unary and self.binary == other.binary)
-
-    def __reduce__(self):
-        # the memo holds weak references, which do not pickle; a copy starts empty
-        return Structure, (self.algebra, self.unary, self.binary)
 
 
 def structure(algebra: FiniteAlgebra, unary: Mapping[str, Iterable[int] | int] | None = None,
@@ -240,8 +236,9 @@ def _relation_bits(value, args: Sequence[tuple[int, ...]]) -> int:
 
 class _Grid:
     """The points of one grid, or of one block of it, over an algebra: the
-    variables' bitsets, the all-ones, and a memo keyed by term or formula
-    node, so each node's bitsets are computed once per grid."""
+    variables' bitsets, the all-ones, and a memo keyed by node, of a
+    term's bitsets and of a formula's bitset per relation value, so each
+    is computed once per grid."""
 
     __slots__ = ("alg", "env", "full", "memo")
 
@@ -268,27 +265,34 @@ class _Grid:
             self.memo[t] = bits
         return bits
 
-    def formula(self, s: Structure, f: Formula) -> int:
-        """Bitset of f in s, for a grid over s's algebra that serves s alone."""
-        bits = self.memo.get(f)
+    def values(self, f: Formula) -> dict:
+        """f's memo: the value of f's relation -> f's bitset."""
+        memo = self.memo.get(f)
+        if memo is None:
+            memo = self.memo[f] = {}
+        return memo
+
+    def formula(self, f: Formula, value) -> int:
+        """Bitset of f when its relation takes `value`."""
+        memo = self.values(f)
+        bits = memo.get(value)
         if bits is None:
-            value = (s.unary if len(f.args) == 1 else s.binary).get(f.pred)
-            if value is None:
-                raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
-            bits = self.memo[f] = _relation_bits(value, [self.term(t) for t in f.args])
+            bits = memo[value] = _relation_bits(value, [self.term(t) for t in f.args])
         return bits
 
 
-def _memo_grid(s: Structure, names: tuple[str, ...]) -> _Grid:
-    """The grid of `names` over s's algebra, memoised on s."""
-    grids = s._bitsets
-    if grids is None:
-        grids = {}
-        object.__setattr__(s, "_bitsets", grids)  # a cache, not a field of the value
-    grid = grids.get(names)
-    if grid is None:
-        grid = grids[names] = _Grid(s.algebra, names, WeakKeyDictionary())
-    return grid
+def _relation(s: Structure, f: Formula):
+    """The value in s of f's relation."""
+    value = (s.unary if len(f.args) == 1 else s.binary).get(f.pred)
+    if value is None:
+        raise SignatureMismatchError(f"predicate {f.pred} not interpreted in the structure")
+    return value
+
+
+@lru_cache(maxsize=None)
+def _grid(alg: FiniteAlgebra, names: tuple[str, ...]) -> _Grid:
+    """The store's grid of `names` over alg; see the module docstring."""
+    return _Grid(alg, names, WeakKeyDictionary())
 
 
 def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
@@ -297,7 +301,7 @@ def formula_bitmap(s: Structure, f: Formula, names: Sequence[str]) -> int:
     The whole grid comes back as one int, so this is for the small grids
     the verification suites sweep rule spaces over.
     """
-    return _memo_grid(s, tuple(names)).formula(s, f)
+    return _grid(s.algebra, tuple(names)).formula(f, _relation(s, f))
 
 
 def _blocks(alg: FiniteAlgebra, names: Sequence[str]) -> Iterator[tuple[int, _Grid]]:
@@ -335,17 +339,18 @@ def holds(s: Structure, r: Rule, var_limit: int = DEFAULT_VARIABLE_LIMIT) -> Ver
         raise SignatureMismatchError(f"constant {min(missing)} not interpreted in the structure")
     names = tuple(sorted(variables))
     n, k = s.algebra.size, len(names)
-    blocks = [(0, _memo_grid(s, names))] if n ** k <= BLOCK_VALUATIONS else _blocks(s.algebra, names)
+    blocks = ([(0, _grid(s.algebra, names))] if n ** k <= BLOCK_VALUATIONS
+              else _blocks(s.algebra, names))
     for first, grid in blocks:
         fail = grid.full
         for f in r.premises:
             if not fail:
                 break
-            fail &= grid.formula(s, f)
+            fail &= grid.formula(f, _relation(s, f))
         for f in r.conclusions:
             if not fail:
                 break
-            fail &= ~grid.formula(s, f)
+            fail &= ~grid.formula(f, _relation(s, f))
         if fail:
             point = first + (fail & -fail).bit_length() - 1
             return Verdict(False, _grid_point(names, n, point),
@@ -363,39 +368,26 @@ def is_model(s: Structure,
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _compiled_grid(alg: FiniteAlgebra, names: tuple[str, ...]) -> _Grid:
-    """The grid of `names` over alg that every `CompiledRules` shares.
-
-    Its memo maps a term to its bitsets and a formula to its slot: the
-    relation, a memo of the formula's bitset per relation value, and the
-    arguments' bitsets.  All of these depend only on alg's tables and
-    constants, the names (constants read as variables included), the
-    node and the value, never on the rules being checked, so the systems
-    of a sweep share them.  Cached per process, like ``congruences``; the
-    key, algebra equality, ignores labels, which no bitset reads.
-    """
-    return _Grid(alg, names, {})
-
-
 class CompiledRules:
     """Named rules compiled once, for model checks of many relation values.
 
     `for_algebra` takes one grid per variable tuple on an algebra from
-    `_compiled_grid`, so rules over the same variables share their terms'
-    bitsets, also with the rules of every other `CompiledRules`, and
-    returns a `RuleCheck` of relation values over that algebra.  The
-    check reads and fills each formula's memo of bitsets per value of its
-    relation, kept in the shared grid, so a formula that several systems'
-    axioms share is evaluated once per algebra and value.  A constant that the rules mention and the algebra does
-    not interpret is read as one more grid variable.  Those constants, in
-    sorted order, lead the grid of every rule, also of a rule that
-    mentions only some of them or none, so on an n-element algebra the
-    j-th run of n**k points of a grid with k variables is the j-th
-    valuation of the constants (the first varies slowest) in every grid.
-    Each grid is swept whole, in one block, so a rule's variables and
-    those constants are held to the default variable limit together,
-    checked for every rule before any grid is built.
+    the store (`_grid`), so rules over the same variables share their
+    terms' bitsets, also with every other `CompiledRules` and with
+    `holds`, and returns a `RuleCheck` of relation values over that
+    algebra.  The check reads and fills each formula's dict of bitsets per
+    value of its relation, kept in the store, so a formula that several
+    systems' axioms share is evaluated once per algebra and value.
+
+    A constant that the rules mention and the algebra does not interpret
+    is read as one more grid variable.  Those constants, in sorted order,
+    lead the grid of every rule, also of a rule that mentions only some
+    of them or none, so on an n-element algebra the j-th run of n**k
+    points of a grid with k variables is the j-th valuation of the
+    constants (the first varies slowest) in every grid.  Each grid is
+    swept whole, in one block, so a rule's variables and those constants
+    are held to the default variable limit together, checked for every
+    rule before any grid is built.
     """
 
     def __init__(self, named_rules: Iterable[tuple[str, Rule]]):
@@ -421,13 +413,10 @@ class CompiledRules:
         rules = []
         for name, names, literals in self.rules:
             names = lead + names
-            grid = _compiled_grid(alg, names)
-            slots = []  # per literal: (relation, memo by relation value, arguments' bitsets, flip)
-            for f, flip in literals:
-                slot = grid.memo.get(f)
-                if slot is None:
-                    slot = grid.memo[f] = (f.pred, {}, [grid.term(t) for t in f.args])
-                slots.append((*slot, flip))
+            grid = _grid(alg, names)
+            # per literal: (relation, f's bitsets by relation value, f's bitset on a miss, flip)
+            slots = [(f.pred, grid.values(f), partial(grid.formula, f), flip)
+                     for f, flip in literals]
             rules.append((name, grid.full, slots, alg.size ** (len(names) - len(lead))))
         return RuleCheck(rules)
 
@@ -454,11 +443,11 @@ class RuleCheck:
         try:
             for i in range(len(rules)) if group is None else group:
                 name, fail, slots, _ = rules[i]
-                for pred, memo, args, flip in slots:
+                for pred, memo, fill, flip in slots:
                     value = rels[pred]
                     f_bits = memo.get(value)
                     if f_bits is None:
-                        f_bits = memo[value] = _relation_bits(value, args)
+                        f_bits = fill(value)
                     fail &= f_bits ^ flip
                     if not fail:
                         break
@@ -476,11 +465,11 @@ class RuleCheck:
         per valuation of the leading constants (1 if there are none)."""
         try:
             for _, fail, slots, run in self.rules:
-                for pred, memo, args, flip in slots:
+                for pred, memo, fill, flip in slots:
                     value = rels[pred]
                     f_bits = memo.get(value)
                     if f_bits is None:
-                        f_bits = memo[value] = _relation_bits(value, args)
+                        f_bits = fill(value)
                     fail &= f_bits ^ flip
                     if not fail:
                         break

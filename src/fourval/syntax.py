@@ -628,7 +628,9 @@ def parse_term(text: str, sigspec: SigSpec = FULL_SIG) -> Term:
 def parse_rule_lines(text: str, sigspec: SigSpec = FULL_SIG) -> list[Rule]:
     """Parse a rule file: one rule per line, '#'-to-end-of-line comments.
 
-    A '#' starts a comment only when it is not part of a constant token.
+    A '#' starts a comment unless it begins a constant token: '#' and one
+    of t, n, b, f not followed by a letter or digit.  So '#note' or '#todo'
+    starts a comment, while '#t' in '|- E(#t)  # c' is a constant.
     A parse error is re-raised as the same class with its message prefixed
     by the 1-based line number; its position, counted from the line's
     first non-blank character, is kept.
@@ -644,7 +646,9 @@ def parse_rule_lines(text: str, sigspec: SigSpec = FULL_SIG) -> list[Rule]:
     return rules
 
 
-_COMMENT_RE = re.compile(r"#(?![tnbf])")  # a '#' that does not start a constant
+# a '#' that does not start a constant: #t, #n, #b or #f with no letter or
+# digit after it, which no constant is followed by in the grammar
+_COMMENT_RE = re.compile(r"#(?![tnbf](?![A-Za-z0-9]))")
 
 
 def _strip_comment(line: str) -> str:

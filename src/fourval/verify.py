@@ -461,7 +461,7 @@ def suite_subdirect(max_size: int = 6) -> dict:
             if not emb.is_injective:
                 violations.append(f"census{n}.{i}: embedding not injective")
             for hom in emb.homs:
-                ok, witness = hom.check(include_constants=False)
+                ok, witness = hom.check()
                 if not ok:
                     violations.append(f"census{n}.{i}: coordinate not a homomorphism ({witness})")
                 image = hom.image()

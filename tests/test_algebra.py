@@ -546,7 +546,7 @@ def test_hom_to_dm4_always_homomorphism_on_census():
         for alg in enumerate_dm_lattices(n):
             for t in enumerate_filters(alg, prime_only=True):
                 hom = hom_to_dm4(alg, t)
-                ok, witness = hom.check(include_constants=False)
+                ok, witness = hom.check()
                 assert ok, witness
 
 

@@ -76,6 +76,13 @@ def test_decide_rule_file_error_names_its_line(capsys, tmp_path):
     assert err == "error: line 3: unexpected character '@' (at position 10)\n"
 
 
+def test_decide_rule_file_comment_may_begin_like_a_constant(capsys, tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("T(x) |- T(x \\/ y)  #note: or-intro\nT(x) |- T(x)  #todo\n")
+    code, report, err = run_json(capsys, "decide", "--logic", "BD", "--file", str(path))
+    assert (code, err) == (0, "") and len(report["results"]) == 2
+
+
 def _decide_rule_or_file(capsys, tmp_path, rule, via_file, *argv):
     if via_file:
         path = tmp_path / "rules.txt"

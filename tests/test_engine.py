@@ -263,7 +263,7 @@ def test_grids_and_reducts_are_built_once_per_key(monkeypatch):
     variable tuple, and reduce each relation-value tuple once per base
     algebra and relation names, although the two systems share most of
     their axioms and the second reaches each tuple on many assignments."""
-    structures._compiled_grid.cache_clear()
+    structures._grid.cache_clear()
     engine._free_reduct.cache_clear()
     grids, reduced = [], []
 

@@ -3,6 +3,7 @@
 import gc
 import pickle
 import random
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -127,31 +128,64 @@ def test_blocked_sweep_beyond_the_default_block(monkeypatch):
     names = "abcdefghi"
     prems = frozenset(Formula("T", (Var(v),)) for v in names[:-1])
     r = Rule(prems, frozenset({Formula("T", (Var("i"),))}))
+    structures._grid.cache_clear()
     v = holds(st, r, var_limit=9)
     assert not v.valid
     assert v.valuation == {**{x: 0 for x in names[:-1]}, "i": 2}  # the least: i = f
-    assert not st._bitsets  # a blocked grid's bitsets are not memoised
+    assert structures._grid.cache_info().currsize == 0  # a blocked grid is not stored
     monkeypatch.setattr(structures, "BLOCK_VALUATIONS", 4 ** 9)
     assert holds(st, r, var_limit=9) == v
-    assert list(st._bitsets) == [tuple(names)]
+    assert structures._grid.cache_info().currsize == 1
+    assert r.conclusions <= set(structures._grid(st.algebra, tuple(names)).memo)
 
 
 def test_holds_memo_is_weak_and_outside_the_structure():
+    structures._grid.cache_clear()
     st, twin = preset_structure("BDE"), preset_structure("BDE")
     r = parse_rule(r"T(x /\ ~mv), E(mv) |- E(x) | T(mv)")
     v = holds(st, r)
-    memo = st._bitsets[("mv", "x")].memo
+    memo = structures._grid(st.algebra, ("mv", "x")).memo
     formulas = r.premises | r.conclusions  # and their subterms: 6 nodes that are not variables
     assert 0 < len(memo) <= 6 and set(memo) <= formulas | {t for f in formulas for a in f.args
                                                            for t in subterms(a)}
     assert holds(st, r) == v == holds(twin, r)
     assert st == twin and hash(st) == hash(twin) and repr(st) == repr(twin)
-    assert "_bitsets" not in repr(st) and structure_to_json(st) == structure_to_json(twin)
+    assert vars(st).keys() == {"algebra", "unary", "binary"}
+    assert structure_to_json(st) == structure_to_json(twin)
     copied = pickle.loads(pickle.dumps(st))
-    assert copied == st and not copied._bitsets
+    assert copied == st and vars(copied).keys() == vars(st).keys() and holds(copied, r) == v
     del r, v, formulas
     gc.collect()
     assert len(memo) == 0
+
+
+def test_structures_built_apart_share_one_grid(monkeypatch):
+    """A second structure over the same algebra finds every bitset of a
+    rule that the first one decided, so deciding it computes none."""
+    st, twin = preset_structure("BDE"), preset_structure("BDE")
+    assert st is not twin
+    r = parse_rule(r"T(x /\ ~y), E(y) |- E(x) | T(~(x \/ y))")
+    v = holds(st, r)
+    computed = []
+    for name in ("_negate", "_combine", "_constant_bits", "_relation_bits"):
+        monkeypatch.setattr(structures, name, lambda *args, _f=getattr(structures, name), _name=name:
+                            computed.append(_name) or _f(*args))
+    assert holds(twin, r) == v and computed == []
+
+
+def test_a_dropped_systems_formulas_leave_the_store():
+    """The store keeps an axiom's bitsets only while its formula lives: once
+    the sweep and the system that compiled it are gone, so is the entry."""
+    sysd = _planted(text=r"T(x), T(y) |- T(#n \/ (z /\ ~x))")
+    planted = weakref.ref(next(iter(sysd.scheme("planted").rule.conclusions)))
+    sweep = ModelSweep(sysd)
+    base = census_pool(3)[-1]
+    models = list(sweep.expand(base, sweep.free_models(base, _relation_ranges(sweep.names, base))))
+    memo = structures._grid(base, ("#b", "#n", "#t", "x", "y", "z")).memo
+    assert models and memo[planted()]  # its bitsets, per value of T
+    del sysd, sweep, models
+    gc.collect()
+    assert planted() is None
 
 
 @pytest.mark.parametrize("name", CLASSIFIED_FAMILIES + CLASSIFIED_VARIANTS)
@@ -256,7 +290,7 @@ def _clear_caches():
     """Forget what the sweep memoises per process, so that what is built
     next shares nothing with what was built before."""
     congruences.cache_clear()
-    structures._compiled_grid.cache_clear()
+    structures._grid.cache_clear()
     engine._free_reduct.cache_clear()
     engine._interned.cache_clear()
 

@@ -176,6 +176,26 @@ def test_rule_file_parsing_with_comments():
         "E(x) |- T(x)", "|- T(#t)", "|- T(x)", "|- T(#t)", "|- x = #b"]
 
 
+def test_comments_that_begin_like_a_constant():
+    """A comment word starting with t, n, b or f is a comment, not a
+    constant followed by junk; a constant before a comment still parses."""
+    text = r"""
+    T(x) |- T(x \/ y)  #note: or-intro
+    T(x) |- T(x)  #todo
+    T(x) |- T(x)#bug 12
+    #fixme
+    |- E(#t)  # c
+    T(#n \/ x) |- T(x)
+    |- x = #b#b2
+    """
+    rules = parse_rule_lines(text, sig({"T", "E", "eq"}, {"#t", "#n", "#b"}))
+    assert [print_rule(r) for r in rules] == [
+        r"T(x) |- T(x \/ y)", "T(x) |- T(x)", "T(x) |- T(x)", "|- E(#t)",
+        r"T(#n \/ x) |- T(x)", "|- x = #b"]
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_rule_lines("T(x) |- T(#t_)")  # not an identifier character: as before
+
+
 def test_parse_rule_lines_errors_keep_class_and_position():
     text = "E(x) |- T(x)\n\n  T(x) |- T(@)  # the bad rule\n"
     with pytest.raises(ParseError) as err:
